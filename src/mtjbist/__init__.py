@@ -58,7 +58,7 @@ from .katan import (
     encrypt32,
     encrypt32_batch,
     key_stream,
-    round_toggle_trace,
+    key_window_toggles,
 )
 from .mtj import (
     MtjCell,

@@ -4,19 +4,24 @@ A circuit exposes:
 
   input_width        bits of one applied stimulus pattern
   n_steps            timesteps a run takes (same for every pattern)
-  states(pattern)    n_steps + 1 register snapshots packed into ints; the
-                     toggle count of step t is the Hamming distance between
-                     snapshots t and t + 1
+  toggles(patterns)  (len(patterns), n_steps) int64 array, one row per
+                     pattern: entry t is the Hamming distance between the
+                     circuit's register state before and after step t
   activation_steps(pattern)   steps at which embedded malicious logic fires
                               (empty for clean circuits)
   trigger_toggles    extra switching the trigger logic contributes at an
                      activation step
+
+toggles takes a whole dataset's patterns at once, so a circuit can compute
+the rows in one batched pass.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .crc import CrcConfig, encode, decoder_register_states
-from .katan import KEY_BITS, N_ROUNDS, BLOCK_BITS, core_states, key_stream
+from .katan import KEY_BITS, N_ROUNDS, BLOCK_BITS, core_states, key_window_toggles
 from .trojan import TrojanSpec, TrojanTarget, crc_trigger, katan_trigger
 
 
@@ -35,9 +40,13 @@ class CrcDecoderCircuit:
     def n_steps(self) -> int:
         return self.config.data_width + self.config.check_width
 
-    def states(self, pattern: int) -> list[int]:
-        msg = encode(pattern, self.config)
-        return decoder_register_states(msg.packed(self.config), self.n_steps, self.config)
+    def toggles(self, patterns) -> np.ndarray:
+        rows = []
+        for pattern in patterns:
+            msg = encode(pattern, self.config)
+            states = decoder_register_states(msg.packed(self.config), self.n_steps, self.config)
+            rows.append([(a ^ b).bit_count() for a, b in zip(states, states[1:])])
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.n_steps)
 
     def activation_steps(self, pattern: int) -> tuple[int, ...]:
         return ()
@@ -69,8 +78,8 @@ class TrojanCrcDecoderCircuit(CrcDecoderCircuit):
 class KatanCircuit:
     """KATAN-32 encryption under a fixed device key; the pattern is the plaintext.
 
-    Snapshots pack L1 || L2 (32 bits) with the key LFSR's 80-bit window above
-    them, so per-step toggles stay bounded by 32 + 80.
+    The switching state is L1 || L2 (32 bits) plus the key LFSR's 80-bit
+    window, so per-step toggles stay bounded by 32 + 80.
     """
 
     input_width = BLOCK_BITS
@@ -82,15 +91,18 @@ class KatanCircuit:
         self.key = key
         self.name = "katan32"
 
-    def states(self, pattern: int) -> list[int]:
-        cores = core_states(pattern, self.key)
-        ks = key_stream(self.key, 2 * N_ROUNDS + KEY_BITS)
-        out = []
-        for r, core in enumerate(cores):
-            window = 0
-            for i in range(KEY_BITS):
-                window |= ks[2 * r + i] << i
-            out.append(core | (window << BLOCK_BITS))
+    def toggles(self, patterns) -> np.ndarray:
+        """Core-state popcounts of all patterns as numpy lanes, plus the key window's flips.
+
+        Only two consecutive states of the batch are alive at any time.
+        """
+        states = core_states(patterns, self.key)
+        prev = next(states)
+        out = np.empty((len(prev), N_ROUNDS), dtype=np.int64)
+        for r, cur in enumerate(states):
+            out[:, r] = np.bitwise_count(prev ^ cur)
+            prev = cur
+        out += key_window_toggles(self.key)
         return out
 
     def activation_steps(self, pattern: int) -> tuple[int, ...]:

@@ -291,6 +291,7 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
         key = config.katan_key
         if kind is ConditionKind.TROJAN:
             spec = config.katan_trojan()
+            trojan.check_katan_trigger_reachable(key, spec)
             circuit = TrojanKatanCircuit(key, spec)
             pattern_filter = lambda p: trojan.katan_trigger(p, key, spec)
         else:

@@ -57,7 +57,7 @@ from .traces import (
     write_dataset,
     write_trace_csv,
 )
-from .trojan import crc_trigger, katan_trigger
+from .trojan import check_katan_trigger_reachable, crc_trigger, katan_trigger
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +157,7 @@ def run_katan_identification(config: ExperimentConfig) -> ExperimentResult:
     n = config.detector_n_patterns
     key = config.katan_key
     spec = config.katan_trojan()
+    check_katan_trigger_reachable(key, spec)
     clean = KatanCircuit(key)
     infected = TrojanKatanCircuit(key, spec)
     seeds = child_seeds(config.seed, 8)

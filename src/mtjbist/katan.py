@@ -15,14 +15,20 @@ Register conventions (all indices are bit positions, LSB first):
 Hex I/O at the CLI treats values big-endian with bit 0 as the least
 significant bit of the last hex digit.
 
-The per-round toggle trace models switching activity for the current-trace
-generator: Hamming distance between consecutive full cipher states, where a
-state is L1 || L2 plus the 80-bit window of the key LFSR, so each entry is
-bounded by 32 + 80.
+One round function serves single blocks and batches: encrypt32 drives it
+over Python ints, core_states and encrypt32_batch over uint64 numpy lanes.
+
+The current-trace generator models switching activity as the Hamming
+distance between consecutive full cipher states, a state being L1 || L2 plus
+the 80-bit window of the key LFSR, so each per-round count is bounded by
+32 + 80. The window does not depend on the plaintext: key_window_toggles
+gives its part once per key, and circuits.KatanCircuit adds the popcounts of
+consecutive core_states.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -109,50 +115,51 @@ def _round(l1: int, l2: int, ir: int, ka: int, kb: int) -> tuple[int, int]:
     return ((l1 << 1) | fb) & _L1_MASK, ((l2 << 1) | fa) & _L2_MASK
 
 
-def core_states(plaintext: int, key: int) -> list[int]:
-    """The 32-bit register state before each round and after the last.
+def _lanes(blocks, name: str) -> np.ndarray:
+    lanes = np.asarray(blocks, dtype=np.uint64)
+    if lanes.size and int(lanes.max()) >> BLOCK_BITS:
+        raise ValueError(f"{name} must fit in {BLOCK_BITS} bits")
+    return lanes
 
-    Entry r is the state entering round r; entry 254 is the ciphertext.
+
+def _rounds(block, ks):
+    """(L1, L2) entering each round and after the last: 255 pairs, one at a time.
+
+    block is one int or an array of uint64 lanes; _load, _round and _store
+    use only shifts and bitwise operators, which act alike on both.
     """
-    _check_block(plaintext, "plaintext")
-    ks = key_stream(key)
-    l1, l2 = _load(plaintext)
-    states = [_store(l1, l2)]
+    l1, l2 = _load(block)
+    yield l1, l2
     for r in range(N_ROUNDS):
         l1, l2 = _round(l1, l2, IR[r], ks[2 * r], ks[2 * r + 1])
-        states.append(_store(l1, l2))
-    return states
+        yield l1, l2
+
+
+def _encrypt(block, key: int):
+    for l1, l2 in _rounds(block, key_stream(key)):
+        pass
+    return _store(l1, l2)
+
+
+def core_states(plaintexts, key: int) -> Iterator[np.ndarray]:
+    """The packed 32-bit state of every lane before each round and after the last.
+
+    Yields 255 uint64 arrays shaped like ``plaintexts``: entry r is the state
+    entering round r and entry 254 is the ciphertext. The states come one at
+    a time, so a large batch never holds the whole timeline.
+    """
+    rounds = _rounds(_lanes(plaintexts, "plaintexts"), key_stream(key))
+    return (_store(l1, l2) for l1, l2 in rounds)
 
 
 def encrypt32(plaintext: int, key: int) -> int:
     _check_block(plaintext, "plaintext")
-    ks = key_stream(key)
-    l1, l2 = _load(plaintext)
-    for r in range(N_ROUNDS):
-        l1, l2 = _round(l1, l2, IR[r], ks[2 * r], ks[2 * r + 1])
-    return _store(l1, l2)
+    return _encrypt(plaintext, key)
 
 
 def encrypt32_batch(plaintexts, key: int) -> np.ndarray:
-    """Vectorized encrypt32 over an array of plaintexts under one key."""
-    pts = np.asarray(plaintexts, dtype=np.uint64)
-    if pts.size and int(pts.max()) >> BLOCK_BITS:
-        raise ValueError(f"plaintexts must fit in {BLOCK_BITS} bits")
-    ks = key_stream(key)
-    l1 = (pts >> np.uint64(_L2_BITS)) & np.uint64(_L1_MASK)
-    l2 = pts & np.uint64(_L2_MASK)
-    one = np.uint64(1)
-    for r in range(N_ROUNDS):
-        ir, ka, kb = IR[r], ks[2 * r], ks[2 * r + 1]
-        fa = ((l1 >> np.uint64(12)) ^ (l1 >> np.uint64(7))
-              ^ ((l1 >> np.uint64(8)) & (l1 >> np.uint64(5)))
-              ^ (np.uint64(ir) & (l1 >> np.uint64(3))) ^ np.uint64(ka)) & one
-        fb = ((l2 >> np.uint64(18)) ^ (l2 >> np.uint64(7))
-              ^ ((l2 >> np.uint64(12)) & (l2 >> np.uint64(10)))
-              ^ ((l2 >> np.uint64(8)) & (l2 >> np.uint64(3))) ^ np.uint64(kb)) & one
-        l1 = ((l1 << one) | fb) & np.uint64(_L1_MASK)
-        l2 = ((l2 << one) | fa) & np.uint64(_L2_MASK)
-    return (l1 << np.uint64(_L2_BITS)) | l2
+    """encrypt32 over an array of plaintexts under one key, one uint64 lane each."""
+    return _encrypt(_lanes(plaintexts, "plaintexts"), key)
 
 
 def decrypt32(ciphertext: int, key: int) -> int:
@@ -171,18 +178,17 @@ def decrypt32(ciphertext: int, key: int) -> int:
     return _store(l1, l2)
 
 
-def round_toggle_trace(plaintext: int, key: int) -> np.ndarray:
-    """Bit flips per round over the full cipher state, length 254.
+@lru_cache(maxsize=32)
+def key_window_toggles(key: int) -> np.ndarray:
+    """Bit flips across the key LFSR's 80-bit window in each round, length 254.
 
-    Entry r counts flips in L1 || L2 plus flips across the key LFSR's 80-bit
-    window, which advances two positions per round, so every entry lies in
-    [0, 32 + 80].
+    The window advances two positions per round, so entry r counts the j in
+    [2r, 2r + 80) with k[j] != k[j + 2]: a difference of one prefix sum.
+    The array is cached per key and read-only.
     """
-    states = core_states(plaintext, key)
-    ks = key_stream(key, 2 * N_ROUNDS + KEY_BITS)
-    toggles = np.empty(N_ROUNDS, dtype=np.int64)
-    for r in range(N_ROUNDS):
-        core = (states[r] ^ states[r + 1]).bit_count()
-        window = sum(ks[2 * r + i] ^ ks[2 * r + 2 + i] for i in range(KEY_BITS))
-        toggles[r] = core + window
-    return toggles
+    k = np.array(key_stream(key, 2 * N_ROUNDS + KEY_BITS), dtype=np.int64)
+    flips = np.concatenate(([0], np.cumsum(k[:-2] ^ k[2:])))
+    starts = 2 * np.arange(N_ROUNDS)
+    window = flips[starts + KEY_BITS] - flips[starts]
+    window.flags.writeable = False
+    return window

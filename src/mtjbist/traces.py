@@ -153,25 +153,28 @@ def toggle_profile(circuit, pattern: int) -> np.ndarray:
     """Per-step toggle counts of one circuit run, length circuit.n_steps."""
     if pattern < 0 or pattern >> circuit.input_width:
         raise ValueError(f"pattern {pattern:#x} does not fit in {circuit.input_width} bits")
-    states = circuit.states(pattern)
-    if len(states) != circuit.n_steps + 1:
-        raise ValueError(f"circuit produced {len(states)} states for {circuit.n_steps} steps")
-    return np.array([(a ^ b).bit_count() for a, b in zip(states, states[1:])], dtype=np.int64)
+    return _toggle_rows(circuit, [pattern])[0]
 
 
-def simulate_trace(
-    circuit,
-    pattern: int,
-    condition: Condition,
-    noise_sigma: float | None = None,
-    seed: int = 0,
-    params: TraceParams = DEFAULT_PARAMS,
-) -> CurrentTrace:
-    """Synthesize one trace; noise_sigma=None takes the params default."""
+def _toggle_rows(circuit, patterns) -> np.ndarray:
+    rows = circuit.toggles(patterns)
+    if rows.shape != (len(patterns), circuit.n_steps):
+        raise ValueError(
+            f"circuit produced toggles of shape {rows.shape} "
+            f"for {len(patterns)} patterns of {circuit.n_steps} steps"
+        )
+    return rows
+
+
+def _noise_sigma(noise_sigma: float | None, params: TraceParams) -> float:
     sigma = params.noise_sigma if noise_sigma is None else float(noise_sigma)
     if sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    profile = toggle_profile(circuit, pattern)
+    return sigma
+
+
+def _synthesize(circuit, pattern: int, profile: np.ndarray, condition: Condition,
+                sigma: float, seed: int, params: TraceParams) -> CurrentTrace:
     if len(profile) > params.n_samples:
         raise ValueError(
             f"circuit takes {len(profile)} steps but the trace holds {params.n_samples} samples"
@@ -185,6 +188,19 @@ def simulate_trace(
     if sigma > 0:
         samples += np.random.default_rng(seed).normal(0.0, sigma, params.n_samples)
     return CurrentTrace(dt=params.dt, samples=samples, pattern_id=pattern)
+
+
+def simulate_trace(
+    circuit,
+    pattern: int,
+    condition: Condition,
+    noise_sigma: float | None = None,
+    seed: int = 0,
+    params: TraceParams = DEFAULT_PARAMS,
+) -> CurrentTrace:
+    """Synthesize one trace; noise_sigma=None takes the params default."""
+    sigma = _noise_sigma(noise_sigma, params)
+    return _synthesize(circuit, pattern, toggle_profile(circuit, pattern), condition, sigma, seed, params)
 
 
 def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_filter=None) -> list[int]:
@@ -234,12 +250,15 @@ def build_dataset(
 
     Patterns come from a generator seeded with ``seed``; the noise of trace i
     is seeded with ``seed ^ i`` so traces are independently reproducible.
+    The circuit computes the toggle rows of all patterns in one call.
     """
     rng = np.random.default_rng(seed)
     patterns = draw_patterns(circuit, n_patterns, rng, pattern_filter)
+    sigma = _noise_sigma(noise_sigma, params)
+    profiles = _toggle_rows(circuit, patterns)
     traces = tuple(
-        simulate_trace(circuit, p, condition, noise_sigma, seed=seed ^ i, params=params)
-        for i, p in enumerate(patterns)
+        _synthesize(circuit, p, profile, condition, sigma, seed ^ i, params)
+        for i, (p, profile) in enumerate(zip(patterns, profiles))
     )
     return Dataset(condition=condition, traces=traces, seed=seed)
 
@@ -317,17 +336,22 @@ def read_manifest(dirpath) -> dict[str, str]:
 
 def read_dataset(dirpath) -> Dataset:
     kv = read_manifest(dirpath)
-    kind = ConditionKind(kv["condition.kind"])
+    try:
+        kind = ConditionKind(kv["condition.kind"])
+        n = int(kv["n_traces"])
+        seed = int(kv["seed"])
+        entries = [(kv[f"trace.{i}.file"], kv[f"trace.{i}.pattern"]) for i in range(n)]
+    except KeyError as exc:
+        path = os.path.join(dirpath, "manifest")
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     condition = Condition(
         kind,
         pv_length_fraction=float(kv["condition.pv_length_fraction"]) if "condition.pv_length_fraction" in kv else None,
         temperature_c=float(kv["condition.temperature_c"]) if "condition.temperature_c" in kv else None,
     )
-    n = int(kv["n_traces"])
     bits = int(kv.get("pattern_bits", 32))
     traces = []
-    for i in range(n):
-        fname = kv[f"trace.{i}.file"]
-        pattern = parse_hex(kv[f"trace.{i}.pattern"], bits)
+    for fname, pattern_hex in entries:
+        pattern = parse_hex(pattern_hex, bits)
         traces.append(read_trace_csv(os.path.join(dirpath, fname), pattern_id=pattern))
-    return Dataset(condition=condition, traces=tuple(traces), seed=int(kv["seed"]))
+    return Dataset(condition=condition, traces=tuple(traces), seed=seed)

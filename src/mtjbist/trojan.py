@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bits import parity
+from .bits import parity, to_hex
 from .crc import CrcConfig, Message, verify
 from .katan import BLOCK_BITS, KEY_BITS, encrypt32
 
@@ -104,6 +104,15 @@ def katan_trigger(plaintext: int, key: int, spec: TrojanSpec) -> bool:
         parity(key & _mask(spec.trigger_key_bits))
         & parity(plaintext & _mask(spec.trigger_pt_bits))
     )
+
+
+def check_katan_trigger_reachable(key: int, spec: TrojanSpec) -> None:
+    """Raise ValueError when the tapped key parity is even: the trigger can then never fire."""
+    if not parity(key & _mask(spec.trigger_key_bits)):
+        raise ValueError(
+            f"katan key {to_hex(key, KEY_BITS)} has even parity over the trigger key bits "
+            f"{list(spec.trigger_key_bits)}, so the Trojan can never fire"
+        )
 
 
 def encrypt32_trojan(plaintext: int, key: int, spec: TrojanSpec) -> int:

@@ -76,6 +76,19 @@ def katan32_encrypt(plaintext: int, key: int) -> int:
     return katan32_states(plaintext, key)[-1]
 
 
+def katan_window_flips(key: int, n_rounds: int = 254) -> list[int]:
+    """Bit flips across the key LFSR's 80-bit window per round, summed term by term."""
+    k = katan_key_bits(key, 2 * n_rounds + 80)
+    return [sum(k[2 * r + i] ^ k[2 * r + 2 + i] for i in range(80)) for r in range(n_rounds)]
+
+
+def katan32_toggles(plaintext: int, key: int) -> list[int]:
+    """Per-round Hamming distance of the 32-bit state plus the key-window flips."""
+    states = katan32_states(plaintext, key)
+    window = katan_window_flips(key)
+    return [bin(a ^ b).count("1") + w for a, b, w in zip(states, states[1:], window)]
+
+
 # ---------------------------------------------------------------------------
 # detector: naive double-loop cross correlation
 

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtjbist.circuits import (
     CrcDecoderCircuit,
@@ -7,7 +10,7 @@ from mtjbist.circuits import (
     TrojanKatanCircuit,
 )
 from mtjbist.crc import CrcConfig, decoder_register_states, encode
-from mtjbist.katan import core_states, key_stream, round_toggle_trace
+from mtjbist.katan import core_states, key_window_toggles
 from mtjbist.traces import toggle_profile
 from mtjbist.trojan import (
     crc_trigger,
@@ -15,8 +18,13 @@ from mtjbist.trojan import (
     katan_trigger,
     katan_trojan_spec,
 )
+from oracles import katan32_states, katan32_toggles, katan_key_bits, katan_window_flips
 
 KEY = 0x9E3779B97F4A7C15F39D
+
+
+def _hamming(states) -> list[int]:
+    return [bin(a ^ b).count("1") for a, b in zip(states, states[1:])]
 
 
 def test_crc_circuit_states_follow_decoder_register():
@@ -27,14 +35,19 @@ def test_crc_circuit_states_follow_decoder_register():
         expected = decoder_register_states(
             msg.packed(config), config.data_width + config.check_width, config
         )
-        assert circ.states(pattern) == expected
+        assert toggle_profile(circ, pattern).tolist() == _hamming(expected)
+    patterns = [0x00, 0x01, 0xA5, 0xFF]
+    rows = circ.toggles(patterns)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [toggle_profile(circ, p).tolist() for p in patterns]
 
 
 def test_crc_circuit_shape_and_name():
     circ = CrcDecoderCircuit()
     assert circ.input_width == 8
     assert circ.n_steps == 16
-    assert len(circ.states(0x5A)) == 17
+    assert circ.toggles([0x5A]).shape == (1, 16)
+    assert circ.toggles([]).shape == (0, 16)
     assert circ.name == "crc_decoder"
     assert circ.activation_steps(0x5A) == ()
     assert circ.trigger_toggles == 0
@@ -45,8 +58,8 @@ def test_trojan_crc_circuit_activation_iff_trigger():
     circ = TrojanCrcDecoderCircuit(crc_trojan_spec())
     config = CrcConfig()
     fired = 0
+    assert np.array_equal(circ.toggles(range(256)), clean.toggles(range(256)))
     for pattern in range(256):
-        assert circ.states(pattern) == clean.states(pattern)
         steps = circ.activation_steps(pattern)
         if crc_trigger(encode(pattern, config)):
             fired += 1
@@ -67,31 +80,43 @@ def test_trojan_crc_circuit_rejects_katan_spec():
 
 def test_katan_circuit_matches_round_trace():
     circ = KatanCircuit(KEY)
-    for pattern in (0x00000000, 0xA5A5A5A5, 0xDEADBEEF):
-        profile = toggle_profile(circ, pattern)
-        assert profile.tolist() == list(round_toggle_trace(pattern, KEY))
+    patterns = [0x00000000, 0xA5A5A5A5, 0xDEADBEEF]
+    rows = circ.toggles(patterns)
+    assert rows.shape == (3, 254)
+    assert rows.dtype == np.int64
+    for pattern, row in zip(patterns, rows):
+        assert row.tolist() == katan32_toggles(pattern, KEY)
+        assert toggle_profile(circ, pattern).tolist() == row.tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, (1 << 80) - 1), st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=4))
+def test_katan_toggles_match_oracle(key, patterns):
+    rows = KatanCircuit(key).toggles(patterns)
+    assert rows.shape == (len(patterns), 254)
+    assert [row.tolist() for row in rows] == [katan32_toggles(p, key) for p in patterns]
 
 
 def test_katan_circuit_initial_state_embeds_plaintext():
     circ = KatanCircuit(KEY)
-    states = circ.states(0x12345678)
-    assert states[0] & 0xFFFFFFFF == 0x12345678
-    assert len(states) == 255
+    row = circ.toggles([0x12345678])[0]
+    oracle = katan32_states(0x12345678, KEY)
+    assert oracle[0] == 0x12345678
+    assert row[0] == bin(0x12345678 ^ oracle[1]).count("1") + katan_window_flips(KEY)[0]
+    assert row.shape == (254,)
     assert circ.n_steps == 254
     assert circ.input_width == 32
     assert circ.name == "katan32"
 
 
 def test_katan_circuit_key_window_advances():
+    # the window part of a row is what remains after the core popcounts; it
+    # must match the window packed from the key stream, two positions a round
     circ = KatanCircuit(KEY)
-    states = circ.states(0)
-    ks = key_stream(KEY, 2 * 254 + 80)
-    for step in (0, 100, 254):
-        window = (states[step] >> 32) & ((1 << 80) - 1)
-        expected = 0
-        for i, b in enumerate(ks[2 * step : 2 * step + 80]):
-            expected |= b << i
-        assert window == expected
+    window = circ.toggles([0])[0] - np.array(_hamming(katan32_states(0, KEY)))
+    ks = katan_key_bits(KEY, 2 * 254 + 80)
+    packed = [sum(b << i for i, b in enumerate(ks[2 * r : 2 * r + 80])) for r in range(255)]
+    assert window.tolist() == _hamming(packed)
 
 
 def test_trojan_katan_circuit_activation():
@@ -99,8 +124,9 @@ def test_trojan_katan_circuit_activation():
     circ = TrojanKatanCircuit(KEY, spec)
     clean = KatanCircuit(KEY)
     hits = 0
-    for pattern in range(0, 4096, 37):
-        assert circ.states(pattern) == clean.states(pattern)
+    patterns = range(0, 4096, 37)
+    assert np.array_equal(circ.toggles(patterns), clean.toggles(patterns))
+    for pattern in patterns:
         steps = circ.activation_steps(pattern)
         if katan_trigger(pattern, KEY, spec):
             hits += 1
@@ -113,10 +139,13 @@ def test_trojan_katan_circuit_activation():
 
 
 def test_core_states_agree_with_circuit_low_bits():
-    circ = KatanCircuit(KEY)
-    states = circ.states(0x0F0F0F0F)
-    cores = core_states(0x0F0F0F0F, KEY)
-    assert [s & 0xFFFFFFFF for s in states] == list(cores)
+    patterns = [0x0F0F0F0F, 0xF0F0F0F0, 0x00000001]
+    lanes = np.array(list(core_states(patterns, KEY)))
+    rows = KatanCircuit(KEY).toggles(patterns)
+    for j, pattern in enumerate(patterns):
+        assert lanes[:, j].tolist() == katan32_states(pattern, KEY)
+        core = np.bitwise_count(lanes[1:, j] ^ lanes[:-1, j])
+        assert (rows[j] - key_window_toggles(KEY)).tolist() == core.tolist()
 
 
 def test_toggle_profile_bounds():
@@ -128,8 +157,8 @@ def test_toggle_profile_bounds():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        CrcDecoderCircuit().states(256)
+        CrcDecoderCircuit().toggles([256])
     with pytest.raises(ValueError):
-        KatanCircuit(KEY).states(1 << 32)
+        KatanCircuit(KEY).toggles([1 << 32])
     with pytest.raises(ValueError):
         KatanCircuit(-1)

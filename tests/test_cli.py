@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -174,6 +175,33 @@ def test_detect_eval_and_score_round(tmp_path, capsys):
 def test_detect_eval_missing_dataset_is_error(tmp_path, capsys):
     rc = main(["detect", "eval", str(tmp_path / "nope"), str(tmp_path / "ref.csv")])
     assert rc == 1
+
+
+def test_detect_eval_manifest_without_n_traces_is_error(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["trace", "gen", "--n", "2", "--out", out, "--name", "ds"]) == 0
+    manifest = tmp_path / "ds" / "manifest"
+    kept = [l for l in manifest.read_text().splitlines() if not l.startswith("n_traces")]
+    manifest.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    rc = main(["detect", "eval", str(tmp_path / "ds"), str(tmp_path / "ds" / "trace_000.csv"), "--out", out])
+    assert rc == 1
+    assert f"{manifest}: missing key 'n_traces'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["exp2"], ["trace", "gen", "--circuit", "katan", "--condition", "trojan"]])
+def test_katan_trojan_that_can_never_fire_is_error(tmp_path, capsys, argv):
+    conf = tmp_path / "run.conf"
+    conf.write_text("katan.key = 00000000000000000000\n")
+    t0 = time.perf_counter()
+    rc = main(argv + ["--config", str(conf), "--out", str(tmp_path)])
+    assert rc == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "katan key 00000000000000000000" in err
+    assert "[0, 1, 2, 3, 4, 5, 6, 7]" in err
+    assert "never fire" in err
+    assert not list(tmp_path.glob("*/manifest")) and not (tmp_path / "exp2").exists()
 
 
 def test_exp1_writes_tree_and_signals_detection(tmp_path, capsys):

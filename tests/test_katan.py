@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtjbist.circuits import KatanCircuit
 from mtjbist.katan import (
     IR,
     N_ROUNDS,
@@ -9,10 +12,13 @@ from mtjbist.katan import (
     encrypt32,
     encrypt32_batch,
     key_stream,
+    key_window_toggles,
     round_constants,
-    round_toggle_trace,
 )
-from oracles import katan32_encrypt, katan32_states, katan_key_bits
+from oracles import katan32_encrypt, katan32_states, katan_key_bits, katan_window_flips
+
+keys = st.integers(0, (1 << 80) - 1)
+blocks = st.integers(0, (1 << 32) - 1)
 
 ALL_ONES_KEY = (1 << 80) - 1
 
@@ -36,13 +42,26 @@ def test_matches_bit_list_oracle():
         assert encrypt32(pt, key) == katan32_encrypt(pt, key)
 
 
+def _timeline(pt: int, key: int) -> list[int]:
+    return [int(s[0]) for s in core_states([pt], key)]
+
+
 def test_round_by_round_states_match_oracle():
     for pt, key in [(0, ALL_ONES_KEY), (0xDEADBEEF, 0x0123456789ABCDEF0123), (1, 1)]:
-        assert core_states(pt, key) == katan32_states(pt, key)
+        assert _timeline(pt, key) == katan32_states(pt, key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(keys, st.lists(blocks, min_size=1, max_size=5))
+def test_core_state_lanes_match_oracle(key, pts):
+    lanes = np.array(list(core_states(pts, key)))
+    assert lanes.shape == (N_ROUNDS + 1, len(pts))
+    for j, pt in enumerate(pts):
+        assert lanes[:, j].tolist() == katan32_states(pt, key)
 
 
 def test_state_timeline_endpoints():
-    states = core_states(0xCAFEBABE, 42)
+    states = _timeline(0xCAFEBABE, 42)
     assert len(states) == N_ROUNDS + 1
     assert states[0] == 0xCAFEBABE
     assert states[-1] == encrypt32(0xCAFEBABE, 42)
@@ -84,6 +103,35 @@ def test_batch_matches_scalar():
     assert all(int(c) == encrypt32(int(p), key) for p, c in zip(pts, batch))
 
 
+@settings(max_examples=30, deadline=None)
+@given(keys, st.lists(blocks, min_size=1, max_size=8))
+def test_batch_matches_oracle(key, pts):
+    cts = encrypt32_batch(np.array(pts, dtype=np.uint64), key)
+    assert cts.dtype == np.uint64
+    assert cts.tolist() == [katan32_encrypt(pt, key) for pt in pts]
+
+
+def test_batch_accepts_empty_array():
+    cts = encrypt32_batch(np.array([], dtype=np.uint64), 1)
+    assert cts.shape == (0,)
+    assert cts.dtype == np.uint64
+    assert encrypt32_batch([], 1).shape == (0,)
+
+
+def test_batch_rejects_wide_plaintext():
+    with pytest.raises(ValueError):
+        encrypt32_batch([1, 1 << 32], 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(keys)
+def test_key_window_prefix_sum_matches_naive_sum(key):
+    window = key_window_toggles(key)
+    assert window.dtype == np.int64
+    assert window.tolist() == katan_window_flips(key)
+    assert not window.flags.writeable
+
+
 def test_no_collisions_in_large_plaintext_sample():
     rng = np.random.default_rng(2024)
     key = 0x9E3779B97F4A7C15F39D
@@ -93,7 +141,7 @@ def test_no_collisions_in_large_plaintext_sample():
 
 
 def test_toggle_trace_shape_and_bounds():
-    trace = round_toggle_trace(0xA5A5A5A5, 0x9E3779B97F4A7C15F39D)
+    trace = KatanCircuit(0x9E3779B97F4A7C15F39D).toggles([0xA5A5A5A5])[0]
     assert trace.shape == (N_ROUNDS,)
     assert trace.min() >= 0
     # state is 32 core bits plus the 80-bit key window
@@ -101,9 +149,7 @@ def test_toggle_trace_shape_and_bounds():
 
 
 def test_toggle_trace_distinguishes_patterns():
-    key = 0x9E3779B97F4A7C15F39D
-    a = round_toggle_trace(0x00000001, key)
-    b = round_toggle_trace(0x80000000, key)
+    a, b = KatanCircuit(0x9E3779B97F4A7C15F39D).toggles([0x00000001, 0x80000000])
     assert not np.array_equal(a, b)
 
 
@@ -114,3 +160,7 @@ def test_input_validation():
         decrypt32(-1, 0)
     with pytest.raises(ValueError):
         encrypt32(0, 1 << 80)
+    with pytest.raises(ValueError):
+        core_states([1 << 32], 0)
+    with pytest.raises(ValueError):
+        key_window_toggles(1 << 80)

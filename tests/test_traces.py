@@ -33,8 +33,8 @@ class StubCircuit:
     name = "stub"
     trigger_toggles = 0
 
-    def states(self, pattern):
-        return [0b0000, 0b0001, 0b0111, 0b0110]
+    def toggles(self, patterns):
+        return np.tile(np.array([1, 2, 1], dtype=np.int64), (len(patterns), 1))
 
     def activation_steps(self, pattern):
         return ()
@@ -198,6 +198,30 @@ def test_build_dataset_per_trace_noise_seeds():
         assert np.array_equal(trace.samples, again.samples)
 
 
+def test_build_dataset_computes_toggles_in_one_call():
+    calls = []
+
+    class CountingStub(StubCircuit):
+        def toggles(self, patterns):
+            calls.append(list(patterns))
+            return super().toggles(patterns)
+
+    ds = build_dataset(CountingStub(), NORMAL, n_patterns=5, seed=3)
+    assert [len(c) for c in calls] == [5]
+    assert calls[0] == [t.pattern_id for t in ds.traces]
+
+
+def test_toggle_rows_of_wrong_shape_rejected():
+    class ShortStub(StubCircuit):
+        def toggles(self, patterns):
+            return np.ones((len(patterns), 2), dtype=np.int64)
+
+    with pytest.raises(ValueError, match="shape"):
+        toggle_profile(ShortStub(), 0)
+    with pytest.raises(ValueError, match="shape"):
+        build_dataset(ShortStub(), NORMAL, n_patterns=2)
+
+
 def test_build_dataset_honours_pattern_filter():
     circ = TrojanCrcDecoderCircuit(crc_trojan_spec())
     trig = lambda p: crc_trigger(encode(p, CRC8))
@@ -234,3 +258,14 @@ def test_dataset_directory_round_trip(tmp_path):
     for ta, tb in zip(ds.traces, back.traces):
         assert ta.pattern_id == tb.pattern_id
         assert np.array_equal(ta.samples, tb.samples)
+
+
+def test_read_dataset_missing_key_names_it(tmp_path):
+    ds = build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=2, seed=4)
+    write_dataset(ds, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest"
+    lines = manifest.read_text().splitlines(keepends=True)
+    for key in ("n_traces", "trace.1.pattern"):
+        manifest.write_text("".join(l for l in lines if not l.startswith(f"{key} ")))
+        with pytest.raises(ValueError, match=f"manifest: missing key '{key}'"):
+            read_dataset(tmp_path / "ds")
