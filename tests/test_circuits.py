@@ -99,9 +99,9 @@ def test_katan_toggles_match_oracle(key, patterns):
 
 def test_katan_circuit_initial_state_embeds_plaintext():
     circ = KatanCircuit(KEY)
+    assert int(next(core_states([0x12345678], KEY))[0]) == 0x12345678
     row = circ.toggles([0x12345678])[0]
     oracle = katan32_states(0x12345678, KEY)
-    assert oracle[0] == 0x12345678
     assert row[0] == bin(0x12345678 ^ oracle[1]).count("1") + katan_window_flips(KEY)[0]
     assert row.shape == (254,)
     assert circ.n_steps == 254
