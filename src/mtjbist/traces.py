@@ -166,15 +166,11 @@ def _toggle_rows(circuit, patterns) -> np.ndarray:
     return rows
 
 
-def _noise_sigma(noise_sigma: float | None, params: TraceParams) -> float:
+def _synthesize(circuit, pattern: int, profile: np.ndarray, condition: Condition,
+                noise_sigma: float | None, seed: int, params: TraceParams) -> CurrentTrace:
     sigma = params.noise_sigma if noise_sigma is None else float(noise_sigma)
     if sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    return sigma
-
-
-def _synthesize(circuit, pattern: int, profile: np.ndarray, condition: Condition,
-                sigma: float, seed: int, params: TraceParams) -> CurrentTrace:
     if len(profile) > params.n_samples:
         raise ValueError(
             f"circuit takes {len(profile)} steps but the trace holds {params.n_samples} samples"
@@ -199,8 +195,8 @@ def simulate_trace(
     params: TraceParams = DEFAULT_PARAMS,
 ) -> CurrentTrace:
     """Synthesize one trace; noise_sigma=None takes the params default."""
-    sigma = _noise_sigma(noise_sigma, params)
-    return _synthesize(circuit, pattern, toggle_profile(circuit, pattern), condition, sigma, seed, params)
+    profile = toggle_profile(circuit, pattern)
+    return _synthesize(circuit, pattern, profile, condition, noise_sigma, seed, params)
 
 
 def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_filter=None) -> list[int]:
@@ -254,10 +250,9 @@ def build_dataset(
     """
     rng = np.random.default_rng(seed)
     patterns = draw_patterns(circuit, n_patterns, rng, pattern_filter)
-    sigma = _noise_sigma(noise_sigma, params)
     profiles = _toggle_rows(circuit, patterns)
     traces = tuple(
-        _synthesize(circuit, p, profile, condition, sigma, seed ^ i, params)
+        _synthesize(circuit, p, profile, condition, noise_sigma, seed ^ i, params)
         for i, (p, profile) in enumerate(zip(patterns, profiles))
     )
     return Dataset(condition=condition, traces=traces, seed=seed)
