@@ -14,16 +14,36 @@ sensed message is fed to the CRC receiver. A healthy array finishes all
 transitions before the sample edge, so the error flag stays at logic zero;
 a slowed-down cell can still be mid-transition and return its stale state,
 which the CRC decoder flags.
+
+The round has a closed form. Writing a cell's current state leaves it
+alone, so cell i faults (reads back its stale state) exactly when
+
+  launched_i != state_i  and  sample_time < launch_time + delay_i
+
+where delay_i = switching_delay(tm_actual_i, state_i -> 1 - state_i). The
+sensed word is the launched word XOR the fault vector. The receiver's
+zero-init remainder is GF(2)-linear and the launched word is a codeword, so
+the remainder of the sensed word is the XOR of the faulted cells' syndrome
+columns, column i being the remainder of the word with only cell i's bit
+set; the error flag fires iff that XOR is nonzero. A pattern enters only
+through its toggle mask and a clock only through its mask of cells still
+switching at the sample edge, so all patterns x clocks x cells are one
+broadcast of the two masks, and all flags one product with the syndrome
+matrix, which is built once per CrcConfig.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .crc import CrcConfig, Message, encode, verify
-from .mtj import MtjCell, MtjDelayModel, apply_bit, is_malicious, sense
+# perfbench's traced run hooks bist.run_bist, frequency_sweep, encode, verify,
+# apply_bit and sense by module attribute, so they stay importable here until
+# the next benchmark change re-hooks the kernel (ROADMAP 6)
+from .crc import CrcConfig, Message, crc_remainder, encode, verify  # noqa: F401
+from .mtj import MtjCell, MtjDelayModel, apply_bit, is_malicious, sense, switching_delay  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,10 +53,13 @@ class ClockConfig:
     sample_edge: int = 3
 
     def __post_init__(self):
-        if self.half_period <= 0:
-            raise ValueError("half_period must be positive")
-        if self.launch_offset_cycles <= 0:
-            raise ValueError("launch_offset_cycles must be positive")
+        # the chained comparisons are False for nan
+        if not 0 < self.half_period < float("inf"):
+            raise ValueError(f"half_period must be positive and finite, got {self.half_period!r}")
+        if not 0 < self.launch_offset_cycles < float("inf"):
+            raise ValueError(
+                f"launch_offset_cycles must be positive and finite, got {self.launch_offset_cycles!r}"
+            )
         if self.sample_edge < 1:
             raise ValueError("sample_edge must be >= 1")
         if self.launch_time >= self.sample_time:
@@ -123,6 +146,51 @@ def message_bits(msg: Message, config: CrcConfig) -> tuple[int, ...]:
     return tuple((msg.data >> i) & 1 for i in range(d)) + tuple((msg.check >> i) & 1 for i in range(g))
 
 
+@lru_cache(maxsize=32)
+def _syndrome_matrix(crc: CrcConfig) -> np.ndarray:
+    """(n, g) read-only bits of each cell's syndrome column.
+
+    Column i is the receiver remainder of the word with only cell i's bit
+    set: data cell i is bit g + i of data||check, check cell j is bit j.
+    """
+    d, g = crc.data_width, crc.check_width
+    columns = [crc_remainder(1 << pos, d + g, crc) for pos in [*range(g, g + d), *range(g)]]
+    out = np.array([[(c >> k) & 1 for k in range(g)] for c in columns], dtype=np.uint8)
+    out.setflags(write=False)
+    return out
+
+
+def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockConfig], crc: CrcConfig,
+                 model: MtjDelayModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pattern at every clock on the same array, in closed form.
+
+    Returns the launched bits (P, n), the faulted cells (H, P, n) and the
+    error flags (H, P), all bool, for P patterns, H clocks and n cells.
+    Cells with writes still pending raise (the harness serializes rounds).
+    """
+    n = crc.data_width + crc.check_width
+    if len(array) != n:
+        raise ValueError(f"array has {len(array)} cells, message needs {n}")
+    for i, cell in enumerate(array):
+        if cell.pending is not None:
+            raise RuntimeError(
+                f"cell {i} has a transition pending (completes at {cell.pending.completes_at} ns); "
+                "rounds must not overlap"
+            )
+    state = np.array([c.state for c in array], dtype=bool)
+    delay = np.array([switching_delay(model, c.tm_actual, (int(c.state), 1 - int(c.state))) for c in array])
+    codes = {p: message_bits(encode(p, crc), crc) for p in dict.fromkeys(patterns)}
+    launched = np.array([codes[p] for p in patterns], dtype=bool).reshape(len(patterns), n)
+    launch = np.array([c.launch_time for c in clocks]).reshape(-1, 1)
+    sample = np.array([c.sample_time for c in clocks]).reshape(-1, 1)
+    # (H, n): cells that, once toggled, are still switching at the sample edge
+    slow = sample < launch + delay
+    faults = (launched != state) & slow[:, None, :]
+    # uint8 sums wrap modulo 256, which keeps their parity
+    flags = ((faults.astype(np.uint8) @ _syndrome_matrix(crc)) & 1).any(axis=-1)
+    return launched, faults, flags
+
+
 def run_bist(
     pattern: int,
     array: list[MtjCell],
@@ -135,27 +203,14 @@ def run_bist(
     The array is not mutated; cells with writes still pending at call time
     raise (the harness serializes rounds).
     """
-    d, g = crc.data_width, crc.check_width
-    if len(array) != d + g:
-        raise ValueError(f"array has {len(array)} cells, message needs {d + g}")
-    launched = message_bits(encode(pattern, crc), crc)
-    t0, t1 = clock.launch_time, clock.sample_time
-    sensed = []
-    for cell, bit in zip(array, launched):
-        written = apply_bit(cell, bit, t0, model)
-        level, _ = sense(written, t1)
-        sensed.append(level)
-    sensed_data = sum(b << i for i, b in enumerate(sensed[:d]))
-    sensed_check = sum(b << i for i, b in enumerate(sensed[d:]))
-    flag = verify(Message(sensed_data, sensed_check), crc)
-    faulted = frozenset(i for i, (s, l) in enumerate(zip(sensed, launched)) if s != l)
+    launched, faults, flags = _bist_rounds(array, [pattern], [clock], crc, model)
     return BistResult(
         pattern=pattern,
-        error_flag=flag,
-        sensed_bits=tuple(sensed),
-        faulted_positions=faulted,
-        launch_time=t0,
-        sample_time=t1,
+        error_flag=int(flags[0, 0]),
+        sensed_bits=tuple((launched[0] ^ faults[0, 0]).astype(np.int64).tolist()),
+        faulted_positions=frozenset(np.flatnonzero(faults[0, 0]).tolist()),
+        launch_time=clock.launch_time,
+        sample_time=clock.sample_time,
     )
 
 
@@ -184,19 +239,36 @@ def frequency_sweep(
     launch_offset_cycles: float = 1.25,
     sample_edge: int = 3,
 ) -> SweepResult:
-    """Run every pattern at every clock setting, each on a fresh array copy."""
-    rows = []
-    worst: dict[int, float | None] = {int(p): None for p in patterns}
-    for hp in half_periods:
-        clock = ClockConfig(half_period=float(hp), launch_offset_cycles=launch_offset_cycles, sample_edge=sample_edge)
-        for p in patterns:
-            res = run_bist(int(p), list(array), clock, crc, model)
-            rows.append(SweepRow(float(hp), int(p), res.error_flag, res.faulted_positions))
-            if res.error_flag:
-                prev = worst[int(p)]
-                if prev is None or hp > prev:
-                    worst[int(p)] = float(hp)
-    return SweepResult(rows=tuple(rows), largest_flagged_half_period=worst)
+    """Run every pattern at every clock setting, each on the same starting array.
+
+    Rows come clock by clock, in the order of half_periods, and within a
+    clock in the order of patterns.
+    """
+    patterns = [int(p) for p in patterns]
+    half_periods = [float(hp) for hp in half_periods]
+    clocks = [
+        ClockConfig(half_period=hp, launch_offset_cycles=launch_offset_cycles, sample_edge=sample_edge)
+        for hp in half_periods
+    ]
+    _, faults, flags = _bist_rounds(array, patterns, clocks, crc, model)
+    # one frozenset per distinct fault vector, keyed by its packed bytes and
+    # shared by every round that has it
+    flat = faults.reshape(-1, faults.shape[-1])
+    packed = np.packbits(flat, axis=-1)
+    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel().tolist()
+    fault_sets: dict[bytes, frozenset[int]] = {}
+    for i, key in enumerate(keys):
+        if key not in fault_sets:
+            fault_sets[key] = frozenset(np.flatnonzero(flat[i]).tolist())
+    rounds = [(hp, p) for hp in half_periods for p in patterns]
+    rows = tuple(
+        SweepRow(hp, p, flag, fault_sets[key])
+        for (hp, p), flag, key in zip(rounds, flags.ravel().astype(np.int64).tolist(), keys)
+    )
+    # -inf marks a pattern that never fired: every half period is positive
+    flagged_hp = np.where(flags, np.array(half_periods).reshape(-1, 1), -np.inf).max(axis=0, initial=-np.inf)
+    worst = {p: (hp if hp > 0 else None) for p, hp in zip(patterns, flagged_hp.tolist())}
+    return SweepResult(rows=rows, largest_flagged_half_period=worst)
 
 
 @dataclass(frozen=True)
@@ -234,19 +306,14 @@ def detection_coverage(
         states = sum(int(array[i].state) << i for i in range(d))
         patterns = [states ^ ((1 << d) - 1)] + patterns
     infected = frozenset(i for i, c in enumerate(array) if is_malicious(c, model))
-    flagged: set[int] = set()
-    any_error = False
-    for p in patterns:
-        res = run_bist(p, array, clock, crc, model)
-        if res.error_flag:
-            any_error = True
-            flagged |= res.faulted_positions
-    flagged_infected = frozenset(flagged & infected)
+    _, faults, flags = _bist_rounds(array, patterns, [clock], crc, model)
+    flagged = frozenset(np.flatnonzero(faults[0, flags[0]].any(axis=0)).tolist())
+    flagged_infected = flagged & infected
     coverage = len(flagged_infected) / len(infected) if infected else 1.0
     return CoverageReport(
         infected=infected,
         flagged_infected=flagged_infected,
         coverage=coverage,
         n_patterns=len(patterns),
-        true_negative_run=(not infected and not any_error),
+        true_negative_run=(not infected and not flags.any()),
     )

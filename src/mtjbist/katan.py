@@ -116,7 +116,11 @@ def _round(l1: int, l2: int, ir: int, ka: int, kb: int) -> tuple[int, int]:
 
 
 def _lanes(blocks, name: str) -> np.ndarray:
-    lanes = np.asarray(blocks, dtype=np.uint64)
+    try:
+        lanes = np.asarray(blocks, dtype=np.uint64)
+    except OverflowError:
+        # a negative or too-wide Python int
+        raise ValueError(f"{name} must fit in {BLOCK_BITS} bits") from None
     if lanes.size and int(lanes.max()) >> BLOCK_BITS:
         raise ValueError(f"{name} must fit in {BLOCK_BITS} bits")
     return lanes

@@ -170,7 +170,13 @@ def load_array(path, tm_nominal: float = 1.0, state: int = 0) -> list[MtjCell]:
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected 'index tm_actual', got {raw!r}")
-            idx, tm = int(parts[0]), float(parts[1])
+            try:
+                idx, tm = int(parts[0]), float(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: expected an integer index and a number, got {raw!r}") from None
+            # the chained comparison is False for nan
+            if not 0 < tm < float("inf"):
+                raise ValueError(f"{path}:{ln}: tm_actual must be positive and finite, got {parts[1]!r}")
             if idx in rows:
                 raise ValueError(f"{path}:{ln}: duplicate cell index {idx}")
             rows[idx] = tm

@@ -107,3 +107,43 @@ def xcorr_double_loop(a, b) -> list[float]:
 
 def detector_double_loop(a, b) -> float:
     return max(abs(v) for v in xcorr_double_loop(a, b))
+
+
+# ---------------------------------------------------------------------------
+# BIST: one launch/sample round, cell by cell, from the timing definitions
+
+def affine_switching_delay(tm: float, rising: bool, tm_range=(0.8, 1.3), window01=(0.0, 2.26),
+                           window10=(0.0, 1.35)) -> float:
+    """Window minimum at tm_min, maximum at tm_max, straight line between, clamped outside."""
+    tm_min, tm_max = tm_range
+    lo, hi = window01 if rising else window10
+    tm = min(max(tm, tm_min), tm_max)
+    frac = (tm - tm_min) / (tm_max - tm_min)
+    return lo + (hi - lo) * frac
+
+
+def bist_round(pattern: int, tm_actual, states, half_period: float, launch_offset_cycles: float = 1.25,
+               sample_edge: int = 3, poly_low: int = 0x07, g: int = 8, d: int = 8):
+    """(error flag, sensed bits, faulted cells) of one round on an 8+8 cell array.
+
+    Cells 0..d-1 hold the data bits LSB first, cells d..d+g-1 the check bits.
+    A cell written with its own state keeps it; a toggled cell reads its old
+    state while the sample edge comes before its switch completes.
+    """
+    period = 2.0 * half_period
+    launch = launch_offset_cycles * period
+    sample = (sample_edge - 1) * period
+    check = crc_long_division(pattern, d, poly_low, g)
+    launched = [(pattern >> i) & 1 for i in range(d)] + [(check >> j) & 1 for j in range(g)]
+    sensed = []
+    for bit, old, tm in zip(launched, states, tm_actual):
+        if bit == old:
+            sensed.append(bit)
+            continue
+        done_at = launch + affine_switching_delay(tm, rising=bit == 1)
+        sensed.append(bit if sample >= done_at else old)
+    data = sum(b << i for i, b in enumerate(sensed[:d]))
+    received_check = sum(b << j for j, b in enumerate(sensed[d:]))
+    flag = int(crc_long_division((data << g) | received_check, d + g, poly_low, g) != 0)
+    faulted = {i for i, (s, b) in enumerate(zip(sensed, launched)) if s != b}
+    return flag, sensed, faulted

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtjbist.bist import (
     AttackSpec,
@@ -11,7 +13,8 @@ from mtjbist.bist import (
     run_bist,
 )
 from mtjbist.crc import CrcConfig, encode
-from mtjbist.mtj import MtjCell, MtjDelayModel, nominal_array
+from mtjbist.mtj import MtjCell, MtjDelayModel, PendingTransition, nominal_array
+from oracles import bist_round
 
 CRC8 = CrcConfig()
 MODEL = MtjDelayModel()
@@ -37,6 +40,13 @@ def test_clock_validation():
     with pytest.raises(ValueError):
         # sample edge at t=0 precedes the launch
         ClockConfig(sample_edge=1)
+
+
+@pytest.mark.parametrize("field", ["half_period", "launch_offset_cycles"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_clock_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ClockConfig(**{field: value})
 
 
 def test_clean_run_no_error():
@@ -207,3 +217,121 @@ def test_coverage_probability_matches_closed_form():
         hits += report.coverage == 1.0
     expected = 1.0 - 2.0 ** -n_patterns
     assert hits / n_trials == pytest.approx(expected, abs=0.035)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernel against the cell-by-cell oracle
+
+DEFAULT_GRID = [float(h) for h in np.linspace(3.0, 0.75, 10)]
+
+
+def random_array(rng) -> list[MtjCell]:
+    """Healthy and tampered cells alike, thicknesses inside and outside the
+    modelled range, random initial states."""
+    return [
+        MtjCell(tm_actual=float(rng.uniform(0.7, 1.5)), state=int(rng.integers(0, 2)))
+        for _ in range(N_CELLS)
+    ]
+
+
+def oracle_round(pattern, cells, half_period, launch_offset_cycles=1.25, sample_edge=3):
+    return bist_round(pattern, [c.tm_actual for c in cells], [c.state for c in cells], half_period,
+                      launch_offset_cycles, sample_edge)
+
+
+def test_rounds_match_oracle_on_every_pattern_and_clock():
+    rng = np.random.default_rng(11)
+    arrays = [random_array(rng) for _ in range(3)]
+    # thicknesses at and beyond both ends of the delay window
+    arrays.append([MtjCell(tm_actual=tm, state=i % 2) for i, tm in enumerate([0.8, 1.3, 0.5, 2.0] * 4)])
+    # slow cells exactly on the codeword of pattern 0x01 (data cell 0, check
+    # cells 8, 9, 10): at a fast clock its faults form a codeword themselves,
+    # and the receiver cannot see them
+    arrays.append([MtjCell(tm_actual=1.3 if i in (0, 8, 9, 10) else 1.0) for i in range(N_CELLS)])
+    off_grid = [float(h) for h in rng.uniform(0.7, 3.2, size=5)]
+    half_periods = DEFAULT_GRID + off_grid
+    patterns = list(range(256))
+    n_flagged = n_masked = 0
+    for cells in arrays:
+        sweep = frequency_sweep(cells, patterns, half_periods, CRC8, MODEL)
+        assert len(sweep.rows) == len(half_periods) * len(patterns)
+        worst = {}
+        for row in sweep.rows:
+            flag, sensed, faulted = oracle_round(row.pattern, cells, row.half_period)
+            assert (row.error_flag, row.faulted_positions) == (flag, faulted)
+            res = run_bist(row.pattern, cells, ClockConfig(half_period=row.half_period), CRC8, MODEL)
+            assert (res.error_flag, list(res.sensed_bits), res.faulted_positions) == (flag, sensed, faulted)
+            if flag:
+                worst[row.pattern] = max(worst.get(row.pattern, 0.0), row.half_period)
+            n_flagged += flag
+            n_masked += bool(faulted) and not flag
+        assert sweep.largest_flagged_half_period == {p: worst.get(p) for p in patterns}
+    # the comparison covers flagged and silent rounds, and faults the CRC misses
+    assert 0 < n_flagged < len(arrays) * len(half_periods) * len(patterns)
+    assert n_masked > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tms=st.lists(st.floats(0.5, 2.0), min_size=N_CELLS, max_size=N_CELLS),
+    states=st.lists(st.integers(0, 1), min_size=N_CELLS, max_size=N_CELLS),
+    patterns=st.lists(st.integers(0, 255), min_size=1, max_size=6),
+    half_periods=st.lists(st.floats(0.3, 4.0), min_size=1, max_size=4),
+    launch_offset_cycles=st.floats(0.1, 1.9),
+    sample_edge=st.integers(3, 5),
+)
+def test_sweep_matches_oracle_property(tms, states, patterns, half_periods, launch_offset_cycles, sample_edge):
+    cells = [MtjCell(tm_actual=tm, state=s) for tm, s in zip(tms, states)]
+    sweep = frequency_sweep(cells, patterns, half_periods, CRC8, MODEL, launch_offset_cycles, sample_edge)
+    expected = [
+        (hp, p) + oracle_round(p, cells, hp, launch_offset_cycles, sample_edge)[::2]
+        for hp in half_periods
+        for p in patterns
+    ]
+    assert [(r.half_period, r.pattern, r.error_flag, r.faulted_positions) for r in sweep.rows] == expected
+
+
+@pytest.mark.parametrize("include_complement", [False, True])
+def test_coverage_matches_oracle_campaign(include_complement):
+    rng = np.random.default_rng(5)
+    for trial in range(12):
+        cells = random_array(rng)
+        clock = ClockConfig(half_period=float(rng.uniform(0.8, 2.0)))
+        report = detection_coverage(cells, clock, CRC8, MODEL, rng_seed=trial, n_patterns=6,
+                                    include_complement=include_complement)
+        patterns = [int(p) for p in np.random.default_rng(trial).integers(0, 256, size=6)]
+        if include_complement:
+            patterns.insert(0, 0xFF ^ sum(cells[i].state << i for i in range(8)))
+        flagged, any_error = set(), False
+        for p in patterns:
+            flag, _, faulted = oracle_round(p, cells, clock.half_period)
+            if flag:
+                flagged |= faulted
+                any_error = True
+        infected = {i for i, c in enumerate(cells) if abs(c.tm_actual - 1.0) > 0.10}
+        assert report.infected == infected
+        assert report.flagged_infected == flagged & infected
+        assert report.coverage == (len(flagged & infected) / len(infected) if infected else 1.0)
+        assert report.n_patterns == len(patterns)
+        assert report.true_negative_run == (not infected and not any_error)
+
+
+def test_pending_cell_raises():
+    cells = nominal_array(N_CELLS)
+    cells[5] = MtjCell(state=0, pending=PendingTransition(target=1, completes_at=9.0))
+    with pytest.raises(RuntimeError, match="pending"):
+        run_bist(0x00, cells, ClockConfig(), CRC8, MODEL)
+    with pytest.raises(RuntimeError, match="pending"):
+        frequency_sweep(cells, [0x00], [3.0], CRC8, MODEL)
+    with pytest.raises(RuntimeError, match="pending"):
+        detection_coverage(cells, ClockConfig(), CRC8, MODEL, rng_seed=0, n_patterns=2)
+
+
+def test_sample_exactly_at_completion_reads_new_state():
+    # window 0..2 ns and tm at tm_max give a 2.0 ns switch; launching at
+    # 2 * half_period and sampling at 4 * half_period leaves exactly 2.0 ns
+    # at half period 1.0, which the cell just makes
+    model = MtjDelayModel(delay01_max=2.0, delay10_max=2.0)
+    cells = [MtjCell(tm_actual=1.3)] + nominal_array(N_CELLS - 1)
+    sweep = frequency_sweep(cells, [0x01], [1.0, 0.999], CRC8, model, launch_offset_cycles=1.0)
+    assert [r.faulted_positions for r in sweep.rows] == [frozenset(), frozenset({0})]

@@ -96,6 +96,26 @@ def test_bist_sweep_reports_largest_flagged_half_period(tmp_path, capsys):
     assert len(rows) == 1 + 6
 
 
+def test_bist_sweep_rejects_non_finite_half_period(tmp_path, capsys):
+    rc = main(["bist", "sweep", "--patterns", "01", "--half-periods", "3,nan", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "half_period must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "bist_results.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["1 x", "1 -1", "1 nan"])
+def test_bist_sweep_bad_array_row_exits_1_with_location(tmp_path, capsys, row):
+    # a nan thickness used to pass: is_malicious calls it healthy, yet the
+    # cell never completes a write, so even the rated clock raised the flag
+    array = tmp_path / "cells.txt"
+    lines = [f"{i} 1\n" for i in range(16)]
+    lines[1] = row + "\n"
+    array.write_text("".join(lines))
+    rc = main(["bist", "sweep", "--array", str(array), "--patterns", "02", "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"{array}:2: " in capsys.readouterr().err
+
+
 def test_attack_inject_requires_target_choice(tmp_path, capsys):
     array = tmp_path / "cells.txt"
     mtj.save_array(array, mtj.nominal_array(16))

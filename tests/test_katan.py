@@ -161,3 +161,13 @@ def test_input_validation():
         core_states([1 << 32], 0)
     with pytest.raises(ValueError):
         key_window_toggles(1 << 80)
+
+
+@pytest.mark.parametrize("blocks", [[-1], [3, -1], [1 << 64]])
+def test_negative_or_overflowing_blocks_raise_value_error(blocks):
+    with pytest.raises(ValueError, match="must fit in 32 bits"):
+        encrypt32_batch(blocks, 0)
+    with pytest.raises(ValueError, match="must fit in 32 bits"):
+        core_states(blocks, 0)
+    with pytest.raises(ValueError, match="must fit in 32 bits"):
+        KatanCircuit(0).toggles(blocks)

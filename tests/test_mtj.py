@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -167,4 +169,15 @@ def test_load_array_rejects_malformed(tmp_path, text):
     path = tmp_path / "array.txt"
     path.write_text(text)
     with pytest.raises(ValueError):
+        load_array(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1 x", "x 1.0", "1 -1", "1 0", "1 nan", "1 inf"],
+)
+def test_load_array_bad_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "array.txt"
+    path.write_text(f"# index tm_actual\n0 1.0\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
         load_array(path)
