@@ -11,7 +11,10 @@ The digests hold for the default configuration under numpy 2.x.
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
+
+import pytest
 
 from mtjbist import mtj
 from mtjbist.cli import main
@@ -19,6 +22,9 @@ from mtjbist.cli import main
 EXP1_TREE_SHA256 = "0ecb22600a681bab8cdb79f657d65e87fc60b3e266cd533c74be44813a22c6be"
 EXP2_TREE_SHA256 = "748df5a81556ebc6af2921a999cb109f1714f6755639453aab310303028d41db"
 BIST_SWEEP_CSV_SHA256 = "bf53fadb7b5037c34536fa3739ef2be34f7687adf8ebd51633d22e4ff08ddac8"
+TRACE_GEN_CRC_PV_TREE_SHA256 = "0956ecad05244c6ad4a313b6fd833e67337e06614030f63a770eaa9f1d24a0cc"
+TRACE_GEN_KATAN_TROJAN_TREE_SHA256 = "f1a2f60f68b3d7d9fa1d3db8f2c62dcea0ef528766f5cda49fc4c3fe065e8283"
+DETECT_EVAL_CSV_SHA256 = "1efd0ff59a94c00328d20ee678ff6e144823296da00c6bb0ce57d06a1bb17576"
 
 
 def tree_digest(root: Path) -> str:
@@ -50,3 +56,27 @@ def test_bist_sweep_csv_digest(tmp_path, capsys):
     assert main(["bist", "sweep", "--array", str(tampered), "--seed", "1", "--out", str(out)]) == 2
     digest = hashlib.sha256((out / "bist_results.csv").read_bytes()).hexdigest()
     assert digest == BIST_SWEEP_CSV_SHA256
+
+
+@pytest.mark.parametrize("argv, name, digest", [
+    (["--circuit", "crc", "--condition", "process_variation", "--pv-fraction", "0.1"],
+     "crc_decoder_process_variation", TRACE_GEN_CRC_PV_TREE_SHA256),
+    (["--circuit", "katan", "--condition", "trojan"],
+     "katan32_trojan_trojan", TRACE_GEN_KATAN_TROJAN_TREE_SHA256),
+])
+def test_trace_gen_tree_digest(tmp_path, capsys, argv, name, digest):
+    assert main(["trace", "gen", *argv, "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert tree_digest(tmp_path / name) == digest
+
+
+def test_detect_eval_csv_digest(tmp_path, capsys):
+    # the exp1 Trojan dataset read back and scored against the exp1 threshold
+    assert main(["exp1", "--seed", "1", "--out", str(tmp_path)]) == 2
+    exp = tmp_path / "exp1"
+    manifest = (exp / "manifest").read_text()
+    threshold = re.search(r"^threshold = (\S+)$", manifest, re.M).group(1)
+    out = tmp_path / "eval"
+    assert main(["detect", "eval", str(exp / "datasets" / "trojan"), str(exp / "reference.csv"),
+                 "--threshold", threshold, "--out", str(out)]) == 2
+    digest = hashlib.sha256((out / "evaluation.csv").read_bytes()).hexdigest()
+    assert digest == DETECT_EVAL_CSV_SHA256
