@@ -69,6 +69,6 @@ print(f"dormant pattern {dormant:#04x}: traces identical ="
 
 # measurement noise rides on top; a dataset bundles traces of one condition
 dataset = build_dataset(circuit, NORMAL, n_patterns=10, seed=42)
-spread = np.std([t.samples for t in dataset.traces], axis=0).max()
+spread = np.std(dataset.samples, axis=0).max()
 print(f"\ndataset of {len(dataset)} noisy traces (sigma {params.noise_sigma} uA),"
       f" max per-sample std {spread:.2f} uA across patterns")

@@ -100,8 +100,9 @@ class AttackSpec:
             raise ValueError("one multiplier per target index")
         if len(set(self.target_indices)) != len(self.target_indices):
             raise ValueError("duplicate target index")
-        if any(m <= 0 for m in self.thickness_multipliers):
-            raise ValueError("multipliers must be positive")
+        # the chained comparison is False for nan
+        if not all(0 < m < float("inf") for m in self.thickness_multipliers):
+            raise ValueError("multipliers must be positive and finite")
 
     @classmethod
     def uniform(cls, target_indices, multiplier: float) -> "AttackSpec":
@@ -113,9 +114,13 @@ class AttackSpec:
         """Randomized variant: seeded choice of targets and multipliers."""
         if not 0 < n_targets <= n_cells:
             raise ValueError("need 0 < n_targets <= n_cells")
+        if len(multiplier_range) != 2:
+            raise ValueError(f"multiplier range must be two values lo,hi, got {len(multiplier_range)}")
+        lo, hi = multiplier_range
+        if not -float("inf") < lo <= hi < float("inf"):
+            raise ValueError(f"multiplier range must be finite with lo <= hi, got {lo!r},{hi!r}")
         rng = np.random.default_rng(rng_seed)
         targets = tuple(int(i) for i in rng.choice(n_cells, size=n_targets, replace=False))
-        lo, hi = multiplier_range
         mults = tuple(float(m) for m in rng.uniform(lo, hi, size=n_targets))
         return cls(targets, mults)
 

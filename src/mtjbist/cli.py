@@ -14,14 +14,7 @@ import numpy as np
 
 from . import bist, experiments, katan, mtj, trojan
 from .bits import parse_hex, to_hex
-from .circuits import (
-    CrcDecoderCircuit,
-    KatanCircuit,
-    TrojanCrcDecoderCircuit,
-    TrojanKatanCircuit,
-)
 from .config import ExperimentConfig, load_config
-from .crc import encode
 from .detector import (
     Decision,
     DetectorConfig,
@@ -30,7 +23,6 @@ from .detector import (
     classify,
     evaluation_signal,
     score,
-    threshold_from_reference,
 )
 from .traces import (
     NORMAL,
@@ -247,8 +239,7 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
 def cmd_attack_inject(args, config: ExperimentConfig) -> int:
     cells = mtj.load_array(args.array)
     if args.random is not None:
-        lo, hi = _float_list(args.multiplier_range)
-        spec = bist.AttackSpec.random(len(cells), args.random, (lo, hi), config.seed)
+        spec = bist.AttackSpec.random(len(cells), args.random, _float_list(args.multiplier_range), config.seed)
     elif args.targets:
         spec = bist.AttackSpec.uniform(_int_list(args.targets), args.multiplier)
     else:
@@ -278,26 +269,7 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     else:
         condition = Condition(kind)
 
-    pattern_filter = None
-    if args.circuit == "crc":
-        crc = config.crc()
-        if kind is ConditionKind.TROJAN:
-            circuit = TrojanCrcDecoderCircuit(config.crc_trojan(), crc)
-            pattern_filter = lambda p: trojan.crc_trigger(encode(p, crc))
-        else:
-            circuit = CrcDecoderCircuit(crc)
-        pattern_bits = crc.data_width
-    else:
-        key = config.katan_key
-        if kind is ConditionKind.TROJAN:
-            spec = config.katan_trojan()
-            trojan.check_katan_trigger_reachable(key, spec)
-            circuit = TrojanKatanCircuit(key, spec)
-            pattern_filter = lambda p: trojan.katan_trigger(p, key, spec)
-        else:
-            circuit = KatanCircuit(key)
-        pattern_bits = 32
-
+    circuit, pattern_filter = experiments.device(config, args.circuit, kind is ConditionKind.TROJAN)
     n = args.n if args.n is not None else config.detector_n_patterns
     dataset = build_dataset(
         circuit,
@@ -309,14 +281,14 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     )
     name = args.name or f"{circuit.name}_{kind.value}"
     out_dir = os.path.join(config.out, name)
-    write_dataset(dataset, out_dir, circuit_name=circuit.name, pattern_bits=pattern_bits)
+    write_dataset(dataset, out_dir)
     print(f"wrote {len(dataset)} traces under {out_dir}")
     return 0
 
 
 def cmd_detect_eval(args, config: ExperimentConfig) -> int:
     dataset = read_dataset(args.dataset)
-    reference = ReferenceSignal(read_trace_csv(args.reference))
+    reference = ReferenceSignal(read_trace_csv(args.reference, dataset.dt, dataset.samples.shape[1]))
     signal = evaluation_signal(reference, dataset, config.detector_normalized)
     threshold = args.threshold if args.threshold is not None else float(np.mean(signal.values))
     sensitivity = args.sensitivity if args.sensitivity is not None else config.detector_sensitivity
@@ -325,8 +297,7 @@ def cmd_detect_eval(args, config: ExperimentConfig) -> int:
     out_csv = os.path.join(config.out, "evaluation.csv")
     with open(out_csv, "w") as fh:
         fh.write("index,value,decision\n")
-        for i, (v, d) in enumerate(zip(signal.values, decisions)):
-            fh.write(f"{i},{v:.10g},{d.value}\n")
+        fh.writelines(experiments.evaluation_rows(signal, decisions))
     n_rej = sum(1 for d in decisions if d is Decision.REJECT)
     print(
         f"threshold {threshold:.10g}, sensitivity {sensitivity:g}: "
@@ -350,18 +321,14 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
     levels = _float_list(args.sensitivities) if args.sensitivities else list(config.detector_sensitivities)
+    counts = [(s, score(classify(signal, DetectorConfig(args.threshold, s)), condition)) for s in levels]
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "confusion.csv")
-    detected = False
     with open(out_csv, "w") as fh:
         fh.write("sensitivity,tp,fp,tn,fn\n")
-        for s in levels:
-            counts = score(classify(signal, DetectorConfig(args.threshold, s)), condition)
-            if counts.tp or counts.fp:
-                detected = True
-            fh.write(f"{s:.10g},{counts.tp},{counts.fp},{counts.tn},{counts.fn}\n")
+        fh.writelines(experiments.confusion_rows(counts))
     print(f"wrote {out_csv}")
-    return 2 if detected else 0
+    return 2 if any(c.tp or c.fp for _, c in counts) else 0
 
 
 def cmd_katan_enc(args, config: ExperimentConfig) -> int:
@@ -389,22 +356,21 @@ def _print_experiment(result, name: str) -> None:
         print(f"  {ds_name}: {len(decisions) - n_rej} accepted, {n_rej} rejected")
 
 
-def cmd_exp1(args, config: ExperimentConfig) -> int:
-    result = experiments.run_crc_identification(config)
-    out_dir = os.path.join(config.out, "exp1")
-    experiments.write_experiment(result, config, out_dir, experiments.crc_circuit_names(result))
-    _print_experiment(result, "exp1")
+def _run_experiment(config: ExperimentConfig, name: str, run) -> int:
+    result = run(config)
+    out_dir = os.path.join(config.out, name)
+    experiments.write_experiment(result, config, out_dir)
+    _print_experiment(result, name)
     print(f"wrote {out_dir}")
     return 2 if experiments.any_rejection(result) else 0
+
+
+def cmd_exp1(args, config: ExperimentConfig) -> int:
+    return _run_experiment(config, "exp1", experiments.run_crc_identification)
 
 
 def cmd_exp2(args, config: ExperimentConfig) -> int:
-    result = experiments.run_katan_identification(config)
-    out_dir = os.path.join(config.out, "exp2")
-    experiments.write_experiment(result, config, out_dir, experiments.katan_circuit_names(result))
-    _print_experiment(result, "exp2")
-    print(f"wrote {out_dir}")
-    return 2 if experiments.any_rejection(result) else 0
+    return _run_experiment(config, "exp2", experiments.run_katan_identification)
 
 
 # ---------------------------------------------------------------------------

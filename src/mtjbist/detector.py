@@ -121,7 +121,11 @@ class EvaluationSignal:
 
 
 def evaluation_signal(reference: ReferenceSignal, dataset: Dataset, normalized: bool = False) -> EvaluationSignal:
-    values = [relational_detector(reference, t, normalized) for t in dataset.traces]
+    """Detector value of every dataset row, one np.correlate per row.
+
+    A batched FFT correlation would change the last bits of the values.
+    """
+    values = [relational_detector(reference, row, normalized) for row in dataset.samples]
     return EvaluationSignal(np.array(values))
 
 

@@ -8,11 +8,13 @@ Both experiments follow the same recipe around one device under test:
   3. collect the datasets under test, evaluate them against the reference,
      classify at the configured sensitivities, and tally confusion counts.
 
-The CRC experiment runs the serial CRC receiver under Normal, process
-variation, temperature, and Trojan conditions. The KATAN experiment runs the
-cipher under Normal and Trojan conditions. Trojan datasets draw stimulus
-patterns conditioned on the trigger firing, since a dormant Trojan is
-electrically identical to the clean circuit and there is nothing to observe.
+One driver runs the recipe from tables: ``DATASETS`` names each circuit's
+datasets (the CRC receiver under Normal, process variation, temperature, and
+Trojan conditions, KATAN-32 under Normal and Trojan), ``SEED_INDEX`` their
+seeds, and ``device``, which ``trace gen`` shares, picks the circuit. Trojan
+datasets draw stimulus patterns conditioned on the trigger firing, since a
+dormant Trojan is electrically identical to the clean circuit and there is
+nothing to observe.
 
 Every random draw is derived from the single run seed, so a repeated run
 writes byte-identical outputs.
@@ -21,6 +23,7 @@ writes byte-identical outputs.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,6 @@ from .circuits import (
     TrojanKatanCircuit,
 )
 from .config import ExperimentConfig
-from .crc import encode
 from .detector import (
     ConfusionCounts,
     Decision,
@@ -57,7 +59,7 @@ from .traces import (
     write_dataset,
     write_trace_csv,
 )
-from .trojan import check_katan_trigger_reachable, crc_trigger, katan_trigger
+from .trojan import check_katan_trigger_reachable
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +78,65 @@ def child_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def _evaluate(config: ExperimentConfig, reference: ReferenceSignal, datasets: dict[str, Dataset]) -> ExperimentResult:
-    heldout = datasets["reference"]
+# each circuit's datasets, in the order they are evaluated and written
+DATASETS = {
+    "crc": ("reference", "normal", "process_variation", "temperature", "trojan"),
+    "katan": ("reference", "normal", "trojan"),
+}
+# dataset name -> its seed among the run's child seeds; seeds[0] is the
+# reference trace's noise, seeds[6] and seeds[7] draw the process variation
+# and the temperature of the CRC conditions
+SEED_INDEX = {"reference": 1, "normal": 2, "process_variation": 3, "temperature": 4, "trojan": 5}
+
+
+def device(config: ExperimentConfig, circuit: str, trojan: bool):
+    """(circuit, pattern filter) of the configured CRC receiver or KATAN-32.
+
+    The filter of an infected device keeps the patterns that fire its
+    trigger (None for a clean one); a KATAN Trojan that can never fire under
+    the configured key is rejected before any pattern is drawn.
+    """
+    if circuit == "crc":
+        crc = config.crc()
+        dut = TrojanCrcDecoderCircuit(config.crc_trojan(), crc) if trojan else CrcDecoderCircuit(crc)
+    elif circuit == "katan":
+        key = config.katan_key
+        if trojan:
+            spec = config.katan_trojan()
+            check_katan_trigger_reachable(key, spec)
+            dut = TrojanKatanCircuit(key, spec)
+        else:
+            dut = KatanCircuit(key)
+    else:
+        raise ValueError(f"unknown circuit {circuit!r}")
+    return dut, (lambda p: bool(dut.activation_steps(p))) if trojan else None
+
+
+def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
+    params = config.trace_params()
+    seeds = child_seeds(config.seed, 8)
+    pv = float(np.random.default_rng(seeds[6]).uniform(*PV_FRACTION_RANGE))
+    temperature = float(np.random.default_rng(seeds[7]).uniform(*TEMPERATURE_RANGE_C))
+    conditions = {
+        "reference": NORMAL,
+        "normal": NORMAL,
+        "process_variation": Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=pv),
+        "temperature": Condition(ConditionKind.TEMPERATURE, temperature_c=temperature),
+        "trojan": TROJAN,
+    }
+    clean, _ = device(config, circuit, trojan=False)
+    infected, trigger = device(config, circuit, trojan=True)
+    ref_pattern = config.crc_reference_pattern if circuit == "crc" else config.katan_reference_pattern
+    reference = ReferenceSignal(simulate_trace(clean, ref_pattern, NORMAL, seed=seeds[0], params=params))
+    datasets = {}
+    for name in DATASETS[circuit]:
+        condition = conditions[name]
+        dut, pattern_filter = (clean, None) if condition.original else (infected, trigger)
+        datasets[name] = build_dataset(dut, condition, config.detector_n_patterns, seed=seeds[SEED_INDEX[name]],
+                                       params=params, pattern_filter=pattern_filter)
+
     theta = threshold_from_reference(
-        evaluation_signal(reference, heldout, config.detector_normalized)
+        evaluation_signal(reference, datasets["reference"], config.detector_normalized)
     )
     signals: dict[str, EvaluationSignal] = {}
     decisions: dict[str, list[Decision]] = {}
@@ -96,133 +153,56 @@ def _evaluate(config: ExperimentConfig, reference: ReferenceSignal, datasets: di
         for s in config.detector_sensitivities:
             dec = classify(signal, DetectorConfig(theta, s))
             confusion[name][s] = score(dec, dataset.condition)
-    return ExperimentResult(
-        threshold=theta,
-        reference=reference,
-        datasets=datasets,
-        signals=signals,
-        decisions=decisions,
-        confusion=confusion,
-    )
+    return ExperimentResult(theta, reference, datasets, signals, decisions, confusion)
 
 
 def run_crc_identification(config: ExperimentConfig) -> ExperimentResult:
     """Reference, threshold, and the four CRC-receiver datasets."""
-    crc = config.crc()
-    params = config.trace_params()
-    n = config.detector_n_patterns
-    clean = CrcDecoderCircuit(crc)
-    infected = TrojanCrcDecoderCircuit(config.crc_trojan(), crc)
-    seeds = child_seeds(config.seed, 8)
-
-    ref_trace = simulate_trace(
-        clean, config.crc_reference_pattern, NORMAL, seed=seeds[0], params=params
-    )
-    reference = ReferenceSignal(ref_trace)
-
-    pv_fraction = float(np.random.default_rng(seeds[6]).uniform(*PV_FRACTION_RANGE))
-    temperature = float(np.random.default_rng(seeds[7]).uniform(*TEMPERATURE_RANGE_C))
-    datasets = {
-        "reference": build_dataset(clean, NORMAL, n, seed=seeds[1], params=params),
-        "normal": build_dataset(clean, NORMAL, n, seed=seeds[2], params=params),
-        "process_variation": build_dataset(
-            clean,
-            Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=pv_fraction),
-            n,
-            seed=seeds[3],
-            params=params,
-        ),
-        "temperature": build_dataset(
-            clean,
-            Condition(ConditionKind.TEMPERATURE, temperature_c=temperature),
-            n,
-            seed=seeds[4],
-            params=params,
-        ),
-        "trojan": build_dataset(
-            infected,
-            TROJAN,
-            n,
-            seed=seeds[5],
-            params=params,
-            pattern_filter=lambda p: crc_trigger(encode(p, crc)),
-        ),
-    }
-    return _evaluate(config, reference, datasets)
+    return _identify(config, "crc")
 
 
 def run_katan_identification(config: ExperimentConfig) -> ExperimentResult:
     """Reference, threshold, and the Normal / Trojan KATAN-32 datasets."""
-    params = config.trace_params()
-    n = config.detector_n_patterns
-    key = config.katan_key
-    spec = config.katan_trojan()
-    check_katan_trigger_reachable(key, spec)
-    clean = KatanCircuit(key)
-    infected = TrojanKatanCircuit(key, spec)
-    seeds = child_seeds(config.seed, 8)
-
-    ref_trace = simulate_trace(
-        clean, config.katan_reference_pattern, NORMAL, seed=seeds[0], params=params
-    )
-    reference = ReferenceSignal(ref_trace)
-
-    datasets = {
-        "reference": build_dataset(clean, NORMAL, n, seed=seeds[1], params=params),
-        "normal": build_dataset(clean, NORMAL, n, seed=seeds[2], params=params),
-        "trojan": build_dataset(
-            infected,
-            TROJAN,
-            n,
-            seed=seeds[5],
-            params=params,
-            pattern_filter=lambda p: katan_trigger(p, key, spec),
-        ),
-    }
-    return _evaluate(config, reference, datasets)
+    return _identify(config, "katan")
 
 
 # ---------------------------------------------------------------------------
 # output directory layout
 
-def _pattern_bits(name: str, config: ExperimentConfig) -> int:
-    return 32 if name.startswith("katan") else config.crc_data_width
+def evaluation_rows(signal: EvaluationSignal, decisions) -> Iterator[str]:
+    """``index,value,decision`` lines of one evaluation signal."""
+    for i, (v, d) in enumerate(zip(signal.values, decisions)):
+        yield f"{i},{v:.10g},{d.value}\n"
 
 
-def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir, circuit_names: dict[str, str]) -> None:
-    """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest.
+def confusion_rows(counts) -> Iterator[str]:
+    """``sensitivity,tp,fp,tn,fn`` lines of (sensitivity, ConfusionCounts) pairs."""
+    for s, c in counts:
+        yield f"{s:.10g},{c.tp},{c.fp},{c.tn},{c.fn}\n"
 
-    circuit_names maps dataset name -> circuit name for the manifests.
-    """
+
+def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir) -> None:
+    """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest."""
     os.makedirs(out_dir, exist_ok=True)
     write_trace_csv(result.reference.trace, os.path.join(out_dir, "reference.csv"))
     for name, dataset in result.datasets.items():
-        cname = circuit_names[name]
-        write_dataset(
-            dataset,
-            os.path.join(out_dir, "datasets", name),
-            circuit_name=cname,
-            pattern_bits=_pattern_bits(cname, config),
-        )
+        write_dataset(dataset, os.path.join(out_dir, "datasets", name))
 
     names = [n for n in result.datasets if n != "reference"]
     with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:
         fh.write("dataset,index,value,decision\n")
         for name in names:
-            signal = result.signals[name]
-            for i, (v, d) in enumerate(zip(signal.values, result.decisions[name])):
-                fh.write(f"{name},{i},{v:.10g},{d.value}\n")
+            rows = evaluation_rows(result.signals[name], result.decisions[name])
+            fh.writelines(f"{name},{row}" for row in rows)
     for name in names:
-        signal = result.signals[name]
         with open(os.path.join(out_dir, f"evaluation_{name}.csv"), "w") as fh:
             fh.write("index,value,decision\n")
-            for i, (v, d) in enumerate(zip(signal.values, result.decisions[name])):
-                fh.write(f"{i},{v:.10g},{d.value}\n")
+            fh.writelines(evaluation_rows(result.signals[name], result.decisions[name]))
         with open(os.path.join(out_dir, f"confusion_{name}.csv"), "w") as fh:
             fh.write("sensitivity,tp,fp,tn,fn\n")
-            for s in config.detector_sensitivities:
-                c = result.confusion[name][s]
-                fh.write(f"{s:.10g},{c.tp},{c.fp},{c.tn},{c.fn}\n")
+            fh.writelines(confusion_rows(
+                (s, result.confusion[name][s]) for s in config.detector_sensitivities
+            ))
 
     with open(os.path.join(out_dir, "manifest"), "w") as fh:
         fh.write(f"seed = {config.seed}\n")
@@ -232,28 +212,14 @@ def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir
         fh.write(f"sensitivities = {levels}\n")
         fh.write(f"n_patterns = {config.detector_n_patterns}\n")
         fh.write(f"normalized = {str(config.detector_normalized).lower()}\n")
-        for name in result.datasets:
-            fh.write(f"dataset.{name}.circuit = {circuit_names[name]}\n")
-            cond = result.datasets[name].condition
+        for name, dataset in result.datasets.items():
+            fh.write(f"dataset.{name}.circuit = {dataset.circuit}\n")
+            cond = dataset.condition
             fh.write(f"dataset.{name}.condition = {cond.kind.value}\n")
             if cond.pv_length_fraction is not None:
                 fh.write(f"dataset.{name}.pv_length_fraction = {cond.pv_length_fraction:.10g}\n")
             if cond.temperature_c is not None:
                 fh.write(f"dataset.{name}.temperature_c = {cond.temperature_c:.10g}\n")
-
-
-def crc_circuit_names(result: ExperimentResult) -> dict[str, str]:
-    return {
-        name: ("crc_decoder_trojan" if name == "trojan" else "crc_decoder")
-        for name in result.datasets
-    }
-
-
-def katan_circuit_names(result: ExperimentResult) -> dict[str, str]:
-    return {
-        name: ("katan32_trojan" if name == "trojan" else "katan32")
-        for name in result.datasets
-    }
 
 
 def any_rejection(result: ExperimentResult) -> bool:

@@ -74,8 +74,9 @@ class MtjCell:
     pending: PendingTransition | None = None
 
     def __post_init__(self):
-        if self.tm_nominal <= 0 or self.tm_actual <= 0:
-            raise ValueError("thicknesses must be positive")
+        # the chained comparisons are False for nan
+        if not (0 < self.tm_nominal < float("inf") and 0 < self.tm_actual < float("inf")):
+            raise ValueError("thicknesses must be positive and finite")
         if self.state not in (0, 1):
             raise ValueError(f"state must be 0 or 1, got {self.state!r}")
 

@@ -110,21 +110,17 @@ DEFAULT_PARAMS = TraceParams()
 
 @dataclass(frozen=True, eq=False)
 class CurrentTrace:
+    """One trace on its own: a reference, or a single simulated or recorded run."""
+
     dt: float
     samples: np.ndarray
-    pattern_id: int = 0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if len(samples) < MIN_TRACE_SAMPLES:
-            raise ValueError(f"trace needs >= {MIN_TRACE_SAMPLES} samples, got {len(samples)}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _check_samples(samples, self.dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -133,20 +129,45 @@ class CurrentTrace:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """Traces of one circuit under one condition: row i of samples was
+    recorded while the circuit ran patterns[i]."""
+
     condition: Condition
-    traces: tuple[CurrentTrace, ...]
     seed: int
+    circuit: str
+    pattern_bits: int
+    dt: float
+    patterns: np.ndarray
+    samples: np.ndarray
 
     def __post_init__(self):
-        if not self.traces:
-            raise ValueError("dataset must hold at least one trace")
-        n = len(self.traces[0].samples)
-        dt = self.traces[0].dt
-        if any(len(t.samples) != n or t.dt != dt for t in self.traces):
-            raise ValueError("all traces of a dataset must share dt and length")
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 2 or len(samples) == 0:
+            raise ValueError("samples must be a nonempty (traces, samples) matrix")
+        _check_samples(samples, self.dt)
+        # patterns are int64, so a dataset's input is at most 63 bits wide
+        if not 1 <= self.pattern_bits <= 63:
+            raise ValueError(f"pattern_bits must lie in [1, 63], got {self.pattern_bits}")
+        patterns = np.asarray(self.patterns, dtype=np.int64)
+        if patterns.shape != (len(samples),):
+            raise ValueError(f"{patterns.shape} patterns for {len(samples)} trace rows")
+        if np.any((patterns < 0) | (patterns >> self.pattern_bits != 0)):
+            raise ValueError(f"patterns must fit in {self.pattern_bits} bits")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "patterns", patterns)
 
     def __len__(self) -> int:
-        return len(self.traces)
+        return len(self.samples)
+
+
+def _check_samples(samples: np.ndarray, dt: float) -> None:
+    if samples.shape[-1] < MIN_TRACE_SAMPLES:
+        raise ValueError(f"trace needs >= {MIN_TRACE_SAMPLES} samples, got {samples.shape[-1]}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    # the chained comparison is False for nan
+    if not 0 < dt < float("inf"):
+        raise ValueError("dt must be positive and finite")
 
 
 def toggle_profile(circuit, pattern: int) -> np.ndarray:
@@ -166,24 +187,29 @@ def _toggle_rows(circuit, patterns) -> np.ndarray:
     return rows
 
 
-def _synthesize(circuit, pattern: int, profile: np.ndarray, condition: Condition,
-                noise_sigma: float | None, seed: int, params: TraceParams) -> CurrentTrace:
+def _synthesize(circuit, patterns, rows: np.ndarray, condition: Condition,
+                noise_sigma: float | None, seed: int, params: TraceParams) -> np.ndarray:
+    """(len(patterns), n_samples) currents: row i from toggles rows[i], its noise seeded with seed ^ i."""
     sigma = params.noise_sigma if noise_sigma is None else float(noise_sigma)
     if sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    if len(profile) > params.n_samples:
+    if rows.shape[1] > params.n_samples:
         raise ValueError(
-            f"circuit takes {len(profile)} steps but the trace holds {params.n_samples} samples"
+            f"circuit takes {rows.shape[1]} steps but the trace holds {params.n_samples} samples"
         )
     scale = condition.scale(params)
-    samples = np.full(params.n_samples, params.baseline, dtype=float)
-    samples[: len(profile)] += params.i_unit * scale * profile
-    for step in circuit.activation_steps(pattern):
-        samples[step] += params.i_unit * scale * circuit.trigger_toggles
-        samples[step] += params.spike_gain * params.i_unit
+    samples = np.full((len(patterns), params.n_samples), params.baseline, dtype=float)
+    samples[:, : rows.shape[1]] += params.i_unit * scale * rows
+    # every element sees the same float operations in the same order as a
+    # trace synthesized on its own: switching term, trigger toggles, spike, noise
+    for i, pattern in enumerate(patterns):
+        for step in circuit.activation_steps(pattern):
+            samples[i, step] += params.i_unit * scale * circuit.trigger_toggles
+            samples[i, step] += params.spike_gain * params.i_unit
     if sigma > 0:
-        samples += np.random.default_rng(seed).normal(0.0, sigma, params.n_samples)
-    return CurrentTrace(dt=params.dt, samples=samples, pattern_id=pattern)
+        for i, row in enumerate(samples):
+            row += np.random.default_rng(seed ^ i).normal(0.0, sigma, params.n_samples)
+    return samples
 
 
 def simulate_trace(
@@ -196,7 +222,8 @@ def simulate_trace(
 ) -> CurrentTrace:
     """Synthesize one trace; noise_sigma=None takes the params default."""
     profile = toggle_profile(circuit, pattern)
-    return _synthesize(circuit, pattern, profile, condition, noise_sigma, seed, params)
+    samples = _synthesize(circuit, [pattern], profile[None], condition, noise_sigma, seed, params)
+    return CurrentTrace(dt=params.dt, samples=samples[0])
 
 
 def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_filter=None) -> list[int]:
@@ -250,49 +277,88 @@ def build_dataset(
     """
     rng = np.random.default_rng(seed)
     patterns = draw_patterns(circuit, n_patterns, rng, pattern_filter)
-    profiles = _toggle_rows(circuit, patterns)
-    traces = tuple(
-        _synthesize(circuit, p, profile, condition, noise_sigma, seed ^ i, params)
-        for i, (p, profile) in enumerate(zip(patterns, profiles))
-    )
-    return Dataset(condition=condition, traces=traces, seed=seed)
+    rows = _toggle_rows(circuit, patterns)
+    samples = _synthesize(circuit, patterns, rows, condition, noise_sigma, seed, params)
+    return Dataset(condition, seed, circuit.name, circuit.input_width, params.dt, patterns, samples)
 
 
 # ---------------------------------------------------------------------------
 # plain-text serialization (trace CSVs and dataset directories)
 
-def write_trace_csv(trace: CurrentTrace, path) -> None:
+TRACE_HEADER = "time_ns,current_uA"
+# relative tolerance on a time step: the manifest keeps dt to 10 significant
+# digits, and a foreign CSV's times carry their own decimal rounding
+DT_RTOL = 1e-6
+
+
+def _write_samples_csv(path, dt: float, samples) -> None:
     # repr floats: shortest form that parses back to the exact double
     with open(path, "w") as fh:
-        fh.write("time_ns,current_uA\n")
-        for i, v in enumerate(trace.samples):
-            fh.write(f"{i * trace.dt!r},{float(v)!r}\n")
+        fh.write(f"{TRACE_HEADER}\n")
+        for i, v in enumerate(samples):
+            fh.write(f"{i * dt!r},{float(v)!r}\n")
 
 
-def read_trace_csv(path, pattern_id: int = 0) -> CurrentTrace:
+def write_trace_csv(trace: CurrentTrace, path) -> None:
+    _write_samples_csv(path, trace.dt, trace.samples)
+
+
+def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) -> CurrentTrace:
+    """A trace CSV whose row i is at time i * step, the step being its first.
+
+    A given dt or n_samples is the geometry the trace must have: its step
+    must equal dt to DT_RTOL, and it must hold n_samples rows. Every error
+    names the file and the line.
+    """
     times: list[float] = []
     values: list[float] = []
+    # data rows read before each blank line, to name the right line
+    blanks: list[int] = []
+
+    def line(k: int) -> int:
+        return k + 2 + sum(b <= k for b in blanks)
+
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "time_ns,current_uA":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for raw in fh:
-            if not raw.strip():
-                continue
-            t, v = raw.split(",")
-            times.append(float(t))
-            values.append(float(v))
-    if len(times) < 2:
-        raise ValueError(f"{path}: too few samples")
-    dt = times[1] - times[0]
-    return CurrentTrace(dt=dt, samples=np.array(values), pattern_id=pattern_id)
+        if header != TRACE_HEADER:
+            raise ValueError(f"{path}:1: unexpected header {header!r}")
+        raw = ""
+        try:
+            for raw in fh:
+                if not raw.strip():
+                    blanks.append(len(values))
+                    continue
+                t, v = raw.split(",")
+                times.append(float(t))
+                values.append(float(v))
+        except ValueError:
+            raise ValueError(f"{path}:{line(len(values))}: expected 'time_ns,current_uA', got {raw.strip()!r}") from None
+    n = len(values)
+    if n < MIN_TRACE_SAMPLES:
+        raise ValueError(f"{path}: {n} samples, a trace needs >= {MIN_TRACE_SAMPLES}")
+    step = times[1] - times[0]
+    if not 0 < step < float("inf"):
+        raise ValueError(f"{path}:{line(1)}: time step {step!r} ns is not positive and finite")
+    if dt is not None and not abs(step - dt) <= DT_RTOL * dt:
+        raise ValueError(f"{path}:{line(1)}: time step {step!r} ns, expected {dt!r} ns")
+    if n_samples is not None and n != n_samples:
+        raise ValueError(f"{path}:{line(min(n, n_samples))}: {n} samples, expected {n_samples}")
+    # vectorised after parsing, so that the loop above stays lean
+    samples = np.array(values)
+    grid = np.arange(n) * step
+    bad = np.flatnonzero(~(np.abs(np.array(times) - grid) <= DT_RTOL * grid) | ~np.isfinite(samples))
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(f"{path}:{line(k)}: expected time {k} * {step!r} ns and a finite current, "
+                         f"got {times[k]!r},{values[k]!r}")
+    return CurrentTrace(dt=step, samples=samples)
 
 
 def _write_kv(fh, key: str, value) -> None:
     fh.write(f"{key} = {value}\n")
 
 
-def write_dataset(dataset: Dataset, dirpath, circuit_name: str = "", pattern_bits: int = 32) -> None:
+def write_dataset(dataset: Dataset, dirpath) -> None:
     """Persist a dataset as a directory: a ``manifest`` plus one CSV per trace."""
     os.makedirs(dirpath, exist_ok=True)
     with open(os.path.join(dirpath, "manifest"), "w") as fh:
@@ -303,15 +369,15 @@ def write_dataset(dataset: Dataset, dirpath, circuit_name: str = "", pattern_bit
             _write_kv(fh, "condition.temperature_c", f"{dataset.condition.temperature_c:.10g}")
         _write_kv(fh, "seed", dataset.seed)
         _write_kv(fh, "n_traces", len(dataset))
-        _write_kv(fh, "dt_ns", f"{dataset.traces[0].dt:.10g}")
-        _write_kv(fh, "pattern_bits", pattern_bits)
-        if circuit_name:
-            _write_kv(fh, "circuit", circuit_name)
-        for i, trace in enumerate(dataset.traces):
+        _write_kv(fh, "dt_ns", f"{dataset.dt:.10g}")
+        _write_kv(fh, "pattern_bits", dataset.pattern_bits)
+        if dataset.circuit:
+            _write_kv(fh, "circuit", dataset.circuit)
+        for i, pattern in enumerate(dataset.patterns):
             _write_kv(fh, f"trace.{i}.file", f"trace_{i:03d}.csv")
-            _write_kv(fh, f"trace.{i}.pattern", to_hex(trace.pattern_id, pattern_bits))
-    for i, trace in enumerate(dataset.traces):
-        write_trace_csv(trace, os.path.join(dirpath, f"trace_{i:03d}.csv"))
+            _write_kv(fh, f"trace.{i}.pattern", to_hex(int(pattern), dataset.pattern_bits))
+    for i, row in enumerate(dataset.samples):
+        _write_samples_csv(os.path.join(dirpath, f"trace_{i:03d}.csv"), dataset.dt, row)
 
 
 def read_manifest(dirpath) -> dict[str, str]:
@@ -330,11 +396,14 @@ def read_manifest(dirpath) -> dict[str, str]:
 
 
 def read_dataset(dirpath) -> Dataset:
+    """A dataset directory; every trace CSV must step by the manifest's dt_ns
+    and hold as many samples as the first."""
     kv = read_manifest(dirpath)
     try:
         kind = ConditionKind(kv["condition.kind"])
         n = int(kv["n_traces"])
         seed = int(kv["seed"])
+        dt = float(kv["dt_ns"])
         entries = [(kv[f"trace.{i}.file"], kv[f"trace.{i}.pattern"]) for i in range(n)]
     except KeyError as exc:
         path = os.path.join(dirpath, "manifest")
@@ -345,8 +414,9 @@ def read_dataset(dirpath) -> Dataset:
         temperature_c=float(kv["condition.temperature_c"]) if "condition.temperature_c" in kv else None,
     )
     bits = int(kv.get("pattern_bits", 32))
-    traces = []
-    for fname, pattern_hex in entries:
-        pattern = parse_hex(pattern_hex, bits)
-        traces.append(read_trace_csv(os.path.join(dirpath, fname), pattern_id=pattern))
-    return Dataset(condition=condition, traces=tuple(traces), seed=seed)
+    patterns = [parse_hex(pattern_hex, bits) for _, pattern_hex in entries]
+    rows: list[np.ndarray] = []
+    for fname, _ in entries:
+        trace = read_trace_csv(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None)
+        rows.append(trace.samples)
+    return Dataset(condition, seed, kv.get("circuit", ""), bits, dt, patterns, np.array(rows))

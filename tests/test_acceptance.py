@@ -21,8 +21,6 @@ from mtjbist.config import ExperimentConfig
 from mtjbist.crc import CrcConfig, Message, crc_remainder, encode, verify
 from mtjbist.detector import Decision, relational_detector
 from mtjbist.experiments import (
-    crc_circuit_names,
-    katan_circuit_names,
     run_crc_identification,
     run_katan_identification,
     write_experiment,
@@ -346,12 +344,12 @@ def test_criterion_10_repeated_runs_are_byte_identical(tmp_path, exp1_result, ex
     t0 = time.perf_counter()
     problems = []
     config = ExperimentConfig(seed=1)
-    write_experiment(exp1_result, config, tmp_path / "a1", crc_circuit_names(exp1_result))
+    write_experiment(exp1_result, config, tmp_path / "a1")
     second1 = run_crc_identification(config)
-    write_experiment(second1, config, tmp_path / "b1", crc_circuit_names(second1))
-    write_experiment(exp2_result, config, tmp_path / "a2", katan_circuit_names(exp2_result))
+    write_experiment(second1, config, tmp_path / "b1")
+    write_experiment(exp2_result, config, tmp_path / "a2")
     second2 = run_katan_identification(config)
-    write_experiment(second2, config, tmp_path / "b2", katan_circuit_names(second2))
+    write_experiment(second2, config, tmp_path / "b2")
     for first, second, label in (("a1", "b1", "exp1"), ("a2", "b2", "exp2")):
         ta = _tree_bytes(tmp_path / first)
         tb = _tree_bytes(tmp_path / second)

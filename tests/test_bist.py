@@ -130,6 +130,12 @@ def test_attack_spec_validation():
         AttackSpec((0,), (1.2, 1.3))
     with pytest.raises(ValueError):
         AttackSpec((0,), (-1.0,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AttackSpec.uniform((0,), bad)
+    for bad_range in ((float("nan"), 1.5), (1.2, float("inf")), (1.5, 1.2), (1.2,), (1.2, 1.3, 1.4)):
+        with pytest.raises(ValueError, match="multiplier range"):
+            AttackSpec.random(16, 3, bad_range, rng_seed=7)
 
 
 def test_attack_spec_random_deterministic():

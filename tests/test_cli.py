@@ -209,6 +209,62 @@ def test_detect_eval_manifest_without_n_traces_is_error(tmp_path, capsys):
     assert f"{manifest}: missing key 'n_traces'" in capsys.readouterr().err
 
 
+def _grid_csv(path, n=256, dt=0.1, jump_at=None):
+    rows = [f"{(i + (i == jump_at)) * dt!r},4.0\n" for i in range(n)]
+    path.write_text("time_ns,current_uA\n" + "".join(rows))
+
+
+def _set_manifest_dt(ds, text):
+    manifest = ds / "manifest"
+    manifest.write_text(manifest.read_text().replace("dt_ns = 0.1\n", f"dt_ns = {text}\n"))
+
+
+# each case damages the dataset ds or the reference ref and names the file
+# and line the error must point at
+GEOMETRY_CASES = {
+    "reference-dt": (lambda ds, ref: _grid_csv(ref, dt=0.2), "ref.csv:3: time step 0.2 ns, expected 0.1 ns"),
+    "reference-time-jump": (lambda ds, ref: _grid_csv(ref, jump_at=3), "ref.csv:5: expected time 3 * 0.1 ns and a finite current, got 0.4,4.0"),
+    "manifest-dt": (lambda ds, ref: _set_manifest_dt(ds, "0.5"), "ds/trace_000.csv:3: time step 0.1 ns, expected 0.5 ns"),
+    "reference-length": (lambda ds, ref: _grid_csv(ref, n=200), "ref.csv:202: 200 samples, expected 256"),
+    "reference-row": (lambda ds, ref: ref.write_text(ref.read_text().replace("\n0.5,", "\nx,y,z\n0.5,", 1)),
+                      "ref.csv:7: expected 'time_ns,current_uA', got 'x,y,z'"),
+    "dataset-trace-dt": (lambda ds, ref: _grid_csv(ds / "trace_001.csv", dt=0.2),
+                         "ds/trace_001.csv:3: time step 0.2 ns, expected 0.1 ns"),
+}
+
+
+@pytest.mark.parametrize("case", GEOMETRY_CASES)
+def test_detect_eval_rejects_bad_trace_geometry_with_location(tmp_path, capsys, case):
+    damage, where = GEOMETRY_CASES[case]
+    assert main(["trace", "gen", "--n", "3", "--seed", "2", "--out", str(tmp_path), "--name", "ds"]) == 0
+    ds, ref = tmp_path / "ds", tmp_path / "ref.csv"
+    ref.write_text((ds / "trace_000.csv").read_text())
+    assert main(["detect", "eval", str(ds), str(ref), "--out", str(tmp_path / "ok")]) == 0
+    damage(ds, ref)
+    capsys.readouterr()
+    assert main(["detect", "eval", str(ds), str(ref), "--out", str(tmp_path / "bad")]) == 1
+    assert f"error: {tmp_path}/{where}" in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "evaluation.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--targets", "0", "--multiplier", "nan"], "multipliers must be positive and finite"),
+    (["--targets", "0", "--multiplier", "inf"], "multipliers must be positive and finite"),
+    (["--random", "2", "--multiplier-range", "nan,inf"], "multiplier range must be finite"),
+    (["--random", "2", "--multiplier-range", "1.2,inf"], "multiplier range must be finite"),
+    (["--random", "2", "--multiplier-range", "1.5,1.2"], "lo <= hi, got 1.5,1.2"),
+    (["--random", "2", "--multiplier-range", "1.2"], "must be two values lo,hi, got 1"),
+    (["--random", "2", "--multiplier-range", "1.2,1.3,1.4"], "must be two values lo,hi, got 3"),
+])
+def test_attack_inject_rejects_bad_multipliers(tmp_path, capsys, flags, message):
+    array, out_array = tmp_path / "cells.txt", tmp_path / "tampered.txt"
+    mtj.save_array(array, mtj.nominal_array(16))
+    rc = main(["attack", "inject", "--array", str(array), "--out-array", str(out_array), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out_array.exists()
+
+
 @pytest.mark.parametrize("argv", [["exp2"], ["trace", "gen", "--circuit", "katan", "--condition", "trojan"]])
 def test_katan_trojan_that_can_never_fire_is_error(tmp_path, capsys, argv):
     conf = tmp_path / "run.conf"

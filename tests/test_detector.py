@@ -148,13 +148,12 @@ def test_threshold_is_mean():
 
 def test_evaluation_signal_over_dataset():
     ref = ReferenceSignal(CurrentTrace(dt=0.1, samples=np.linspace(0, 1, 128)))
-    traces = tuple(
-        CurrentTrace(dt=0.1, samples=np.linspace(0, 1, 128) + i) for i in range(3)
-    )
-    ds = Dataset(condition=NORMAL, traces=traces, seed=0)
+    rows = np.array([np.linspace(0, 1, 128) + i for i in range(3)])
+    ds = Dataset(condition=NORMAL, seed=0, circuit="stub", pattern_bits=4, dt=0.1,
+                 patterns=[0, 1, 2], samples=rows)
     sig = evaluation_signal(ref, ds)
     assert len(sig) == 3
-    expect = [relational_detector(ref.samples, t.samples) for t in traces]
+    expect = [relational_detector(ref.samples, row) for row in rows]
     assert sig.values.tolist() == expect
 
 

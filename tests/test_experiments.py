@@ -9,8 +9,6 @@ from mtjbist.detector import Decision
 from mtjbist.experiments import (
     any_rejection,
     child_seeds,
-    crc_circuit_names,
-    katan_circuit_names,
     run_crc_identification,
     run_katan_identification,
     write_experiment,
@@ -73,8 +71,8 @@ def test_crc_trojan_dataset_only_holds_triggering_patterns():
     cfg = small_config()
     result = run_crc_identification(cfg)
     crc = cfg.crc()
-    for trace in result.datasets["trojan"].traces:
-        assert crc_trigger(encode(trace.pattern_id, crc))
+    for pattern in result.datasets["trojan"].patterns:
+        assert crc_trigger(encode(int(pattern), crc))
 
 
 def test_katan_experiment_structure_and_trigger_conditioning():
@@ -83,8 +81,8 @@ def test_katan_experiment_structure_and_trigger_conditioning():
     assert set(result.datasets) == {"reference", "normal", "trojan"}
     key = cfg.katan_key
     spec = cfg.katan_trojan()
-    for trace in result.datasets["trojan"].traces:
-        assert katan_trigger(trace.pattern_id, key, spec)
+    for pattern in result.datasets["trojan"].patterns:
+        assert katan_trigger(int(pattern), key, spec)
 
 
 def test_experiments_reproducible_across_runs():
@@ -113,7 +111,7 @@ def test_write_experiment_layout(tmp_path):
     cfg = small_config()
     result = run_crc_identification(cfg)
     out = tmp_path / "exp1"
-    write_experiment(result, cfg, out, crc_circuit_names(result))
+    write_experiment(result, cfg, out)
     assert (out / "reference.csv").is_file()
     assert (out / "evaluation.csv").is_file()
     assert (out / "manifest").is_file()
@@ -126,9 +124,8 @@ def test_write_experiment_layout(tmp_path):
     back = read_dataset(out / "datasets" / "trojan")
     orig = result.datasets["trojan"]
     assert back.condition == orig.condition
-    for ta, tb in zip(orig.traces, back.traces):
-        assert ta.pattern_id == tb.pattern_id
-        assert np.array_equal(ta.samples, tb.samples)
+    assert np.array_equal(back.patterns, orig.patterns)
+    assert np.array_equal(back.samples, orig.samples)
     # evaluation CSV carries one row per non-reference trace
     rows = (out / "evaluation.csv").read_text().strip().splitlines()
     assert rows[0] == "dataset,index,value,decision"
@@ -139,7 +136,7 @@ def test_confusion_csv_contents(tmp_path):
     cfg = small_config()
     result = run_katan_identification(cfg)
     out = tmp_path / "exp2"
-    write_experiment(result, cfg, out, katan_circuit_names(result))
+    write_experiment(result, cfg, out)
     rows = (out / "confusion_trojan.csv").read_text().strip().splitlines()
     assert rows[0] == "sensitivity,tp,fp,tn,fn"
     assert len(rows) == 1 + len(cfg.detector_sensitivities)
@@ -152,10 +149,12 @@ def test_confusion_csv_contents(tmp_path):
 
 def test_circuit_name_maps():
     result = run_katan_identification(small_config())
-    names = katan_circuit_names(result)
+    names = {name: ds.circuit for name, ds in result.datasets.items()}
     assert names["trojan"] == "katan32_trojan"
     assert names["normal"] == "katan32"
+    assert all(ds.pattern_bits == 32 for ds in result.datasets.values())
     crc_result = run_crc_identification(small_config())
-    crc_names = crc_circuit_names(crc_result)
+    crc_names = {name: ds.circuit for name, ds in crc_result.datasets.items()}
     assert crc_names["trojan"] == "crc_decoder_trojan"
     assert crc_names["temperature"] == "crc_decoder"
+    assert all(ds.pattern_bits == 8 for ds in crc_result.datasets.values())

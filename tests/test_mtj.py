@@ -126,6 +126,11 @@ def test_is_malicious_default_model():
 def test_cell_validation():
     with pytest.raises(ValueError):
         MtjCell(tm_actual=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MtjCell(tm_actual=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            MtjCell(tm_nominal=bad)
     with pytest.raises(ValueError):
         MtjCell(state=2)
 

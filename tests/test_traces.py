@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from mtjbist.circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit
+from mtjbist.circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit, TrojanKatanCircuit
 from mtjbist.crc import CrcConfig, encode
 
 CRC8 = CrcConfig()
@@ -12,6 +14,7 @@ from mtjbist.traces import (
     ConditionKind,
     CurrentTrace,
     Dataset,
+    DEFAULT_PARAMS,
     TraceParams,
     build_dataset,
     draw_patterns,
@@ -22,7 +25,11 @@ from mtjbist.traces import (
     write_dataset,
     write_trace_csv,
 )
-from mtjbist.trojan import crc_trigger, crc_trojan_spec
+from mtjbist.trojan import crc_trigger, crc_trojan_spec, katan_trigger, katan_trojan_spec
+
+KATAN_KEY = 0x9E3779B97F4A7C15F39D
+CRC_TROJAN = TrojanCrcDecoderCircuit(crc_trojan_spec())
+KATAN_TROJAN = TrojanKatanCircuit(KATAN_KEY, katan_trojan_spec())
 
 
 class StubCircuit:
@@ -149,13 +156,37 @@ def test_trace_validation():
         TraceParams(n_samples=64)
 
 
+def dataset(samples, patterns=None, dt=0.1, pattern_bits=4):
+    if patterns is None:
+        patterns = list(range(len(samples)))
+    return Dataset(condition=NORMAL, seed=0, circuit="stub", pattern_bits=pattern_bits, dt=dt,
+                   patterns=patterns, samples=samples)
+
+
 def test_dataset_validation():
-    t = CurrentTrace(dt=0.1, samples=np.zeros(128))
-    short = CurrentTrace(dt=0.1, samples=np.zeros(100))
+    assert len(dataset(np.zeros((2, 128)))) == 2
     with pytest.raises(ValueError):
-        Dataset(condition=NORMAL, traces=(), seed=0)
+        dataset(np.zeros((0, 128)))
+    # a matrix cannot be ragged: rows of another length do not make one
     with pytest.raises(ValueError):
-        Dataset(condition=NORMAL, traces=(t, short), seed=0)
+        dataset([np.zeros(128), np.zeros(100)])
+    with pytest.raises(ValueError, match="matrix"):
+        dataset(np.zeros(128), patterns=[0])
+    with pytest.raises(ValueError, match="100 samples"):
+        dataset(np.zeros((2, 64)))
+    with pytest.raises(ValueError, match="finite"):
+        dataset(np.full((2, 128), np.inf))
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            dataset(np.zeros((2, 128)), dt=dt)
+    with pytest.raises(ValueError, match="patterns for 2 trace rows"):
+        dataset(np.zeros((2, 128)), patterns=[0, 1, 2])
+    for bad in ([0, 16], [-1, 0]):
+        with pytest.raises(ValueError, match="fit in 4 bits"):
+            dataset(np.zeros((2, 128)), patterns=bad)
+    for bits in (0, 64):
+        with pytest.raises(ValueError, match="pattern_bits"):
+            dataset(np.zeros((2, 128)), pattern_bits=bits)
 
 
 def test_draw_patterns_distinct_and_filtered():
@@ -185,17 +216,34 @@ def test_build_dataset_reproducible():
     a = build_dataset(circ, NORMAL, n_patterns=6, seed=11)
     b = build_dataset(circ, NORMAL, n_patterns=6, seed=11)
     assert len(a) == 6
-    for ta, tb in zip(a.traces, b.traces):
-        assert ta.pattern_id == tb.pattern_id
-        assert np.array_equal(ta.samples, tb.samples)
+    assert a.samples.shape == (6, DEFAULT_PARAMS.n_samples)
+    assert np.array_equal(a.patterns, b.patterns)
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_build_dataset_per_trace_noise_seeds():
-    circ = CrcDecoderCircuit()
-    ds = build_dataset(circ, NORMAL, n_patterns=4, seed=9)
-    for i, trace in enumerate(ds.traces):
-        again = simulate_trace(circ, trace.pattern_id, NORMAL, seed=9 ^ i)
-        assert np.array_equal(trace.samples, again.samples)
+    # every path of the synthesis: switching term, condition scale, trigger
+    # toggles and payload spike of a firing Trojan, for CRC and KATAN rows
+    cases = [
+        (CrcDecoderCircuit(), NORMAL, None),
+        (CrcDecoderCircuit(), Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=-0.15), None),
+        (CrcDecoderCircuit(), Condition(ConditionKind.TEMPERATURE, temperature_c=87.5), None),
+        (CRC_TROJAN, TROJAN, lambda p: crc_trigger(encode(p, CRC8))),
+        (KatanCircuit(KATAN_KEY), Condition(ConditionKind.TEMPERATURE, temperature_c=33.0), None),
+        (KATAN_TROJAN, TROJAN, lambda p: katan_trigger(p, KATAN_KEY, katan_trojan_spec())),
+    ]
+    for circ, condition, pattern_filter in cases:
+        ds = build_dataset(circ, condition, n_patterns=4, seed=9, pattern_filter=pattern_filter)
+        assert ds.circuit == circ.name
+        assert ds.pattern_bits == circ.input_width
+        assert ds.dt == DEFAULT_PARAMS.dt
+        for i, (pattern, row) in enumerate(zip(ds.patterns, ds.samples)):
+            again = simulate_trace(circ, int(pattern), condition, seed=9 ^ i)
+            assert np.array_equal(row, again.samples)
+            if pattern_filter is not None:
+                step = circ.n_steps - 1
+                assert circ.activation_steps(int(pattern)) == (step,)
+                assert row[step] > DEFAULT_PARAMS.spike_gain
 
 
 def test_build_dataset_computes_toggles_in_one_call():
@@ -208,7 +256,7 @@ def test_build_dataset_computes_toggles_in_one_call():
 
     ds = build_dataset(CountingStub(), NORMAL, n_patterns=5, seed=3)
     assert [len(c) for c in calls] == [5]
-    assert calls[0] == [t.pattern_id for t in ds.traces]
+    assert calls[0] == ds.patterns.tolist()
 
 
 def test_toggle_rows_of_wrong_shape_rejected():
@@ -226,16 +274,15 @@ def test_build_dataset_honours_pattern_filter():
     circ = TrojanCrcDecoderCircuit(crc_trojan_spec())
     trig = lambda p: crc_trigger(encode(p, CRC8))
     ds = build_dataset(circ, TROJAN, n_patterns=10, seed=5, pattern_filter=trig)
-    assert all(trig(t.pattern_id) for t in ds.traces)
+    assert all(trig(int(p)) for p in ds.patterns)
 
 
 def test_trace_csv_round_trip_is_exact(tmp_path):
     trace = simulate_trace(StubCircuit(), 3, NORMAL, seed=7, params=TraceParams(n_samples=100))
     path = tmp_path / "t.csv"
     write_trace_csv(trace, path)
-    back = read_trace_csv(path, pattern_id=3)
+    back = read_trace_csv(path)
     assert back.dt == trace.dt
-    assert back.pattern_id == 3
     assert np.array_equal(back.samples, trace.samples)
 
 
@@ -250,14 +297,14 @@ def test_dataset_directory_round_trip(tmp_path):
     circ = CrcDecoderCircuit()
     pv = Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=-0.125)
     ds = build_dataset(circ, pv, n_patterns=5, seed=21)
-    write_dataset(ds, tmp_path / "pv", circuit_name=circ.name, pattern_bits=circ.input_width)
+    write_dataset(ds, tmp_path / "pv")
     back = read_dataset(tmp_path / "pv")
     assert back.condition == ds.condition
     assert back.seed == ds.seed
     assert len(back) == len(ds)
-    for ta, tb in zip(ds.traces, back.traces):
-        assert ta.pattern_id == tb.pattern_id
-        assert np.array_equal(ta.samples, tb.samples)
+    assert (back.circuit, back.pattern_bits, back.dt) == (circ.name, circ.input_width, ds.dt)
+    assert np.array_equal(back.patterns, ds.patterns)
+    assert np.array_equal(back.samples, ds.samples)
 
 
 def test_read_dataset_missing_key_names_it(tmp_path):
@@ -265,7 +312,65 @@ def test_read_dataset_missing_key_names_it(tmp_path):
     write_dataset(ds, tmp_path / "ds")
     manifest = tmp_path / "ds" / "manifest"
     lines = manifest.read_text().splitlines(keepends=True)
-    for key in ("n_traces", "trace.1.pattern"):
+    for key in ("n_traces", "dt_ns", "trace.1.pattern"):
         manifest.write_text("".join(l for l in lines if not l.startswith(f"{key} ")))
         with pytest.raises(ValueError, match=f"manifest: missing key '{key}'"):
             read_dataset(tmp_path / "ds")
+
+
+def write_rows(path, rows):
+    path.write_text("time_ns,current_uA\n" + "".join(f"{r}\n" for r in rows))
+
+
+def grid_rows(n=120, dt=0.1):
+    return [f"{i * dt!r},4.0" for i in range(n)]
+
+
+@pytest.mark.parametrize("edits, line, message", [
+    ({5: "x,y,z"}, 7, "expected 'time_ns,current_uA', got 'x,y,z'"),
+    ({5: "0.5"}, 7, "got '0.5'"),
+    ({5: "0.5,abc"}, 7, "got '0.5,abc'"),
+    # the time axis jumps after row 2: row 3 sits at 0.5 ns, not 0.3 ns
+    ({3: "0.5,4.0"}, 5, "expected time 3 * 0.1 ns and a finite current, got 0.5,4.0"),
+    ({0: "0.05,4.0"}, 2, "expected time 0 * 0.05 ns"),
+    ({1: "0.0,4.0"}, 3, "time step 0.0 ns is not positive"),
+    ({7: "0.7,nan"}, 9, "finite current, got 0.7,nan"),
+    # a blank line still counts in the reported line number
+    ({4: "", 6: "x"}, 8, "got 'x'"),
+], ids=["three-fields", "one-field", "not-a-number", "time-jump", "time-offset", "zero-step", "nan-current", "after-blank"])
+def test_read_trace_csv_names_the_bad_line(tmp_path, edits, line, message):
+    rows = grid_rows()
+    for i, text in edits.items():
+        rows[i] = text
+    path = tmp_path / "t.csv"
+    write_rows(path, rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: .*{re.escape(message)}"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_accepts_rounded_foreign_times(tmp_path):
+    # times written to 3 decimals are off i * dt in the last bits only
+    path = tmp_path / "t.csv"
+    write_rows(path, [f"{i * 0.1:.3f},1.5" for i in range(120)])
+    trace = read_trace_csv(path)
+    assert trace.dt == 0.1
+    assert np.array_equal(trace.samples, np.full(120, 1.5))
+
+
+def test_read_trace_csv_too_short_names_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(path, grid_rows(50))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 50 samples, a trace needs >= 100"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_checks_expected_geometry(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(path, grid_rows(120))
+    assert len(read_trace_csv(path, 0.1 * (1 + 1e-9), 120).samples) == 120
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: time step 0.1 ns, expected 0.2 ns"):
+        read_trace_csv(path, 0.2, 120)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:102: 120 samples, expected 100"):
+        read_trace_csv(path, 0.1, 100)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:122: 120 samples, expected 256"):
+        read_trace_csv(path, 0.1, 256)
