@@ -48,7 +48,6 @@ from .detector import (
 from .experiments import (
     ExperimentResult,
     child_seeds,
-    device,
     run_crc_identification,
     run_katan_identification,
     write_experiment,

@@ -295,9 +295,7 @@ def cmd_detect_eval(args, config: ExperimentConfig) -> int:
     decisions = classify(signal, DetectorConfig(threshold, sensitivity))
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "evaluation.csv")
-    with open(out_csv, "w") as fh:
-        fh.write("index,value,decision\n")
-        fh.writelines(experiments.evaluation_rows(signal, decisions))
+    experiments.write_evaluation_csv(out_csv, signal, decisions)
     n_rej = sum(1 for d in decisions if d is Decision.REJECT)
     print(
         f"threshold {threshold:.10g}, sensitivity {sensitivity:g}: "
@@ -324,9 +322,7 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
     counts = [(s, score(classify(signal, DetectorConfig(args.threshold, s)), condition)) for s in levels]
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "confusion.csv")
-    with open(out_csv, "w") as fh:
-        fh.write("sensitivity,tp,fp,tn,fn\n")
-        fh.writelines(experiments.confusion_rows(counts))
+    experiments.write_confusion_csv(out_csv, counts)
     print(f"wrote {out_csv}")
     return 2 if any(c.tp or c.fp for _, c in counts) else 0
 
@@ -349,18 +345,14 @@ def cmd_katan_dec(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _print_experiment(result, name: str) -> None:
-    print(f"{name}: threshold {result.threshold:.10g}")
-    for ds_name, decisions in result.decisions.items():
-        n_rej = sum(1 for d in decisions if d is Decision.REJECT)
-        print(f"  {ds_name}: {len(decisions) - n_rej} accepted, {n_rej} rejected")
-
-
 def _run_experiment(config: ExperimentConfig, name: str, run) -> int:
     result = run(config)
     out_dir = os.path.join(config.out, name)
     experiments.write_experiment(result, config, out_dir)
-    _print_experiment(result, name)
+    print(f"{name}: threshold {result.threshold:.10g}")
+    for ds_name, decisions in result.decisions.items():
+        n_rej = sum(1 for d in decisions if d is Decision.REJECT)
+        print(f"  {ds_name}: {len(decisions) - n_rej} accepted, {n_rej} rejected")
     print(f"wrote {out_dir}")
     return 2 if experiments.any_rejection(result) else 0
 

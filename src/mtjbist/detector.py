@@ -121,10 +121,8 @@ class EvaluationSignal:
 
 
 def evaluation_signal(reference: ReferenceSignal, dataset: Dataset, normalized: bool = False) -> EvaluationSignal:
-    """Detector value of every dataset row, one np.correlate per row.
-
-    A batched FFT correlation would change the last bits of the values.
-    """
+    """Detector value of every dataset row, one np.correlate per row (a
+    batched FFT correlation would change the last bits of the values)."""
     values = [relational_detector(reference, row, normalized) for row in dataset.samples]
     return EvaluationSignal(np.array(values))
 

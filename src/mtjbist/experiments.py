@@ -23,7 +23,6 @@ writes byte-identical outputs.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,16 +168,23 @@ def run_katan_identification(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # output directory layout
 
-def evaluation_rows(signal: EvaluationSignal, decisions) -> Iterator[str]:
+def evaluation_rows(signal: EvaluationSignal, decisions) -> list[str]:
     """``index,value,decision`` lines of one evaluation signal."""
-    for i, (v, d) in enumerate(zip(signal.values, decisions)):
-        yield f"{i},{v:.10g},{d.value}\n"
+    return [f"{i},{v:.10g},{d.value}\n" for i, (v, d) in enumerate(zip(signal.values, decisions))]
 
 
-def confusion_rows(counts) -> Iterator[str]:
-    """``sensitivity,tp,fp,tn,fn`` lines of (sensitivity, ConfusionCounts) pairs."""
-    for s, c in counts:
-        yield f"{s:.10g},{c.tp},{c.fp},{c.tn},{c.fn}\n"
+def write_evaluation_csv(path, signal: EvaluationSignal, decisions) -> None:
+    with open(path, "w") as fh:
+        fh.write("index,value,decision\n")
+        fh.writelines(evaluation_rows(signal, decisions))
+
+
+def write_confusion_csv(path, counts) -> None:
+    """One ``sensitivity,tp,fp,tn,fn`` row per (sensitivity, ConfusionCounts) pair."""
+    with open(path, "w") as fh:
+        fh.write("sensitivity,tp,fp,tn,fn\n")
+        for s, c in counts:
+            fh.write(f"{s:.10g},{c.tp},{c.fp},{c.tn},{c.fn}\n")
 
 
 def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir) -> None:
@@ -188,21 +194,16 @@ def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir
     for name, dataset in result.datasets.items():
         write_dataset(dataset, os.path.join(out_dir, "datasets", name))
 
-    names = [n for n in result.datasets if n != "reference"]
+    # every dataset under test, that is all but the held-out reference
     with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:
         fh.write("dataset,index,value,decision\n")
-        for name in names:
-            rows = evaluation_rows(result.signals[name], result.decisions[name])
-            fh.writelines(f"{name},{row}" for row in rows)
-    for name in names:
-        with open(os.path.join(out_dir, f"evaluation_{name}.csv"), "w") as fh:
-            fh.write("index,value,decision\n")
-            fh.writelines(evaluation_rows(result.signals[name], result.decisions[name]))
-        with open(os.path.join(out_dir, f"confusion_{name}.csv"), "w") as fh:
-            fh.write("sensitivity,tp,fp,tn,fn\n")
-            fh.writelines(confusion_rows(
-                (s, result.confusion[name][s]) for s in config.detector_sensitivities
-            ))
+        for name, signal in result.signals.items():
+            fh.writelines(f"{name},{row}" for row in evaluation_rows(signal, result.decisions[name]))
+            write_evaluation_csv(os.path.join(out_dir, f"evaluation_{name}.csv"), signal, result.decisions[name])
+            write_confusion_csv(
+                os.path.join(out_dir, f"confusion_{name}.csv"),
+                [(s, result.confusion[name][s]) for s in config.detector_sensitivities],
+            )
 
     with open(os.path.join(out_dir, "manifest"), "w") as fh:
         fh.write(f"seed = {config.seed}\n")

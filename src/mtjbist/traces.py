@@ -122,10 +122,6 @@ class CurrentTrace:
             raise ValueError("samples must be one-dimensional")
         _check_samples(samples, self.dt)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.samples)) * self.dt
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -149,10 +145,8 @@ class Dataset:
         if not 1 <= self.pattern_bits <= 63:
             raise ValueError(f"pattern_bits must lie in [1, 63], got {self.pattern_bits}")
         patterns = np.asarray(self.patterns, dtype=np.int64)
-        if patterns.shape != (len(samples),):
-            raise ValueError(f"{patterns.shape} patterns for {len(samples)} trace rows")
-        if np.any((patterns < 0) | (patterns >> self.pattern_bits != 0)):
-            raise ValueError(f"patterns must fit in {self.pattern_bits} bits")
+        if patterns.shape != (len(samples),) or np.any((patterns < 0) | (patterns >> self.pattern_bits != 0)):
+            raise ValueError(f"need one pattern of at most {self.pattern_bits} bits per trace row")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "patterns", patterns)
 
@@ -346,9 +340,10 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
     # vectorised after parsing, so that the loop above stays lean
     samples = np.array(values)
     grid = np.arange(n) * step
-    bad = np.flatnonzero(~(np.abs(np.array(times) - grid) <= DT_RTOL * grid) | ~np.isfinite(samples))
-    if len(bad):
-        k = int(bad[0])
+    ok = np.abs(np.array(times) - grid) <= DT_RTOL * grid
+    ok &= np.isfinite(samples)
+    if not ok.all():
+        k = int(ok.argmin())
         raise ValueError(f"{path}:{line(k)}: expected time {k} * {step!r} ns and a finite current, "
                          f"got {times[k]!r},{values[k]!r}")
     return CurrentTrace(dt=step, samples=samples)
@@ -417,6 +412,5 @@ def read_dataset(dirpath) -> Dataset:
     patterns = [parse_hex(pattern_hex, bits) for _, pattern_hex in entries]
     rows: list[np.ndarray] = []
     for fname, _ in entries:
-        trace = read_trace_csv(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None)
-        rows.append(trace.samples)
+        rows.append(read_trace_csv(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None).samples)
     return Dataset(condition, seed, kv.get("circuit", ""), bits, dt, patterns, np.array(rows))

@@ -179,10 +179,10 @@ def test_dataset_validation():
     for dt in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="dt"):
             dataset(np.zeros((2, 128)), dt=dt)
-    with pytest.raises(ValueError, match="patterns for 2 trace rows"):
+    with pytest.raises(ValueError, match="one pattern of at most 4 bits per trace row"):
         dataset(np.zeros((2, 128)), patterns=[0, 1, 2])
     for bad in ([0, 16], [-1, 0]):
-        with pytest.raises(ValueError, match="fit in 4 bits"):
+        with pytest.raises(ValueError, match="one pattern of at most 4 bits per trace row"):
             dataset(np.zeros((2, 128)), patterns=bad)
     for bits in (0, 64):
         with pytest.raises(ValueError, match="pattern_bits"):
