@@ -152,7 +152,14 @@ def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
         for s in config.detector_sensitivities:
             dec = classify(signal, DetectorConfig(theta, s))
             confusion[name][s] = score(dec, dataset.condition)
-    return ExperimentResult(theta, reference, datasets, signals, decisions, confusion)
+    return ExperimentResult(
+        threshold=theta,
+        reference=reference,
+        datasets=datasets,
+        signals=signals,
+        decisions=decisions,
+        confusion=confusion,
+    )
 
 
 def run_crc_identification(config: ExperimentConfig) -> ExperimentResult:
@@ -194,7 +201,6 @@ def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir
     for name, dataset in result.datasets.items():
         write_dataset(dataset, os.path.join(out_dir, "datasets", name))
 
-    # every dataset under test, that is all but the held-out reference
     with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:
         fh.write("dataset,index,value,decision\n")
         for name, signal in result.signals.items():

@@ -234,24 +234,19 @@ def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_fi
         candidates = [p for p in range(space) if accept(p)]
         if not candidates:
             raise ValueError("pattern filter rejects the whole input space")
-        if len(candidates) >= n_patterns:
-            picks = rng.choice(len(candidates), size=n_patterns, replace=False)
-        else:
-            picks = rng.choice(len(candidates), size=n_patterns, replace=True)
+        picks = rng.choice(len(candidates), size=n_patterns, replace=len(candidates) < n_patterns)
         return [candidates[int(i)] for i in picks]
-    chosen: list[int] = []
-    seen: set[int] = set()
+    # a dict keeps the accepted patterns distinct and in drawing order
+    chosen: dict[int, None] = {}
     budget = 10_000 * n_patterns
     while len(chosen) < n_patterns and budget:
         budget -= 1
         p = int(rng.integers(0, space))
-        if p in seen or not accept(p):
-            continue
-        seen.add(p)
-        chosen.append(p)
+        if p not in chosen and accept(p):
+            chosen[p] = None
     if len(chosen) < n_patterns:
         raise ValueError("could not draw enough accepted patterns")
-    return chosen
+    return list(chosen)
 
 
 def build_dataset(
@@ -306,27 +301,27 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
     """
     times: list[float] = []
     values: list[float] = []
-    # data rows read before each blank line, to name the right line
-    blanks: list[int] = []
-
-    def line(k: int) -> int:
-        return k + 2 + sum(b <= k for b in blanks)
-
     with open(path) as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ValueError(f"{path}:1: unexpected header {header!r}")
-        raw = ""
-        try:
-            for raw in fh:
-                if not raw.strip():
-                    blanks.append(len(values))
-                    continue
-                t, v = raw.split(",")
-                times.append(float(t))
-                values.append(float(v))
-        except ValueError:
-            raise ValueError(f"{path}:{line(len(values))}: expected 'time_ns,current_uA', got {raw.strip()!r}") from None
+        # one read and split is cheaper than iterating the file line by line
+        lines = fh.read().splitlines()
+
+    def line(k: int) -> int:
+        """File line of data row k, found only when an error needs it; past the end, the line after the last."""
+        rows = [i for i, raw in enumerate(lines) if raw.strip()]
+        return (rows[k] if k < len(rows) else len(lines)) + 2
+
+    try:
+        for raw in lines:
+            if not raw.strip():
+                continue
+            t, v = raw.split(",")
+            times.append(float(t))
+            values.append(float(v))
+    except ValueError:
+        raise ValueError(f"{path}:{line(len(values))}: expected 'time_ns,current_uA', got {raw.strip()!r}") from None
     n = len(values)
     if n < MIN_TRACE_SAMPLES:
         raise ValueError(f"{path}: {n} samples, a trace needs >= {MIN_TRACE_SAMPLES}")
