@@ -223,8 +223,10 @@ def _set_manifest_dt(ds, text):
 # and line the error must point at
 GEOMETRY_CASES = {
     "reference-dt": (lambda ds, ref: _grid_csv(ref, dt=0.2), "ref.csv:3: time step 0.2 ns, expected 0.1 ns"),
-    "reference-time-jump": (lambda ds, ref: _grid_csv(ref, jump_at=3), "ref.csv:5: expected time 3 * 0.1 ns and a finite current, got 0.4,4.0"),
-    "manifest-dt": (lambda ds, ref: _set_manifest_dt(ds, "0.5"), "ds/trace_000.csv:3: time step 0.1 ns, expected 0.5 ns"),
+    "reference-time-jump": (lambda ds, ref: _grid_csv(ref, jump_at=3),
+                            "ref.csv:5: expected time 3 * 0.1 ns and a finite current, got 0.4,4.0"),
+    "manifest-dt": (lambda ds, ref: _set_manifest_dt(ds, "0.5"),
+                    "ds/trace_000.csv:3: time step 0.1 ns, expected 0.5 ns"),
     "reference-length": (lambda ds, ref: _grid_csv(ref, n=200), "ref.csv:202: 200 samples, expected 256"),
     "reference-row": (lambda ds, ref: ref.write_text(ref.read_text().replace("\n0.5,", "\nx,y,z\n0.5,", 1)),
                       "ref.csv:7: expected 'time_ns,current_uA', got 'x,y,z'"),

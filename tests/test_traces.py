@@ -337,7 +337,8 @@ def grid_rows(n=120, dt=0.1):
     ({7: "0.7,nan"}, 9, "finite current, got 0.7,nan"),
     # a blank line still counts in the reported line number
     ({4: "", 6: "x"}, 8, "got 'x'"),
-], ids=["three-fields", "one-field", "not-a-number", "time-jump", "time-offset", "zero-step", "nan-current", "after-blank"])
+], ids=["three-fields", "one-field", "not-a-number", "time-jump", "time-offset", "zero-step",
+        "nan-current", "after-blank"])
 def test_read_trace_csv_names_the_bad_line(tmp_path, edits, line, message):
     rows = grid_rows()
     for i, text in edits.items():
