@@ -8,40 +8,20 @@ printed big-endian. All widths are explicit at call sites.
 from __future__ import annotations
 
 
-def bit(value: int, i: int) -> int:
-    return (value >> i) & 1
-
-
 def parity(value: int) -> int:
     """XOR reduction of all bits of ``value``."""
     return value.bit_count() & 1
 
 
-def int_to_bits(value: int, width: int) -> list[int]:
-    """LSB-first bit list of ``value``; bit index equals list index."""
-    if value < 0 or value >> width:
-        raise ValueError(f"value {value:#x} does not fit in {width} bits")
-    return [(value >> i) & 1 for i in range(width)]
-
-
-def bits_to_int(bits) -> int:
-    """Inverse of int_to_bits: bits[i] becomes bit i."""
-    out = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit {i} is {b!r}, expected 0 or 1")
-        out |= b << i
-    return out
-
-
-def parse_hex(text: str, width: int) -> int:
+def parse_hex(text: str, width: int | None) -> int:
     """Parse a big-endian hex string into a ``width``-bit value.
 
     Bit 0 of the result is the least significant bit of the last hex digit.
+    A width of None checks only that the text is a non-negative hex number.
     """
     value = int(text, 16)
-    if value < 0 or value >> width:
-        raise ValueError(f"{text!r} does not fit in {width} bits")
+    if value < 0 or (width is not None and value >> width):
+        raise ValueError(f"{text!r} is negative" if width is None else f"{text!r} does not fit in {width} bits")
     return value
 
 

@@ -24,6 +24,7 @@ from .detector import (
     evaluation_signal,
     score,
 )
+from .textio import finite_float, records, split_list
 from .traces import (
     NORMAL,
     TROJAN,
@@ -45,18 +46,6 @@ class _Parser(argparse.ArgumentParser):
     # usage, so route parse errors through our own exception instead
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _hex_list(text: str) -> list[str]:
-    return [p for p in text.replace(",", " ").split() if p]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(p) for p in text.replace(",", " ").split() if p]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.replace(",", " ").split() if p]
 
 
 def build_parser() -> _Parser:
@@ -203,12 +192,12 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
     crc = config.crc()
     array = _load_array(config, args.array)
     if args.patterns:
-        patterns = [parse_hex(p, crc.data_width) for p in _hex_list(args.patterns)]
+        patterns = [parse_hex(p, crc.data_width) for p in split_list(args.patterns)]
     else:
         rng = np.random.default_rng(config.seed)
         patterns = [int(p) for p in rng.integers(0, 1 << crc.data_width, size=args.n_random)]
     if args.half_periods:
-        half_periods = _float_list(args.half_periods)
+        half_periods = [float(h) for h in split_list(args.half_periods)]
     else:
         half_periods = [float(h) for h in np.linspace(3.0, 0.75, 10)]
     sweep = bist.frequency_sweep(
@@ -239,9 +228,11 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
 def cmd_attack_inject(args, config: ExperimentConfig) -> int:
     cells = mtj.load_array(args.array)
     if args.random is not None:
-        spec = bist.AttackSpec.random(len(cells), args.random, _float_list(args.multiplier_range), config.seed)
+        spec = bist.AttackSpec.random(
+            len(cells), args.random, [float(m) for m in split_list(args.multiplier_range)], config.seed
+        )
     elif args.targets:
-        spec = bist.AttackSpec.uniform(_int_list(args.targets), args.multiplier)
+        spec = bist.AttackSpec.uniform([int(i) for i in split_list(args.targets)], args.multiplier)
     else:
         raise UsageError("attack inject: need --targets or --random")
     tampered = bist.inject_attack(cells, spec)
@@ -305,20 +296,33 @@ def cmd_detect_eval(args, config: ExperimentConfig) -> int:
 
 
 def cmd_detect_score(args, config: ExperimentConfig) -> int:
+    path = args.evaluation
     values = []
-    with open(args.evaluation) as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            v_col = header.index("value")
-        except ValueError:
-            raise ValueError(f"{args.evaluation}: no 'value' column")
-        for raw in fh:
-            if raw.strip():
-                values.append(float(raw.split(",")[v_col]))
-    signal = EvaluationSignal(np.array(values))
+    with open(path) as fh:
+        rows = records(fh)
+        ln, header = next(rows, (1, ""))
+        columns = header.split(",")
+        if "value" not in columns:
+            raise ValueError(f"{path}:{ln}: no 'value' column")
+        v_col = columns.index("value")
+        for ln, text in rows:
+            row = text.split(",")
+            if len(row) != len(columns):
+                raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
+            try:
+                values.append(finite_float(row[v_col]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: bad value: {exc}") from None
+    try:
+        signal = EvaluationSignal(np.array(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
-    levels = _float_list(args.sensitivities) if args.sensitivities else list(config.detector_sensitivities)
+    if args.sensitivities:
+        levels = [float(s) for s in split_list(args.sensitivities)]
+    else:
+        levels = config.detector_sensitivities
     counts = [(s, score(classify(signal, DetectorConfig(args.threshold, s)), condition)) for s in levels]
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "confusion.csv")
@@ -416,10 +420,7 @@ def main(argv=None) -> int:
         if hasattr(args, "out"):
             config.out = args.out
         return args.func(args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

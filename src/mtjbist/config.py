@@ -9,7 +9,8 @@ Example file:
     detector.sensitivities = 0.05, 0.10, 0.20
 
 Every key has a default, so a config containing only a seed (or nothing at
-all) is runnable. Unknown keys are rejected to catch typos.
+all) is runnable. Unknown and repeated keys are rejected to catch typos, and
+every value is checked when the file is read (see ``textio``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .bist import ClockConfig
 from .bits import parse_hex
 from .crc import CrcConfig
 from .mtj import MtjDelayModel
+from .textio import finite_float, read_kv, split_list
 from .traces import TraceParams
 from .trojan import TrojanSpec, crc_trojan_spec, katan_trojan_spec
 
@@ -33,12 +35,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.replace(",", " ").split())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.replace(",", " ").split())
+def _hex(width: int | None = None):
+    """Parser of a hex value kept as text. A width of None checks the syntax
+    only: the CRC widths depend on other keys and are checked on use."""
+    def check(text: str) -> str:
+        parse_hex(text, width)
+        return text
+    return check
 
 
 @dataclass
@@ -151,59 +154,49 @@ class ExperimentConfig:
 CONFIG_KEYS = {
     "seed": ("seed", int),
     "out": ("out", str),
-    "clock.half_period_ns": ("clock_half_period_ns", float),
-    "clock.launch_offset_cycles": ("clock_launch_offset_cycles", float),
+    "clock.half_period_ns": ("clock_half_period_ns", finite_float),
+    "clock.launch_offset_cycles": ("clock_launch_offset_cycles", finite_float),
     "clock.sample_edge": ("clock_sample_edge", int),
-    "crc.poly": ("crc_poly_hex", str),
+    "crc.poly": ("crc_poly_hex", _hex()),
     "crc.data_width": ("crc_data_width", int),
     "crc.check_width": ("crc_check_width", int),
-    "crc.receiver_init": ("crc_receiver_init_hex", str),
-    "crc.reference_pattern": ("crc_reference_pattern_hex", str),
-    "mtj.tm_min": ("mtj_tm_min", float),
-    "mtj.tm_max": ("mtj_tm_max", float),
-    "mtj.delay01_min_ns": ("mtj_delay01_min_ns", float),
-    "mtj.delay01_max_ns": ("mtj_delay01_max_ns", float),
-    "mtj.delay10_min_ns": ("mtj_delay10_min_ns", float),
-    "mtj.delay10_max_ns": ("mtj_delay10_max_ns", float),
-    "mtj.tolerance": ("mtj_tolerance", float),
+    "crc.receiver_init": ("crc_receiver_init_hex", lambda text: text and _hex()(text)),
+    "crc.reference_pattern": ("crc_reference_pattern_hex", _hex()),
+    "mtj.tm_min": ("mtj_tm_min", finite_float),
+    "mtj.tm_max": ("mtj_tm_max", finite_float),
+    "mtj.delay01_min_ns": ("mtj_delay01_min_ns", finite_float),
+    "mtj.delay01_max_ns": ("mtj_delay01_max_ns", finite_float),
+    "mtj.delay10_min_ns": ("mtj_delay10_min_ns", finite_float),
+    "mtj.delay10_max_ns": ("mtj_delay10_max_ns", finite_float),
+    "mtj.tolerance": ("mtj_tolerance", finite_float),
     "mtj.array": ("mtj_array_path", str),
-    "trace.dt_ns": ("trace_dt_ns", float),
+    "trace.dt_ns": ("trace_dt_ns", finite_float),
     "trace.n_samples": ("trace_n_samples", int),
-    "trace.i_unit_ua": ("trace_i_unit_ua", float),
-    "trace.baseline_ua": ("trace_baseline_ua", float),
-    "trace.noise_sigma_ua": ("trace_noise_sigma_ua", float),
-    "trace.spike_gain": ("trace_spike_gain", float),
-    "trace.k_pv": ("trace_k_pv", float),
-    "trace.k_temp": ("trace_k_temp", float),
-    "detector.sensitivity": ("detector_sensitivity", float),
-    "detector.sensitivities": ("detector_sensitivities", _parse_float_list),
+    "trace.i_unit_ua": ("trace_i_unit_ua", finite_float),
+    "trace.baseline_ua": ("trace_baseline_ua", finite_float),
+    "trace.noise_sigma_ua": ("trace_noise_sigma_ua", finite_float),
+    "trace.spike_gain": ("trace_spike_gain", finite_float),
+    "trace.k_pv": ("trace_k_pv", finite_float),
+    "trace.k_temp": ("trace_k_temp", finite_float),
+    "detector.sensitivity": ("detector_sensitivity", finite_float),
+    "detector.sensitivities": ("detector_sensitivities",
+                               lambda text: tuple(finite_float(p) for p in split_list(text))),
     "detector.normalized": ("detector_normalized", _parse_bool),
     "detector.n_patterns": ("detector_n_patterns", int),
-    "katan.key": ("katan_key_hex", str),
-    "katan.reference_pattern": ("katan_reference_pattern_hex", str),
-    "trojan.key_bits": ("trojan_key_bits", _parse_int_list),
-    "trojan.pt_bits": ("trojan_pt_bits", _parse_int_list),
+    "katan.key": ("katan_key_hex", _hex(80)),
+    "katan.reference_pattern": ("katan_reference_pattern_hex", _hex(32)),
+    "trojan.key_bits": ("trojan_key_bits", lambda text: tuple(int(p) for p in split_list(text))),
+    "trojan.pt_bits": ("trojan_pt_bits", lambda text: tuple(int(p) for p in split_list(text))),
 }
 
 assert {attr for attr, _ in CONFIG_KEYS.values()} == {f.name for f in fields(ExperimentConfig)}
+_CONFIG_PARSERS = {key: parser for key, (_, parser) in CONFIG_KEYS.items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     config = ExperimentConfig()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{ln}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"{source}:{ln}: unknown key {key!r}")
-        attr, parser = CONFIG_KEYS[key]
-        try:
-            setattr(config, attr, parser(value))
-        except ValueError as exc:
-            raise ValueError(f"{source}:{ln}: bad value for {key}: {exc}") from exc
+    for key, (_, value) in read_kv(text.splitlines(), source, _CONFIG_PARSERS.get).items():
+        setattr(config, CONFIG_KEYS[key][0], value)
     return config
 
 

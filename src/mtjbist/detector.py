@@ -43,10 +43,11 @@ class DetectorConfig:
     sensitivity: float = DEFAULT_SENSITIVITY
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.sensitivity <= 0:
-            raise ValueError("sensitivity must be positive")
+        # the chained comparisons are False for nan
+        if not 0 < self.threshold < float("inf"):
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold!r}")
+        if not 0 < self.sensitivity < float("inf"):
+            raise ValueError(f"sensitivity must be positive and finite, got {self.sensitivity!r}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
+from .textio import records, split_list
+
 
 class MtjLogicState(IntEnum):
     """Magnetization states and their fixed logic mapping."""
@@ -46,14 +48,14 @@ class MtjDelayModel:
     tm_tolerance: float = 0.10
 
     def __post_init__(self):
-        if not self.tm_min < self.tm_max:
-            raise ValueError("tm_min must be < tm_max")
-        if self.delay01_min > self.delay01_max or self.delay10_min > self.delay10_max:
-            raise ValueError("delay windows must be ordered min <= max")
-        if self.delay01_min < 0 or self.delay10_min < 0:
-            raise ValueError("delays must be non-negative")
-        if self.tm_tolerance < 0:
-            raise ValueError("tm_tolerance must be non-negative")
+        # the chained comparisons are False for nan
+        if not -float("inf") < self.tm_min < self.tm_max < float("inf"):
+            raise ValueError("tm_min must be < tm_max, both finite")
+        if not (0 <= self.delay01_min <= self.delay01_max < float("inf")
+                and 0 <= self.delay10_min <= self.delay10_max < float("inf")):
+            raise ValueError("delay windows must be finite, non-negative and ordered min <= max")
+        if not 0 <= self.tm_tolerance < float("inf"):
+            raise ValueError("tm_tolerance must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -164,17 +166,14 @@ def load_array(path, tm_nominal: float = 1.0, state: int = 0) -> list[MtjCell]:
     """
     rows: dict[int, float] = {}
     with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
+        for ln, text in records(fh):
+            parts = split_list(text)
             if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'index tm_actual', got {raw!r}")
+                raise ValueError(f"{path}:{ln}: expected 'index tm_actual', got {text!r}")
             try:
                 idx, tm = int(parts[0]), float(parts[1])
             except ValueError:
-                raise ValueError(f"{path}:{ln}: expected an integer index and a number, got {raw!r}") from None
+                raise ValueError(f"{path}:{ln}: expected an integer index and a number, got {text!r}") from None
             # the chained comparison is False for nan
             if not 0 < tm < float("inf"):
                 raise ValueError(f"{path}:{ln}: tm_actual must be positive and finite, got {parts[1]!r}")

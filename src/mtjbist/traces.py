@@ -19,13 +19,15 @@ so with zero noise its trace is bit-identical to the clean circuit's.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .bits import parse_hex, to_hex
+from .bits import to_hex
+from .textio import checked, finite_float, read_kv
 
 MIN_TRACE_SAMPLES = 100
 
@@ -97,12 +99,16 @@ class TraceParams:
     k_temp: float = 0.002
 
     def __post_init__(self):
-        if self.dt <= 0 or self.i_unit <= 0:
-            raise ValueError("dt and i_unit must be positive")
+        # the chained comparisons are False for nan
+        inf = float("inf")
+        if not (0 < self.dt < inf and 0 < self.i_unit < inf):
+            raise ValueError("dt and i_unit must be positive and finite")
         if self.n_samples < MIN_TRACE_SAMPLES:
             raise ValueError(f"n_samples must be >= {MIN_TRACE_SAMPLES}")
-        if self.noise_sigma < 0 or self.spike_gain < 0 or self.baseline < 0:
-            raise ValueError("noise_sigma, spike_gain, baseline must be >= 0")
+        if not (0 <= self.noise_sigma < inf and 0 <= self.spike_gain < inf and 0 <= self.baseline < inf):
+            raise ValueError("noise_sigma, spike_gain, baseline must be >= 0 and finite")
+        if not (-inf < self.k_pv < inf and -inf < self.k_temp < inf):
+            raise ValueError("k_pv and k_temp must be finite")
 
 
 DEFAULT_PARAMS = TraceParams()
@@ -185,8 +191,8 @@ def _synthesize(circuit, patterns, rows: np.ndarray, condition: Condition,
                 noise_sigma: float | None, seed: int, params: TraceParams) -> np.ndarray:
     """(len(patterns), n_samples) currents: row i from toggles rows[i], its noise seeded with seed ^ i."""
     sigma = params.noise_sigma if noise_sigma is None else float(noise_sigma)
-    if sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= sigma < float("inf"):
+        raise ValueError("noise_sigma must be >= 0 and finite")
     if rows.shape[1] > params.n_samples:
         raise ValueError(
             f"circuit takes {rows.shape[1]} steps but the trace holds {params.n_samples} samples"
@@ -370,42 +376,58 @@ def write_dataset(dataset: Dataset, dirpath) -> None:
         _write_samples_csv(os.path.join(dirpath, f"trace_{i:03d}.csv"), dataset.dt, row)
 
 
-def read_manifest(dirpath) -> dict[str, str]:
-    path = os.path.join(dirpath, "manifest")
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+# manifest key -> parser, besides the per-trace keys trace.<i>.file and
+# trace.<i>.pattern (hex; a negative pattern fails the width check)
+MANIFEST_KEYS = {
+    "condition.kind": ConditionKind,
+    "condition.pv_length_fraction": finite_float,
+    "condition.temperature_c": finite_float,
+    "seed": int,
+    "n_traces": checked(int, lambda n: n >= 1, "must be >= 1"),
+    "dt_ns": checked(finite_float, lambda dt: dt > 0, "must be positive"),
+    "pattern_bits": checked(int, lambda bits: 1 <= bits <= 63, "must lie in [1, 63]"),
+    "circuit": str,
+}
+_TRACE_FIELDS = {"file": str, "pattern": functools.partial(int, base=16)}
+
+
+# every manifest repeats the keys trace.0.* .. trace.<n-1>.*, hence the cache;
+# a key of another index than 0 .. n-1 is left over in read_dataset
+@functools.lru_cache(maxsize=1 << 14)
+def _manifest_parser(key: str):
+    if key.startswith("trace."):
+        return _TRACE_FIELDS.get(key.rpartition(".")[2])
+    return MANIFEST_KEYS.get(key)
 
 
 def read_dataset(dirpath) -> Dataset:
     """A dataset directory; every trace CSV must step by the manifest's dt_ns
     and hold as many samples as the first."""
-    kv = read_manifest(dirpath)
+    path = os.path.join(dirpath, "manifest")
+    with open(path) as fh:
+        kv = read_kv(fh.read().splitlines(), path, _manifest_parser)
+    # keys are popped as they are used, so any key left over is unknown
     try:
-        kind = ConditionKind(kv["condition.kind"])
-        n = int(kv["n_traces"])
-        seed = int(kv["seed"])
-        dt = float(kv["dt_ns"])
-        entries = [(kv[f"trace.{i}.file"], kv[f"trace.{i}.pattern"]) for i in range(n)]
+        kind_line, kind = kv.pop("condition.kind")
+        n, seed, dt = (kv.pop(key)[1] for key in ("n_traces", "seed", "dt_ns"))
+        files = [kv.pop(f"trace.{i}.file")[1] for i in range(n)]
+        patterns = [kv.pop(f"trace.{i}.pattern") for i in range(n)]
     except KeyError as exc:
-        path = os.path.join(dirpath, "manifest")
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    condition = Condition(
-        kind,
-        pv_length_fraction=float(kv["condition.pv_length_fraction"]) if "condition.pv_length_fraction" in kv else None,
-        temperature_c=float(kv["condition.temperature_c"]) if "condition.temperature_c" in kv else None,
-    )
-    bits = int(kv.get("pattern_bits", 32))
-    patterns = [parse_hex(pattern_hex, bits) for _, pattern_hex in entries]
+    bits = kv.pop("pattern_bits", (None, 32))[1]
+    circuit = kv.pop("circuit", (None, ""))[1]
+    pv = kv.pop("condition.pv_length_fraction", (None, None))[1]
+    temperature = kv.pop("condition.temperature_c", (None, None))[1]
+    for key, (ln, _) in kv.items():
+        raise ValueError(f"{path}:{ln}: unknown key {key!r}, n_traces is {n}")
+    for i, (ln, pattern) in enumerate(patterns):
+        if pattern >> bits:
+            raise ValueError(f"{path}:{ln}: bad value for trace.{i}.pattern: {pattern:#x} does not fit in {bits} bits")
+    try:
+        condition = Condition(kind, pv_length_fraction=pv, temperature_c=temperature)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{kind_line}: {exc}") from None
     rows: list[np.ndarray] = []
-    for fname, _ in entries:
+    for fname in files:
         rows.append(read_trace_csv(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None).samples)
-    return Dataset(condition, seed, kv.get("circuit", ""), bits, dt, patterns, np.array(rows))
+    return Dataset(condition, seed, circuit, bits, dt, [p for _, p in patterns], np.array(rows))

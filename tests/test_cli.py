@@ -4,9 +4,15 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mtjbist import mtj
 from mtjbist.cli import main
+from mtjbist.config import CONFIG_KEYS
+from mtjbist.detector import DetectorConfig, EvaluationSignal, classify, score
+from mtjbist.experiments import write_confusion_csv, write_evaluation_csv
+from mtjbist.traces import MANIFEST_KEYS, NORMAL, TROJAN
 
 ALL_ONES_KEY = "ffffffffffffffffffff"
 
@@ -209,6 +215,88 @@ def test_detect_eval_manifest_without_n_traces_is_error(tmp_path, capsys):
     assert f"{manifest}: missing key 'n_traces'" in capsys.readouterr().err
 
 
+# manifest line -> new text, the line the error names, its message
+@pytest.mark.parametrize("line, text, message", [
+    (3, "n_traces = abc", "bad value for n_traces: invalid literal"),
+    (3, "n_traces = 0", "bad value for n_traces: must be >= 1"),
+    (3, "n_traces = -1", "bad value for n_traces: must be >= 1"),
+    (2, "seed = 1.5", "bad value for seed"),
+    (8, "trace.0.pattern = zz", "bad value for trace.0.pattern"),
+    (5, "pattern_bit = 8", "unknown key 'pattern_bit'"),
+])
+def test_detect_eval_bad_manifest_value_names_path_and_line(tmp_path, capsys, line, text, message):
+    out = str(tmp_path)
+    assert main(["trace", "gen", "--n", "2", "--out", out, "--name", "ds"]) == 0
+    manifest = tmp_path / "ds" / "manifest"
+    lines = manifest.read_text().splitlines()
+    lines[line - 1] = text
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["detect", "eval", str(tmp_path / "ds"), str(tmp_path / "ds" / "trace_000.csv"), "--out", out])
+    assert rc == 1
+    assert f"error: {manifest}:{line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "evaluation.csv").exists()
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    (["0,1.5,accept", "1"], 3, "expected 3 fields as in the header, got '1'"),
+    (["0,1.5,accept,x"], 2, "expected 3 fields as in the header"),
+    (["0,1.5,accept", "", "1,abc,accept"], 4, "bad value: could not convert string to float: 'abc'"),
+    (["1,inf,accept"], 2, "bad value: expected a finite number, got 'inf'"),
+    (["1,nan,accept"], 2, "bad value: expected a finite number, got 'nan'"),
+], ids=["short-row", "long-row", "abc", "inf", "nan"])
+def test_detect_score_bad_row_names_path_and_line(tmp_path, capsys, rows, line, message):
+    evaluation = tmp_path / "evaluation.csv"
+    evaluation.write_text("index,value,decision\n" + "".join(f"{r}\n" for r in rows))
+    rc = main(["detect", "score", str(evaluation), "--threshold", "1", "--condition", "trojan",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {evaluation}:{line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "confusion.csv").exists()
+
+
+# argv ({...} names a file the test writes), config text, message; each
+# case used to exit 0 or 2 with a wrong result
+NON_FINITE_CASES = {
+    # rejected every trace: a false detection
+    "threshold": (["detect", "eval", "{ds}", "{ref}", "--threshold", "nan"], "",
+                  "threshold must be positive and finite, got nan"),
+    # accepted every trace
+    "sensitivity": (["detect", "eval", "{ds}", "{ref}", "--sensitivity", "inf"], "",
+                    "sensitivity must be positive and finite, got inf"),
+    # wrote a nan confusion row
+    "sensitivities": (["detect", "score", "{eval}", "--threshold", "1", "--condition", "normal",
+                       "--sensitivities", "0.1,nan"], "", "sensitivity must be positive and finite, got nan"),
+    # flagged none of the rounds: every tampered cell hidden
+    "delay": (["bist", "sweep", "--array", "{array}"], "mtj.delay01_max_ns = nan\n",
+              "run.conf:1: bad value for mtj.delay01_max_ns"),
+    # reported no cell outside tolerance
+    "tolerance": (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--targets", "0"],
+                  "mtj.tolerance = nan\n", "run.conf:1: bad value for mtj.tolerance"),
+    # silently dropped the noise
+    "noise": (["trace", "gen", "--n", "2"], "trace.noise_sigma_ua = nan\n",
+              "run.conf:1: bad value for trace.noise_sigma_ua"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CASES)
+def test_non_finite_parameters_exit_1_with_message(tmp_path, capsys, case):
+    argv, conf, message = NON_FINITE_CASES[case]
+    out = str(tmp_path)
+    assert main(["trace", "gen", "--n", "3", "--out", out, "--name", "ds"]) == 0
+    ds = tmp_path / "ds"
+    assert main(["detect", "eval", str(ds), str(ds / "trace_000.csv"), "--out", out]) == 0
+    mtj.save_array(tmp_path / "cells.txt", mtj.nominal_array(16))
+    (tmp_path / "run.conf").write_text(conf)
+    files = {"ds": ds, "ref": ds / "trace_000.csv", "eval": tmp_path / "evaluation.csv",
+             "array": tmp_path / "cells.txt"}
+    capsys.readouterr()
+    argv = [arg.format(**files) for arg in argv] + ["--config", str(tmp_path / "run.conf")]
+    assert main(argv + ["--out", str(tmp_path / "bad")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists() and not (tmp_path / "cells.txt.out").exists()
+
+
 def _grid_csv(path, n=256, dt=0.1, jump_at=None):
     rows = [f"{(i + (i == jump_at)) * dt!r},4.0\n" for i in range(n)]
     path.write_text("time_ns,current_uA\n" + "".join(rows))
@@ -343,3 +431,66 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "432e61da"
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(0, 1e6), min_size=1, max_size=12), threshold=st.floats(1, 1e5),
+       trojan=st.booleans())
+def test_evaluation_csv_round_trip_through_detect_score(tmp_path, capsys, values, threshold, trojan):
+    signal = EvaluationSignal(values)
+    evaluation = tmp_path / "evaluation.csv"
+    write_evaluation_csv(evaluation, signal, classify(signal, DetectorConfig(threshold)))
+    # the file keeps 10 significant digits of each value
+    back = EvaluationSignal([float(f"{v:.10g}") for v in values])
+    condition = TROJAN if trojan else NORMAL
+    counts = [(s, score(classify(back, DetectorConfig(threshold, s)), condition)) for s in (0.05, 0.1, 0.2)]
+    write_confusion_csv(tmp_path / "expected.csv", counts)
+    rc = main(["detect", "score", str(evaluation), "--threshold", repr(threshold),
+               "--condition", condition.kind.value, "--out", str(tmp_path)])
+    assert rc == (2 if any(c.tp or c.fp for _, c in counts) else 0)
+    assert (tmp_path / "confusion.csv").read_text() == (tmp_path / "expected.csv").read_text()
+    capsys.readouterr()
+
+
+def _near_valid_text(keys, head):
+    """Lines of arbitrary text, of known keys with arbitrary values and of
+    sample lines, after the valid head of the format half of the time."""
+    any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+    line = st.one_of(
+        any_text,
+        st.builds("{} = {}".format, st.sampled_from(keys), any_text),
+        st.builds("{}={}".format, st.sampled_from(keys), st.integers(-3, 300)),
+        st.sampled_from(["", "# comment", "trace.0.file = trace_000.csv", "trace.0.pattern = 1", "0 1.0",
+                         "1, 1.3", "1 nan", "0,1.5,accept", "1", "1,abc,accept", "n_traces = 1"]),
+    )
+    body = st.lists(line, max_size=12).map("\n".join)
+    return st.one_of(body, body.map(lambda text: f"{head}\n{text}"))
+
+
+FORMATS = {
+    "config": (sorted(CONFIG_KEYS), "seed = 2",
+               lambda d, f: ["katan", "enc", "--trojan", "--key", "0" * 19 + "1", "--pt", "1", "--config", f]),
+    "manifest": (sorted(MANIFEST_KEYS) + ["trace.0.file", "trace.0.pattern", "trace.1.pattern"],
+                 "condition.kind = normal\nseed = 1\nn_traces = 1\ndt_ns = 0.1",
+                 lambda d, f: ["detect", "eval", d, d + "/trace_000.csv"]),
+    "array": (["0", "1", "15"], "\n".join(f"{i} 1.0" for i in range(15)), lambda d, f: ["bist", "run", "--array", f]),
+    "evaluation": (["index", "value"], "index,value,decision",
+                   lambda d, f: ["detect", "score", f, "--threshold", "1", "--condition", "normal"]),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_arbitrary_input_text_exits_0_1_or_2(tmp_path, capsys, fmt):
+    keys, head, argv = FORMATS[fmt]
+    ds = tmp_path / "ds"
+    assert main(["trace", "gen", "--n", "1", "--out", str(tmp_path), "--name", "ds"]) == 0
+    path = ds / "manifest" if fmt == "manifest" else tmp_path / "input.txt"
+
+    @settings(max_examples=40, deadline=None)
+    @given(_near_valid_text(keys, head))
+    def run(text):
+        path.write_text(text, encoding="utf-8")
+        assert main(argv(str(ds), str(path)) + ["--out", str(tmp_path / "out")]) in (0, 1, 2)
+
+    run()
+    capsys.readouterr()

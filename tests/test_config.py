@@ -1,6 +1,10 @@
-import pytest
+import re
 
-from mtjbist.config import ExperimentConfig, load_config, parse_config_text
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mtjbist.config import CONFIG_KEYS, ExperimentConfig, load_config, parse_config_text
 
 
 def test_defaults_build_working_domain_objects():
@@ -65,6 +69,26 @@ def test_bad_value_reports_key_and_line():
         parse_config_text("detector.normalized = maybe")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("seed = 1\n\nseed = 2\n", 3, "duplicate key 'seed', first set on line 1"),
+    ("# c\nmtj.tolerance = nan\n", 2, "bad value for mtj.tolerance: expected a finite number, got 'nan'"),
+    ("mtj.delay01_max_ns = nan\n", 1, "bad value for mtj.delay01_max_ns"),
+    ("trace.noise_sigma_ua = inf\n", 1, "bad value for trace.noise_sigma_ua"),
+    ("detector.sensitivities = 0.1, nan\n", 1, "bad value for detector.sensitivities"),
+    ("seed = 2\nkatan.key = zz\n", 2, "bad value for katan.key: invalid literal"),
+    ("katan.reference_pattern = xyz\n", 1, "bad value for katan.reference_pattern"),
+    ("crc.poly = -7\n", 1, "bad value for crc.poly: '-7' is negative"),
+    ("crc.reference_pattern = g1\n", 1, "bad value for crc.reference_pattern"),
+    ("katan.key = 1" + "0" * 20 + "\n", 1, "does not fit in 80 bits"),
+    ("katan.reference_pattern = 1ffffffff\n", 1, "does not fit in 32 bits"),
+    ("\n\nseed 3\n", 3, "expected 'key = value', got 'seed 3'"),
+], ids=["duplicate", "nan-float", "nan-delay", "inf-float", "nan-in-list", "bad-hex-key", "bad-hex-pattern",
+        "negative-hex", "bad-hex-crc", "wide-key", "wide-pattern", "no-equals"])
+def test_bad_line_names_source_and_line(text, line, message):
+    with pytest.raises(ValueError, match=f"^conf:{line}: .*{re.escape(message)}"):
+        parse_config_text(text, source="conf")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_text("just some words")
@@ -73,6 +97,8 @@ def test_missing_equals_rejected():
 def test_receiver_init_override():
     cfg = parse_config_text("crc.receiver_init = 00")
     assert cfg.crc().reset_state == 0x00
+    # empty means all-ones, as when the key is absent
+    assert parse_config_text("crc.receiver_init =").crc().reset_state == 0xFF
     assert ExperimentConfig().crc().reset_state == 0xFF
 
 
@@ -90,3 +116,47 @@ def test_clock_builder_accepts_half_period_override():
     fast = cfg.clock(half_period=1.4)
     assert fast.half_period == 1.4
     assert fast.launch_offset_cycles == cfg.clock_launch_offset_cycles
+
+
+# values each config key can take, drawn as text together with what it parses to
+_TEXT = st.text("abcxyz_/.-", min_size=1, max_size=8).filter(lambda t: t.strip() == t and "#" not in t)
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = {
+    int: st.integers(-10**6, 10**6).map(lambda v: (str(v), v)),
+    str: _TEXT.map(lambda t: (t, t)),
+    "float": _FLOAT.map(lambda v: (repr(v), v)),
+    "hex": st.integers(0, (1 << 32) - 1).map(lambda v: (f"{v:x}", f"{v:x}")),
+    "key": st.integers(0, (1 << 80) - 1).map(lambda v: (f"{v:020x}", f"{v:020x}")),
+    "floats": st.lists(_FLOAT, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs))),
+    "ints": st.lists(st.integers(0, 99), max_size=4).map(lambda vs: (" ".join(map(str, vs)), tuple(vs))),
+    "bool": st.sampled_from([("yes", True), ("Off", False), ("1", True), ("false", False)]),
+}
+
+
+def _kind(key, attr):
+    if key == "katan.key":
+        return "key"
+    if attr.endswith("_hex"):
+        return "hex"
+    default = getattr(ExperimentConfig(), attr)
+    if isinstance(default, bool):
+        return "bool"
+    if isinstance(default, tuple):
+        return "floats" if isinstance(default[0], float) else "ints"
+    return "float" if isinstance(default, float) else type(default)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_config_text_round_trip(data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True))
+    lines, expected = [], ExperimentConfig()
+    for key in keys:
+        attr = CONFIG_KEYS[key][0]
+        text, value = data.draw(_VALUES[_kind(key, attr)])
+        pad = data.draw(st.sampled_from(["", " ", "\t"]))
+        comment = data.draw(st.sampled_from(["", "  # note", "#"]))
+        lines += data.draw(st.sampled_from([[], [""], ["# comment"]]))
+        lines.append(f"{pad}{key}{pad}={pad}{text}{comment}")
+        setattr(expected, attr, value)
+    assert parse_config_text("\n".join(lines)) == expected

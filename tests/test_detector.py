@@ -176,6 +176,12 @@ def test_validation():
         DetectorConfig(threshold=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(threshold=1.0, sensitivity=0.0)
+    # a nan threshold rejected every trace, an infinite sensitivity accepted every one
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            DetectorConfig(threshold=bad)
+        with pytest.raises(ValueError, match="sensitivity must be positive and finite"):
+            DetectorConfig(threshold=1.0, sensitivity=bad)
     with pytest.raises(ValueError):
         EvaluationSignal(np.array([]))
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtjbist.mtj import (
     MtjCell,
@@ -142,6 +146,11 @@ def test_model_validation():
         MtjDelayModel(delay01_min=3.0, delay01_max=2.0)
     with pytest.raises(ValueError):
         MtjDelayModel(tm_tolerance=-0.1)
+    # a nan delay01_max hid every tampered cell from the sweep
+    for name in ("tm_min", "tm_max", "delay01_min", "delay01_max", "delay10_min", "delay10_max", "tm_tolerance"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MtjDelayModel(**{name: bad})
 
 
 def test_nominal_array():
@@ -186,3 +195,33 @@ def test_load_array_bad_row_names_path_and_line(tmp_path, row):
     path.write_text(f"# index tm_actual\n0 1.0\n{row}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
         load_array(path)
+
+
+# thicknesses on a 10-significant-digit grid, which save_array writes exactly
+_TM = st.integers(1, 10**9).map(lambda k: k / 10**7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_TM, min_size=1, max_size=20))
+def test_array_table_round_trip_property(tms):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "array.txt"
+        save_array(path, [MtjCell(tm_actual=tm) for tm in tms])
+        assert [c.tm_actual for c in load_array(path)] == tms
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_array_table_any_order_separator_and_comments(data):
+    tms = data.draw(st.lists(_TM, min_size=1, max_size=12))
+    order = data.draw(st.permutations(range(len(tms))))
+    lines = []
+    for i in order:
+        lines += data.draw(st.sampled_from([[], [""], ["# cell"], ["   "]]))
+        sep = data.draw(st.sampled_from([" ", ",", ", ", "\t", " ,  "]))
+        comment = data.draw(st.sampled_from(["", " # note", "#"]))
+        lines.append(f"{i}{sep}{tms[i]!r}{comment}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "array.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert [c.tm_actual for c in load_array(path)] == tms

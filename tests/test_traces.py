@@ -1,7 +1,11 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtjbist.circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit, TrojanKatanCircuit
 from mtjbist.crc import CrcConfig, encode
@@ -15,6 +19,7 @@ from mtjbist.traces import (
     CurrentTrace,
     Dataset,
     DEFAULT_PARAMS,
+    MIN_TRACE_SAMPLES,
     TraceParams,
     build_dataset,
     draw_patterns,
@@ -154,6 +159,13 @@ def test_trace_validation():
         CurrentTrace(dt=0.1, samples=np.full(128, np.nan))
     with pytest.raises(ValueError):
         TraceParams(n_samples=64)
+    # nan used to pass every check: a nan noise_sigma silently dropped the noise
+    for name in ("dt", "i_unit", "baseline", "noise_sigma", "spike_gain", "k_pv", "k_temp"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TraceParams(**{name: bad})
+    with pytest.raises(ValueError, match="finite"):
+        simulate_trace(StubCircuit(), 0, NORMAL, noise_sigma=np.nan, params=TraceParams(n_samples=100))
 
 
 def dataset(samples, patterns=None, dt=0.1, pattern_bits=4):
@@ -316,6 +328,92 @@ def test_read_dataset_missing_key_names_it(tmp_path):
         manifest.write_text("".join(l for l in lines if not l.startswith(f"{key} ")))
         with pytest.raises(ValueError, match=f"manifest: missing key '{key}'"):
             read_dataset(tmp_path / "ds")
+
+
+def _manifest_2_traces(tmp_path):
+    """A written 2-trace dataset whose manifest has the lines
+    1 condition.kind, 2 seed, 3 n_traces, 4 dt_ns, 5 pattern_bits, 6 circuit,
+    7/8 trace.0.file/pattern and 9/10 trace.1.file/pattern."""
+    write_dataset(build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=2, seed=4), tmp_path / "ds")
+    return tmp_path / "ds" / "manifest"
+
+
+# manifest line -> new text (line 11 is appended), the line the error names, its message
+@pytest.mark.parametrize("edits, line, message", [
+    ({3: "n_traces = abc"}, 3, "bad value for n_traces: invalid literal"),
+    ({3: "n_traces = 0"}, 3, "bad value for n_traces: must be >= 1, got '0'"),
+    ({3: "n_traces = -1"}, 3, "must be >= 1, got '-1'"),
+    ({2: "seed = 1.5"}, 2, "bad value for seed"),
+    ({10: "trace.1.pattern = zz"}, 10, "bad value for trace.1.pattern: invalid literal"),
+    ({8: "trace.0.pattern = 1ff"}, 8, "bad value for trace.0.pattern: 0x1ff does not fit in 8 bits"),
+    ({8: "trace.0.pattern = -1"}, 8, "does not fit in 8 bits"),
+    ({5: "pattern_bits = 64"}, 5, "bad value for pattern_bits: must lie in [1, 63]"),
+    ({4: "dt_ns = nan"}, 4, "bad value for dt_ns: expected a finite number"),
+    ({4: "dt_ns = 0"}, 4, "bad value for dt_ns: must be positive"),
+    ({1: "condition.kind = hot"}, 1, "bad value for condition.kind"),
+    ({11: "condition.temperature_c = 50"}, 1, "normal takes no parameters"),
+    # a typo used to read every pattern as 32 bits and exit 0
+    ({5: "pattern_bit = 8"}, 5, "unknown key 'pattern_bit'"),
+    ({11: "seed = 5"}, 11, "duplicate key 'seed', first set on line 2"),
+    ({11: "trace.2.file = trace_000.csv"}, 11, "unknown key 'trace.2.file', n_traces is 2"),
+    ({11: "trace.00.file = trace_000.csv"}, 11, "unknown key 'trace.00.file'"),
+    ({11: "trace.0.name = x"}, 11, "unknown key 'trace.0.name'"),
+    ({6: "", 11: "circuit"}, 11, "expected 'key = value', got 'circuit'"),
+], ids=["n-abc", "n-zero", "n-negative", "seed-float", "pattern-zz", "pattern-too-wide", "pattern-negative",
+        "bits-64", "dt-nan", "dt-zero", "kind", "condition-parameter", "unknown", "duplicate",
+        "index-beyond-n", "index-not-canonical", "unknown-field", "no-equals"])
+def test_read_dataset_bad_manifest_line_names_it(tmp_path, edits, line, message):
+    manifest = _manifest_2_traces(tmp_path)
+    lines = manifest.read_text().splitlines()
+    assert len(lines) == 10
+    for ln, text in sorted(edits.items()):
+        lines[ln - 1:ln] = [text]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}:{line}: .*{re.escape(message)}"):
+        read_dataset(tmp_path / "ds")
+
+
+def test_read_dataset_accepts_comments_and_optional_keys(tmp_path):
+    manifest = _manifest_2_traces(tmp_path)
+    ds = read_dataset(tmp_path / "ds")
+    lines = manifest.read_text().splitlines()
+    # no pattern_bits (32 by default) and no circuit; comments and blank lines anywhere
+    manifest.write_text("# dataset\n\n" + "\n".join(f"{l}  # note" for l in lines[:4] + lines[6:]) + "\n")
+    back = read_dataset(tmp_path / "ds")
+    assert (back.pattern_bits, back.circuit) == (32, "")
+    assert np.array_equal(back.patterns, ds.patterns)
+    assert np.array_equal(back.samples, ds.samples)
+
+
+_CONDITIONS = st.one_of(
+    st.sampled_from([NORMAL, TROJAN]),
+    st.integers(-200, 200).map(lambda k: Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=k / 1000)),
+    st.integers(200, 1200).map(lambda k: Condition(ConditionKind.TEMPERATURE, temperature_c=k / 10)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_dataset_directory_round_trip_property(data):
+    bits = data.draw(st.integers(1, 63))
+    n = data.draw(st.integers(1, 3))
+    patterns = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=n, max_size=n))
+    samples = data.draw(st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=MIN_TRACE_SAMPLES, max_size=MIN_TRACE_SAMPLES),
+        min_size=n, max_size=n,
+    ))
+    ds = Dataset(
+        condition=data.draw(_CONDITIONS), seed=data.draw(st.integers(-2**40, 2**40)),
+        circuit=data.draw(st.sampled_from(["", "crc_decoder", "katan32"])), pattern_bits=bits,
+        dt=data.draw(st.integers(1, 1000)) / 100, patterns=patterns, samples=samples,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(ds, Path(tmp) / "ds")
+        back = read_dataset(Path(tmp) / "ds")
+    assert (back.condition, back.seed, back.circuit, back.pattern_bits, back.dt) == \
+        (ds.condition, ds.seed, ds.circuit, ds.pattern_bits, ds.dt)
+    assert np.array_equal(back.patterns, ds.patterns)
+    assert np.array_equal(back.samples, ds.samples)
 
 
 def write_rows(path, rows):
