@@ -13,15 +13,14 @@ def parity(value: int) -> int:
     return value.bit_count() & 1
 
 
-def parse_hex(text: str, width: int | None) -> int:
+def parse_hex(text: str, width: int) -> int:
     """Parse a big-endian hex string into a ``width``-bit value.
 
     Bit 0 of the result is the least significant bit of the last hex digit.
-    A width of None checks only that the text is a non-negative hex number.
     """
     value = int(text, 16)
-    if value < 0 or (width is not None and value >> width):
-        raise ValueError(f"{text!r} is negative" if width is None else f"{text!r} does not fit in {width} bits")
+    if value < 0 or value >> width:
+        raise ValueError(f"{text!r} does not fit in {width} bits")
     return value
 
 

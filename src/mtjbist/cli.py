@@ -24,7 +24,7 @@ from .detector import (
     evaluation_signal,
     score,
 )
-from .textio import finite_float, records, split_list
+from .textio import finite_float, parse_at, records, split_list
 from .traces import (
     NORMAL,
     TROJAN,
@@ -197,7 +197,7 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
         rng = np.random.default_rng(config.seed)
         patterns = [int(p) for p in rng.integers(0, 1 << crc.data_width, size=args.n_random)]
     if args.half_periods:
-        half_periods = [float(h) for h in split_list(args.half_periods)]
+        half_periods = split_list(args.half_periods, float)
     else:
         half_periods = [float(h) for h in np.linspace(3.0, 0.75, 10)]
     sweep = bist.frequency_sweep(
@@ -228,11 +228,9 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
 def cmd_attack_inject(args, config: ExperimentConfig) -> int:
     cells = mtj.load_array(args.array)
     if args.random is not None:
-        spec = bist.AttackSpec.random(
-            len(cells), args.random, [float(m) for m in split_list(args.multiplier_range)], config.seed
-        )
+        spec = bist.AttackSpec.random(len(cells), args.random, split_list(args.multiplier_range, float), config.seed)
     elif args.targets:
-        spec = bist.AttackSpec.uniform([int(i) for i in split_list(args.targets)], args.multiplier)
+        spec = bist.AttackSpec.uniform(split_list(args.targets, int), args.multiplier)
     else:
         raise UsageError("attack inject: need --targets or --random")
     tampered = bist.inject_attack(cells, spec)
@@ -304,25 +302,18 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
         columns = header.split(",")
         if "value" not in columns:
             raise ValueError(f"{path}:{ln}: no 'value' column")
-        v_col = columns.index("value")
         for ln, text in rows:
             row = text.split(",")
             if len(row) != len(columns):
                 raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
-            try:
-                values.append(finite_float(row[v_col]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: bad value: {exc}") from None
+            values.append(parse_at(path, ln, "value", finite_float, row[columns.index("value")]))
     try:
         signal = EvaluationSignal(np.array(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
-    if args.sensitivities:
-        levels = [float(s) for s in split_list(args.sensitivities)]
-    else:
-        levels = config.detector_sensitivities
+    levels = split_list(args.sensitivities, float) if args.sensitivities else config.detector_sensitivities
     counts = [(s, score(classify(signal, DetectorConfig(args.threshold, s)), condition)) for s in levels]
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "confusion.csv")

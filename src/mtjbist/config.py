@@ -10,7 +10,7 @@ Example file:
 
 Every key has a default, so a config containing only a seed (or nothing at
 all) is runnable. Unknown and repeated keys are rejected to catch typos, and
-every value is checked when the file is read (see ``textio``).
+each value is parsed when the file is read (see ``textio``).
 """
 
 from __future__ import annotations
@@ -35,13 +35,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _hex(width: int | None = None):
-    """Parser of a hex value kept as text. A width of None checks the syntax
-    only: the CRC widths depend on other keys and are checked on use."""
+def _hex(width: int = 0):
+    """A parser that keeps hex text once it parses as a width-bit value. The
+    CRC widths depend on other keys, so width 0 checks the syntax only."""
     def check(text: str) -> str:
-        parse_hex(text, width)
+        parse_hex(text, width) if width else int(text, 16)
         return text
     return check
+
+
+def _bit_positions(text: str) -> tuple[int, ...]:
+    return split_list(text, int)
 
 
 @dataclass
@@ -179,14 +183,13 @@ CONFIG_KEYS = {
     "trace.k_pv": ("trace_k_pv", finite_float),
     "trace.k_temp": ("trace_k_temp", finite_float),
     "detector.sensitivity": ("detector_sensitivity", finite_float),
-    "detector.sensitivities": ("detector_sensitivities",
-                               lambda text: tuple(finite_float(p) for p in split_list(text))),
+    "detector.sensitivities": ("detector_sensitivities", lambda text: split_list(text, finite_float)),
     "detector.normalized": ("detector_normalized", _parse_bool),
     "detector.n_patterns": ("detector_n_patterns", int),
     "katan.key": ("katan_key_hex", _hex(80)),
     "katan.reference_pattern": ("katan_reference_pattern_hex", _hex(32)),
-    "trojan.key_bits": ("trojan_key_bits", lambda text: tuple(int(p) for p in split_list(text))),
-    "trojan.pt_bits": ("trojan_pt_bits", lambda text: tuple(int(p) for p in split_list(text))),
+    "trojan.key_bits": ("trojan_key_bits", _bit_positions),
+    "trojan.pt_bits": ("trojan_pt_bits", _bit_positions),
 }
 
 assert {attr for attr, _ in CONFIG_KEYS.values()} == {f.name for f in fields(ExperimentConfig)}

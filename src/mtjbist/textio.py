@@ -1,9 +1,7 @@
-"""The line syntax shared by every hand-editable input: the run config, the
-dataset manifest, the array table and the evaluation CSV.
-
-``#`` starts a comment, blank lines are skipped but still counted, a list
-separates its items by commas and/or whitespace, and every error names the
-input and the line as ``source:line: ...``.
+"""The line syntax of every hand-editable input: the run config, the dataset
+manifest, the array table and the evaluation CSV. ``#`` starts a comment,
+blank lines are skipped but counted, list items are separated by commas
+and/or whitespace, and every error reads ``source:line: ...``.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ def records(lines):
             yield ln, text
 
 
-def split_list(text: str) -> list[str]:
-    return text.replace(",", " ").split()
+def split_list(text: str, parse=str) -> tuple:
+    return tuple(parse(item) for item in text.replace(",", " ").split())
 
 
 def finite_float(text: str) -> float:
@@ -38,6 +36,14 @@ def checked(parse, ok, what: str):
             raise ValueError(f"{what}, got {text!r}")
         return value
     return check
+
+
+def parse_at(source, ln: int, key: str, parse, text: str):
+    """parse(text), its ValueError reworded as ``source:ln: bad value for key: ...``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}:{ln}: bad value for {key}: {exc}") from None
 
 
 def read_kv(lines, source, schema) -> dict[str, tuple[int, object]]:
@@ -58,8 +64,5 @@ def read_kv(lines, source, schema) -> dict[str, tuple[int, object]]:
             raise ValueError(f"{source}:{ln}: unknown key {key!r}")
         if key in out:
             raise ValueError(f"{source}:{ln}: duplicate key {key!r}, first set on line {out[key][0]}")
-        try:
-            out[key] = (ln, parser(value.lstrip()))
-        except ValueError as exc:
-            raise ValueError(f"{source}:{ln}: bad value for {key}: {exc}") from exc
+        out[key] = (ln, parse_at(source, ln, key, parser, value.lstrip()))
     return out

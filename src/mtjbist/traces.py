@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import to_hex
-from .textio import checked, finite_float, read_kv
+from .bits import parse_hex, to_hex
+from .textio import checked, finite_float, parse_at, read_kv
 
 MIN_TRACE_SAMPLES = 100
 
@@ -376,8 +376,8 @@ def write_dataset(dataset: Dataset, dirpath) -> None:
         _write_samples_csv(os.path.join(dirpath, f"trace_{i:03d}.csv"), dataset.dt, row)
 
 
-# manifest key -> parser, besides the per-trace keys trace.<i>.file and
-# trace.<i>.pattern (hex; a negative pattern fails the width check)
+# manifest key -> parser; the per-trace keys trace.<i>.file and
+# trace.<i>.pattern are kept as text until n_traces and pattern_bits are known
 MANIFEST_KEYS = {
     "condition.kind": ConditionKind,
     "condition.pv_length_fraction": finite_float,
@@ -388,16 +388,6 @@ MANIFEST_KEYS = {
     "pattern_bits": checked(int, lambda bits: 1 <= bits <= 63, "must lie in [1, 63]"),
     "circuit": str,
 }
-_TRACE_FIELDS = {"file": str, "pattern": functools.partial(int, base=16)}
-
-
-# every manifest repeats the keys trace.0.* .. trace.<n-1>.*, hence the cache;
-# a key of another index than 0 .. n-1 is left over in read_dataset
-@functools.lru_cache(maxsize=1 << 14)
-def _manifest_parser(key: str):
-    if key.startswith("trace."):
-        return _TRACE_FIELDS.get(key.rpartition(".")[2])
-    return MANIFEST_KEYS.get(key)
 
 
 def read_dataset(dirpath) -> Dataset:
@@ -405,7 +395,8 @@ def read_dataset(dirpath) -> Dataset:
     and hold as many samples as the first."""
     path = os.path.join(dirpath, "manifest")
     with open(path) as fh:
-        kv = read_kv(fh.read().splitlines(), path, _manifest_parser)
+        kv = read_kv(fh.read().splitlines(), path,
+                     lambda key: str if key.startswith("trace.") else MANIFEST_KEYS.get(key))
     # keys are popped as they are used, so any key left over is unknown
     try:
         kind_line, kind = kv.pop("condition.kind")
@@ -420,9 +411,8 @@ def read_dataset(dirpath) -> Dataset:
     temperature = kv.pop("condition.temperature_c", (None, None))[1]
     for key, (ln, _) in kv.items():
         raise ValueError(f"{path}:{ln}: unknown key {key!r}, n_traces is {n}")
-    for i, (ln, pattern) in enumerate(patterns):
-        if pattern >> bits:
-            raise ValueError(f"{path}:{ln}: bad value for trace.{i}.pattern: {pattern:#x} does not fit in {bits} bits")
+    parse_pattern = functools.partial(parse_hex, width=bits)
+    patterns = [parse_at(path, ln, f"trace.{i}.pattern", parse_pattern, text) for i, (ln, text) in enumerate(patterns)]
     try:
         condition = Condition(kind, pv_length_fraction=pv, temperature_c=temperature)
     except ValueError as exc:
@@ -430,4 +420,4 @@ def read_dataset(dirpath) -> Dataset:
     rows: list[np.ndarray] = []
     for fname in files:
         rows.append(read_trace_csv(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None).samples)
-    return Dataset(condition, seed, circuit, bits, dt, [p for _, p in patterns], np.array(rows))
+    return Dataset(condition, seed, circuit, bits, dt, patterns, np.array(rows))

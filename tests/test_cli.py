@@ -241,9 +241,9 @@ def test_detect_eval_bad_manifest_value_names_path_and_line(tmp_path, capsys, li
 @pytest.mark.parametrize("rows, line, message", [
     (["0,1.5,accept", "1"], 3, "expected 3 fields as in the header, got '1'"),
     (["0,1.5,accept,x"], 2, "expected 3 fields as in the header"),
-    (["0,1.5,accept", "", "1,abc,accept"], 4, "bad value: could not convert string to float: 'abc'"),
-    (["1,inf,accept"], 2, "bad value: expected a finite number, got 'inf'"),
-    (["1,nan,accept"], 2, "bad value: expected a finite number, got 'nan'"),
+    (["0,1.5,accept", "", "1,abc,accept"], 4, "bad value for value: could not convert string to float: 'abc'"),
+    (["1,inf,accept"], 2, "bad value for value: expected a finite number, got 'inf'"),
+    (["1,nan,accept"], 2, "bad value for value: expected a finite number, got 'nan'"),
 ], ids=["short-row", "long-row", "abc", "inf", "nan"])
 def test_detect_score_bad_row_names_path_and_line(tmp_path, capsys, rows, line, message):
     evaluation = tmp_path / "evaluation.csv"

@@ -77,13 +77,13 @@ def test_bad_value_reports_key_and_line():
     ("detector.sensitivities = 0.1, nan\n", 1, "bad value for detector.sensitivities"),
     ("seed = 2\nkatan.key = zz\n", 2, "bad value for katan.key: invalid literal"),
     ("katan.reference_pattern = xyz\n", 1, "bad value for katan.reference_pattern"),
-    ("crc.poly = -7\n", 1, "bad value for crc.poly: '-7' is negative"),
+    ("crc.poly = 7g\n", 1, "bad value for crc.poly: invalid literal"),
     ("crc.reference_pattern = g1\n", 1, "bad value for crc.reference_pattern"),
     ("katan.key = 1" + "0" * 20 + "\n", 1, "does not fit in 80 bits"),
     ("katan.reference_pattern = 1ffffffff\n", 1, "does not fit in 32 bits"),
     ("\n\nseed 3\n", 3, "expected 'key = value', got 'seed 3'"),
 ], ids=["duplicate", "nan-float", "nan-delay", "inf-float", "nan-in-list", "bad-hex-key", "bad-hex-pattern",
-        "negative-hex", "bad-hex-crc", "wide-key", "wide-pattern", "no-equals"])
+        "bad-hex-poly", "bad-hex-crc", "wide-key", "wide-pattern", "no-equals"])
 def test_bad_line_names_source_and_line(text, line, message):
     with pytest.raises(ValueError, match=f"^conf:{line}: .*{re.escape(message)}"):
         parse_config_text(text, source="conf")

@@ -345,7 +345,7 @@ def _manifest_2_traces(tmp_path):
     ({3: "n_traces = -1"}, 3, "must be >= 1, got '-1'"),
     ({2: "seed = 1.5"}, 2, "bad value for seed"),
     ({10: "trace.1.pattern = zz"}, 10, "bad value for trace.1.pattern: invalid literal"),
-    ({8: "trace.0.pattern = 1ff"}, 8, "bad value for trace.0.pattern: 0x1ff does not fit in 8 bits"),
+    ({8: "trace.0.pattern = 1ff"}, 8, "bad value for trace.0.pattern: '1ff' does not fit in 8 bits"),
     ({8: "trace.0.pattern = -1"}, 8, "does not fit in 8 bits"),
     ({5: "pattern_bits = 64"}, 5, "bad value for pattern_bits: must lie in [1, 63]"),
     ({4: "dt_ns = nan"}, 4, "bad value for dt_ns: expected a finite number"),
