@@ -313,7 +313,9 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
         raise ValueError(f"{path}: {exc}") from None
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
-    levels = split_list(args.sensitivities, float) if args.sensitivities else config.detector_sensitivities
+    levels = config.detector_sensitivities if args.sensitivities is None else split_list(args.sensitivities, float)
+    if not levels:
+        raise UsageError("detect score: --sensitivities needs at least one level")
     counts = [(s, score(classify(signal, DetectorConfig(args.threshold, s)), condition)) for s in levels]
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "confusion.csv")

@@ -21,7 +21,7 @@ from .bist import ClockConfig
 from .bits import parse_hex
 from .crc import CrcConfig
 from .mtj import MtjDelayModel
-from .textio import finite_float, read_kv, split_list
+from .textio import checked, finite_float, read_kv, split_list
 from .traces import TraceParams
 from .trojan import TrojanSpec, crc_trojan_spec, katan_trojan_spec
 
@@ -183,7 +183,8 @@ CONFIG_KEYS = {
     "trace.k_pv": ("trace_k_pv", finite_float),
     "trace.k_temp": ("trace_k_temp", finite_float),
     "detector.sensitivity": ("detector_sensitivity", finite_float),
-    "detector.sensitivities": ("detector_sensitivities", lambda text: split_list(text, finite_float)),
+    "detector.sensitivities": ("detector_sensitivities", checked(lambda text: split_list(text, finite_float), bool,
+                                                                 "expected at least one level")),
     "detector.normalized": ("detector_normalized", _parse_bool),
     "detector.n_patterns": ("detector_n_patterns", int),
     "katan.key": ("katan_key_hex", _hex(80)),

@@ -286,16 +286,20 @@ TRACE_HEADER = "time_ns,current_uA"
 DT_RTOL = 1e-6
 
 
-def _write_samples_csv(path, dt: float, samples) -> None:
+def _time_column(dt: float, n: int) -> list[str]:
+    """The ``time,`` prefix of each of n rows, formatted once per geometry."""
+    return [f"{i * dt!r}," for i in range(n)]
+
+
+def _write_samples_csv(path, times: list[str], samples: np.ndarray) -> None:
     # repr floats: shortest form that parses back to the exact double
+    text = "".join([f"{t}{v!r}\n" for t, v in zip(times, samples.tolist())])
     with open(path, "w") as fh:
-        fh.write(f"{TRACE_HEADER}\n")
-        for i, v in enumerate(samples):
-            fh.write(f"{i * dt!r},{float(v)!r}\n")
+        fh.write(f"{TRACE_HEADER}\n{text}")
 
 
 def write_trace_csv(trace: CurrentTrace, path) -> None:
-    _write_samples_csv(path, trace.dt, trace.samples)
+    _write_samples_csv(path, _time_column(trace.dt, len(trace.samples)), trace.samples)
 
 
 def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) -> CurrentTrace:
@@ -305,8 +309,6 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
     must equal dt to DT_RTOL, and it must hold n_samples rows. Every error
     names the file and the line.
     """
-    times: list[float] = []
-    values: list[float] = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
@@ -316,38 +318,57 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
 
     def line(k: int) -> int:
         """File line of data row k, found only when an error needs it; past the end, the line after the last."""
-        rows = [i for i, raw in enumerate(lines) if raw.strip()]
-        return (rows[k] if k < len(rows) else len(lines)) + 2
+        data = [i for i, raw in enumerate(lines) if raw.strip()]
+        return (data[k] if k < len(data) else len(lines)) + 2
 
-    try:
-        for raw in lines:
-            if not raw.strip():
-                continue
-            t, v = raw.split(",")
-            times.append(float(t))
-            values.append(float(v))
-    except ValueError:
-        raise ValueError(f"{path}:{line(len(values))}: expected 'time_ns,current_uA', got {raw.strip()!r}") from None
-    n = len(values)
+    rows = _loadtxt_rows(lines)
+    if rows is None:
+        # the row loop accepts whatever float() accepts, such as 1_0, which
+        # loadtxt does not, and names the first row that is not two numbers
+        times: list[float] = []
+        values: list[float] = []
+        try:
+            for raw in lines:
+                if not raw.strip():
+                    continue
+                t, v = raw.split(",")
+                times.append(float(t))
+                values.append(float(v))
+        except ValueError:
+            raise ValueError(f"{path}:{line(len(values))}: expected 'time_ns,current_uA', got {raw.strip()!r}") from None
+        rows = np.array([times, values]).T
+    n = len(rows)
     if n < MIN_TRACE_SAMPLES:
         raise ValueError(f"{path}: {n} samples, a trace needs >= {MIN_TRACE_SAMPLES}")
-    step = times[1] - times[0]
+    times, samples = rows[:, 0], rows[:, 1].copy()
+    step = float(times[1] - times[0])
     if not 0 < step < float("inf"):
         raise ValueError(f"{path}:{line(1)}: time step {step!r} ns is not positive and finite")
     if dt is not None and not abs(step - dt) <= DT_RTOL * dt:
         raise ValueError(f"{path}:{line(1)}: time step {step!r} ns, expected {dt!r} ns")
     if n_samples is not None and n != n_samples:
         raise ValueError(f"{path}:{line(min(n, n_samples))}: {n} samples, expected {n_samples}")
-    # vectorised after parsing, so that the loop above stays lean
-    samples = np.array(values)
     grid = np.arange(n) * step
-    ok = np.abs(np.array(times) - grid) <= DT_RTOL * grid
+    ok = np.abs(times - grid) <= DT_RTOL * grid
     ok &= np.isfinite(samples)
     if not ok.all():
         k = int(ok.argmin())
         raise ValueError(f"{path}:{line(k)}: expected time {k} * {step!r} ns and a finite current, "
-                         f"got {times[k]!r},{values[k]!r}")
+                         f"got {float(times[k])!r},{float(samples[k])!r}")
     return CurrentTrace(dt=step, samples=samples)
+
+
+def _loadtxt_rows(lines: list[str]) -> np.ndarray | None:
+    """The (rows, 2) doubles of lines, or None where np.loadtxt cannot read
+    them as two numbers per line; loadtxt skips empty lines, as the row loop
+    does, and warns on input that has no others."""
+    if not any(lines):
+        return None
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 2 else None
 
 
 def _write_kv(fh, key: str, value) -> None:
@@ -372,8 +393,9 @@ def write_dataset(dataset: Dataset, dirpath) -> None:
         for i, pattern in enumerate(dataset.patterns):
             _write_kv(fh, f"trace.{i}.file", f"trace_{i:03d}.csv")
             _write_kv(fh, f"trace.{i}.pattern", to_hex(int(pattern), dataset.pattern_bits))
+    times = _time_column(dataset.dt, dataset.samples.shape[1])
     for i, row in enumerate(dataset.samples):
-        _write_samples_csv(os.path.join(dirpath, f"trace_{i:03d}.csv"), dataset.dt, row)
+        _write_samples_csv(os.path.join(dirpath, f"trace_{i:03d}.csv"), times, row)
 
 
 # manifest key -> parser; the per-trace keys trace.<i>.file and

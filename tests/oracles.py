@@ -7,6 +7,8 @@ the package favors packed integers and numpy, the oracles favor clarity.
 
 from __future__ import annotations
 
+import math
+
 
 # ---------------------------------------------------------------------------
 # CRC: textbook long division over GF(2)
@@ -147,3 +149,61 @@ def bist_round(pattern: int, tm_actual, states, half_period: float, launch_offse
     flag = int(crc_long_division((data << g) | received_check, d + g, poly_low, g) != 0)
     faulted = {i for i, (s, b) in enumerate(zip(sensed, launched)) if s != b}
     return flag, sensed, faulted
+
+
+# ---------------------------------------------------------------------------
+# trace CSV: the per-row writer and parse loop that define the file format
+
+TRACE_HEADER = "time_ns,current_uA"
+TRACE_MIN_SAMPLES = 100
+TRACE_DT_RTOL = 1e-6
+
+
+def write_trace_rows(path, dt: float, samples) -> None:
+    """Row i is ``repr(i * dt),repr(sample)``, under the header line."""
+    with open(path, "w") as fh:
+        fh.write(f"{TRACE_HEADER}\n")
+        for i, v in enumerate(samples):
+            fh.write(f"{i * dt!r},{float(v)!r}\n")
+
+
+def read_trace_rows(path, dt: float | None = None, n_samples: int | None = None) -> tuple[float, list[float]]:
+    """(step, currents) of a trace CSV, every row checked in a Python loop;
+    a ValueError names the file and the line."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != TRACE_HEADER:
+            raise ValueError(f"{path}:1: unexpected header {header!r}")
+        lines = fh.read().splitlines()
+    data_lines = [i + 2 for i, raw in enumerate(lines) if raw.strip()]
+
+    def line(k: int) -> int:
+        return data_lines[k] if k < len(data_lines) else len(lines) + 2
+
+    times: list[float] = []
+    values: list[float] = []
+    try:
+        for raw in lines:
+            if not raw.strip():
+                continue
+            t, v = raw.split(",")
+            times.append(float(t))
+            values.append(float(v))
+    except ValueError:
+        raise ValueError(f"{path}:{line(len(values))}: expected 'time_ns,current_uA', got {raw.strip()!r}") from None
+    n = len(values)
+    if n < TRACE_MIN_SAMPLES:
+        raise ValueError(f"{path}: {n} samples, a trace needs >= {TRACE_MIN_SAMPLES}")
+    step = times[1] - times[0]
+    if not 0 < step < float("inf"):
+        raise ValueError(f"{path}:{line(1)}: time step {step!r} ns is not positive and finite")
+    if dt is not None and not abs(step - dt) <= TRACE_DT_RTOL * dt:
+        raise ValueError(f"{path}:{line(1)}: time step {step!r} ns, expected {dt!r} ns")
+    if n_samples is not None and n != n_samples:
+        raise ValueError(f"{path}:{line(min(n, n_samples))}: {n} samples, expected {n_samples}")
+    for k in range(n):
+        grid = k * step
+        if not (abs(times[k] - grid) <= TRACE_DT_RTOL * grid and math.isfinite(values[k])):
+            raise ValueError(f"{path}:{line(k)}: expected time {k} * {step!r} ns and a finite current, "
+                             f"got {times[k]!r},{values[k]!r}")
+    return step, values

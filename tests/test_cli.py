@@ -267,6 +267,13 @@ NON_FINITE_CASES = {
     # wrote a nan confusion row
     "sensitivities": (["detect", "score", "{eval}", "--threshold", "1", "--condition", "normal",
                        "--sensitivities", "0.1,nan"], "", "sensitivity must be positive and finite, got nan"),
+    # wrote a header-only confusion.csv
+    "no-sensitivities": (["detect", "score", "{eval}", "--threshold", "1", "--condition", "normal",
+                          "--sensitivities", ","], "", "detect score: --sensitivities needs at least one level"),
+    "empty-sensitivities": (["detect", "score", "{eval}", "--threshold", "1", "--condition", "normal",
+                             "--sensitivities", ""], "", "detect score: --sensitivities needs at least one level"),
+    "no-configured-sensitivities": (["detect", "score", "{eval}", "--threshold", "1", "--condition", "normal"],
+                                    "detector.sensitivities =\n", "run.conf:1: bad value for detector.sensitivities"),
     # flagged none of the rounds: every tampered cell hidden
     "delay": (["bist", "sweep", "--array", "{array}"], "mtj.delay01_max_ns = nan\n",
               "run.conf:1: bad value for mtj.delay01_max_ns"),

@@ -75,6 +75,9 @@ def test_bad_value_reports_key_and_line():
     ("mtj.delay01_max_ns = nan\n", 1, "bad value for mtj.delay01_max_ns"),
     ("trace.noise_sigma_ua = inf\n", 1, "bad value for trace.noise_sigma_ua"),
     ("detector.sensitivities = 0.1, nan\n", 1, "bad value for detector.sensitivities"),
+    # an empty list used to write header-only confusion tables
+    ("seed = 1\ndetector.sensitivities =\n", 2, "bad value for detector.sensitivities: expected at least one level"),
+    ("detector.sensitivities = , \n", 1, "expected at least one level, got ','"),
     ("seed = 2\nkatan.key = zz\n", 2, "bad value for katan.key: invalid literal"),
     ("katan.reference_pattern = xyz\n", 1, "bad value for katan.reference_pattern"),
     ("crc.poly = 7g\n", 1, "bad value for crc.poly: invalid literal"),
@@ -82,8 +85,8 @@ def test_bad_value_reports_key_and_line():
     ("katan.key = 1" + "0" * 20 + "\n", 1, "does not fit in 80 bits"),
     ("katan.reference_pattern = 1ffffffff\n", 1, "does not fit in 32 bits"),
     ("\n\nseed 3\n", 3, "expected 'key = value', got 'seed 3'"),
-], ids=["duplicate", "nan-float", "nan-delay", "inf-float", "nan-in-list", "bad-hex-key", "bad-hex-pattern",
-        "bad-hex-poly", "bad-hex-crc", "wide-key", "wide-pattern", "no-equals"])
+], ids=["duplicate", "nan-float", "nan-delay", "inf-float", "nan-in-list", "empty-list", "commas-only",
+        "bad-hex-key", "bad-hex-pattern", "bad-hex-poly", "bad-hex-crc", "wide-key", "wide-pattern", "no-equals"])
 def test_bad_line_names_source_and_line(text, line, message):
     with pytest.raises(ValueError, match=f"^conf:{line}: .*{re.escape(message)}"):
         parse_config_text(text, source="conf")
@@ -127,7 +130,8 @@ _VALUES = {
     "float": _FLOAT.map(lambda v: (repr(v), v)),
     "hex": st.integers(0, (1 << 32) - 1).map(lambda v: (f"{v:x}", f"{v:x}")),
     "key": st.integers(0, (1 << 80) - 1).map(lambda v: (f"{v:020x}", f"{v:020x}")),
-    "floats": st.lists(_FLOAT, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs))),
+    # detector.sensitivities, the one float-list key, needs at least one level
+    "floats": st.lists(_FLOAT, min_size=1, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs))),
     "ints": st.lists(st.integers(0, 99), max_size=4).map(lambda vs: (" ".join(map(str, vs)), tuple(vs))),
     "bool": st.sampled_from([("yes", True), ("Off", False), ("1", True), ("false", False)]),
 }

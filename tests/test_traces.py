@@ -1,5 +1,6 @@
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from mtjbist.traces import (
     write_trace_csv,
 )
 from mtjbist.trojan import crc_trigger, crc_trojan_spec, katan_trigger, katan_trojan_spec
+from oracles import read_trace_rows, write_trace_rows
 
 KATAN_KEY = 0x9E3779B97F4A7C15F39D
 CRC_TROJAN = TrojanCrcDecoderCircuit(crc_trojan_spec())
@@ -435,8 +437,11 @@ def grid_rows(n=120, dt=0.1):
     ({7: "0.7,nan"}, 9, "finite current, got 0.7,nan"),
     # a blank line still counts in the reported line number
     ({4: "", 6: "x"}, 8, "got 'x'"),
+    ({4: "  ", 6: "0.6,4.0,1"}, 8, "got '0.6,4.0,1'"),
+    # '#' starts no comment in a trace file: np.loadtxt's default would drop it
+    ({5: "0.5,4.0 # note"}, 7, "got '0.5,4.0 # note'"),
 ], ids=["three-fields", "one-field", "not-a-number", "time-jump", "time-offset", "zero-step",
-        "nan-current", "after-blank"])
+        "nan-current", "after-blank", "after-whitespace-line", "comment"])
 def test_read_trace_csv_names_the_bad_line(tmp_path, edits, line, message):
     rows = grid_rows()
     for i, text in edits.items():
@@ -473,3 +478,124 @@ def test_read_trace_csv_checks_expected_geometry(tmp_path):
         read_trace_csv(path, 0.1, 100)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:122: 120 samples, expected 256"):
         read_trace_csv(path, 0.1, 256)
+
+
+@pytest.mark.parametrize("row", ["0.0,4.0,1", "0.0"], ids=["three-fields", "one-field"])
+def test_read_trace_csv_rejects_rows_of_one_wrong_width(tmp_path, row):
+    # every row alike, so np.loadtxt reads them all as one matrix of the wrong width
+    path = tmp_path / "t.csv"
+    write_rows(path, [row] * 120)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected 'time_ns,current_uA', got '{row}'"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_of_blank_lines_names_the_file_and_warns_nothing(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(path, [""] * 120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 0 samples, a trace needs >= 100"):
+            read_trace_csv(path)
+
+
+def test_read_trace_csv_parses_what_float_parses(tmp_path):
+    # float() reads '1_0' as 10 and an Arabic-Indic digit as a digit, np.loadtxt neither
+    rows = grid_rows()
+    rows[5] = "0.5,1_0"
+    rows[6] = "0.6,\u0661"
+    path = tmp_path / "t.csv"
+    write_rows(path, rows)
+    trace = read_trace_csv(path)
+    assert list(trace.samples[5:7]) == [10.0, 1.0]
+    assert (trace.dt, list(trace.samples)) == read_trace_rows(path)
+
+
+_SAMPLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.floats(3.9e4, 4.1e4),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    rows=st.integers(MIN_TRACE_SAMPLES, MIN_TRACE_SAMPLES + 3).flatmap(
+        lambda n: st.lists(st.lists(_SAMPLES, min_size=n, max_size=n), min_size=1, max_size=2)),
+)
+def test_trace_files_are_written_as_the_row_loop_writes_them(dt, rows):
+    ds = Dataset(NORMAL, 0, "", 4, dt, [0] * len(rows), rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_dataset(ds, tmp / "ds")
+        write_trace_csv(CurrentTrace(dt, rows[0]), tmp / "trace.csv")
+        for i, row in enumerate(rows):
+            write_trace_rows(tmp / "oracle.csv", dt, row)
+            assert (tmp / "ds" / f"trace_{i:03d}.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+            if i == 0:
+                assert (tmp / "trace.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+
+
+# text of one field: a number of some form, or text near one
+_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.3f}"),
+    st.sampled_from(["", " ", "nan", "-inf", "Infinity", "1e400", "1_0", "0x10", "1.5e", ".5", "5.", "+.5e-3",
+                     "4.0 # note", "#", "1j", "\u0661", "\u3000 4.0", " 4.0\t", '"4.0"', "4,0", "1e-320"]),
+    st.text(alphabet="0123456789.-+eE_ in#,\t", max_size=6),
+)
+
+
+@st.composite
+def _near_valid_trace(draw):
+    """Data lines of a grid trace, a few of them edited, and a geometry
+    (dt, n_samples) to read them against."""
+    n = MIN_TRACE_SAMPLES + draw(st.sampled_from([0, 1, 3, -1]))
+    dt = draw(st.sampled_from([0.1, 0.25, 1e-3, 3.0]))
+    times = [repr(i * dt) for i in range(n)]
+    lines = [f"{t},{draw(st.floats(0.0, 50.0))!r}" for t in times]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        k = draw(st.integers(0, n - 1))
+        lines[k] = draw(st.one_of(
+            _FIELD.map(f"{times[k]},{{}}".format),
+            st.builds("{},{}".format, _FIELD, _FIELD),
+            _FIELD,
+            st.text(max_size=12),
+        ))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", "\t"])))
+    geometry = draw(st.sampled_from([(None, None), (dt, None), (dt, n), (dt, MIN_TRACE_SAMPLES + 1), (0.1, None)]))
+    return lines, geometry
+
+
+def _assert_read_as_the_row_loop_reads(text, dt=None, n_samples=None):
+    """read_trace_csv on text returns the oracle's step and currents bit for
+    bit, or raises the oracle's error, path:line and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            step, currents = read_trace_rows(path, dt, n_samples)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_trace_csv(path, dt, n_samples)
+            assert str(got.value) == str(exc)
+        else:
+            trace = read_trace_csv(path, dt, n_samples)
+            assert type(trace.dt) is float and trace.dt == step
+            assert trace.samples.tobytes() == np.array(currents).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(["time_ns,current_uA"] * 4 + [" time_ns,current_uA\t", "time_ns;current_uA"]),
+       case=_near_valid_trace())
+def test_read_trace_csv_reads_near_valid_text_as_the_row_loop(header, case):
+    lines, geometry = case
+    _assert_read_as_the_row_loop_reads("\n".join([header, *lines]) + "\n", *geometry)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.text(max_size=20), max_size=120))
+def test_read_trace_csv_reads_arbitrary_text_as_the_row_loop(lines):
+    _assert_read_as_the_row_loop_reads("\n".join(["time_ns,current_uA", *lines]))
