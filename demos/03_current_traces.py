@@ -21,7 +21,6 @@ from mtjbist import (
     TrojanCrcDecoderCircuit,
     build_dataset,
     crc_trigger,
-    crc_trojan_spec,
     encode,
     simulate_trace,
     toggle_profile,
@@ -52,7 +51,7 @@ for cond, label in ((pv, "process variation +20% length"), (hot, "die at 120 C")
     print(f"{label}: switching term x{ratio:.3f}")
 
 # an active Trojan adds its trigger logic plus a payload spike
-infected = TrojanCrcDecoderCircuit(crc_trojan_spec())
+infected = TrojanCrcDecoderCircuit()
 triggering = next(p for p in range(256) if crc_trigger(encode(p, crc)))
 dormant = next(p for p in range(256) if not crc_trigger(encode(p, crc)))
 

@@ -23,7 +23,6 @@ from mtjbist import (
     build_dataset,
     classify,
     crc_trigger,
-    crc_trojan_spec,
     cross_correlation,
     encode,
     evaluation_signal,
@@ -39,7 +38,7 @@ print("the detector value is the max of the absolute cross correlation\n")
 
 crc = CrcConfig()
 clean = CrcDecoderCircuit(crc)
-infected = TrojanCrcDecoderCircuit(crc_trojan_spec(), crc)
+infected = TrojanCrcDecoderCircuit(crc)
 
 # golden reference from the clean device, threshold from a held-out clean set
 reference = ReferenceSignal(simulate_trace(clean, 0xA5, NORMAL, seed=1))

@@ -17,10 +17,9 @@ from mtjbist import (
     encrypt32,
     encrypt32_batch,
     katan_trigger,
-    katan_trojan_spec,
     toggle_profile,
 )
-from mtjbist.trojan import PAYLOAD_MASK_32, encrypt32_trojan
+from mtjbist.trojan import PAYLOAD_MASK_32, TrojanSpec, encrypt32_trojan
 
 # published single-block test vectors
 ct1 = encrypt32(0x00000000, (1 << 80) - 1)
@@ -46,7 +45,7 @@ print(f"round toggle profile: {profile.shape[0]} rounds,"
 # the Trojan: AND of key-byte parity and plaintext-byte parity; a quarter of
 # (key, plaintext) pairs overall, half of plaintexts once a key satisfies
 # its half of the condition
-spec = katan_trojan_spec()
+spec = TrojanSpec()
 device_key = 0x9E3779B97F4A7C15F39D
 hits = sum(katan_trigger(int(p), device_key, spec) for p in range(4096))
 print(f"trigger rate under this key, over 4096 plaintexts:"

@@ -93,15 +93,11 @@ from .traces import (
 )
 from .trojan import (
     PAYLOAD_MASK_32,
-    TrojanPayload,
     TrojanSpec,
-    TrojanTarget,
     crc_trigger,
-    crc_trojan_spec,
     crc_verify_trojan,
     encrypt32_trojan,
     katan_trigger,
-    katan_trojan_spec,
 )
 
 __version__ = "0.1.0"

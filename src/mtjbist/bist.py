@@ -34,14 +34,14 @@ matrix, which is built once per CrcConfig.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 # perfbench's traced run hooks bist.run_bist, frequency_sweep, encode, verify,
 # apply_bit and sense by module attribute, so they stay importable here until
-# the next benchmark change re-hooks the kernel (ROADMAP 6)
+# the next benchmark change re-hooks the kernel (ROADMAP 2)
 from .crc import CrcConfig, Message, crc_remainder, encode, verify  # noqa: F401
 from .mtj import MtjCell, MtjDelayModel, apply_bit, is_malicious, sense, switching_delay  # noqa: F401
 
@@ -241,20 +241,17 @@ def frequency_sweep(
     half_periods,
     crc: CrcConfig,
     model: MtjDelayModel,
-    launch_offset_cycles: float = 1.25,
-    sample_edge: int = 3,
+    clock: ClockConfig = ClockConfig(),
 ) -> SweepResult:
     """Run every pattern at every clock setting, each on the same starting array.
 
-    Rows come clock by clock, in the order of half_periods, and within a
-    clock in the order of patterns.
+    Each clock is ``clock`` at one of the half periods. Rows come clock by
+    clock, in the order of half_periods, and within a clock in the order of
+    patterns.
     """
     patterns = [int(p) for p in patterns]
     half_periods = [float(hp) for hp in half_periods]
-    clocks = [
-        ClockConfig(half_period=hp, launch_offset_cycles=launch_offset_cycles, sample_edge=sample_edge)
-        for hp in half_periods
-    ]
+    clocks = [replace(clock, half_period=hp) for hp in half_periods]
     _, faults, flags = _bist_rounds(array, patterns, clocks, crc, model)
     # one frozenset per distinct fault vector, keyed by its packed bytes and
     # shared by every round that has it

@@ -22,7 +22,7 @@ import numpy as np
 
 from .crc import CrcConfig, encode, decoder_register_states
 from .katan import KEY_BITS, N_ROUNDS, BLOCK_BITS, core_states, key_window_toggles
-from .trojan import TrojanSpec, TrojanTarget, crc_trigger, katan_trigger
+from .trojan import TrojanSpec, crc_trigger, katan_trigger
 
 
 class CrcDecoderCircuit:
@@ -57,11 +57,8 @@ class CrcDecoderCircuit:
 class TrojanCrcDecoderCircuit(CrcDecoderCircuit):
     """CRC receiver with the parity-AND trigger; fires at the decode step."""
 
-    def __init__(self, spec: TrojanSpec, config: CrcConfig | None = None):
-        if spec.target is not TrojanTarget.CRC_DECODER:
-            raise ValueError("spec does not target the CRC decoder")
+    def __init__(self, config: CrcConfig | None = None):
         super().__init__(config)
-        self.spec = spec
         self.name = "crc_decoder_trojan"
 
     def activation_steps(self, pattern: int) -> tuple[int, ...]:
@@ -115,8 +112,6 @@ class TrojanKatanCircuit(KatanCircuit):
     """KATAN-32 with the parity-AND trigger; fires at the final round."""
 
     def __init__(self, key: int, spec: TrojanSpec):
-        if spec.target is not TrojanTarget.KATAN32:
-            raise ValueError("spec does not target katan32")
         super().__init__(key)
         self.spec = spec
         self.name = "katan32_trojan"

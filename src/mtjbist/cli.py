@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -142,8 +143,7 @@ def build_parser() -> _Parser:
 
 
 def _load_array(config: ExperimentConfig, path: str | None) -> list[mtj.MtjCell]:
-    crc = config.crc()
-    n = crc.data_width + crc.check_width
+    n = config.crc.data_width + config.crc.check_width
     source = path or config.mtj_array_path
     if source:
         cells = mtj.load_array(source)
@@ -162,15 +162,15 @@ def _write_bist_csv(path, rows, data_width: int) -> None:
 
 
 def cmd_bist_run(args, config: ExperimentConfig) -> int:
-    crc = config.crc()
+    crc = config.crc
     array = _load_array(config, args.array)
-    clock = config.clock(args.half_period)
+    clock = config.clock if args.half_period is None else replace(config.clock, half_period=args.half_period)
     pattern = (
         parse_hex(args.pattern, crc.data_width)
         if args.pattern
         else config.crc_reference_pattern
     )
-    res = bist.run_bist(pattern, array, clock, crc, config.delay_model())
+    res = bist.run_bist(pattern, array, clock, crc, config.mtj)
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "bist_results.csv")
     _write_bist_csv(
@@ -189,26 +189,24 @@ def cmd_bist_run(args, config: ExperimentConfig) -> int:
 
 
 def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
-    crc = config.crc()
+    crc = config.crc
     array = _load_array(config, args.array)
-    if args.patterns:
+    if args.patterns is not None:
         patterns = [parse_hex(p, crc.data_width) for p in split_list(args.patterns)]
+        if not patterns:
+            raise UsageError("bist sweep: --patterns needs at least one pattern")
+    elif args.n_random < 1:
+        raise UsageError(f"bist sweep: --n-random must be >= 1, got {args.n_random}")
     else:
         rng = np.random.default_rng(config.seed)
         patterns = [int(p) for p in rng.integers(0, 1 << crc.data_width, size=args.n_random)]
-    if args.half_periods:
+    if args.half_periods is not None:
         half_periods = split_list(args.half_periods, float)
+        if not half_periods:
+            raise UsageError("bist sweep: --half-periods needs at least one half period")
     else:
         half_periods = [float(h) for h in np.linspace(3.0, 0.75, 10)]
-    sweep = bist.frequency_sweep(
-        array,
-        patterns,
-        half_periods,
-        crc,
-        config.delay_model(),
-        launch_offset_cycles=config.clock_launch_offset_cycles,
-        sample_edge=config.clock_sample_edge,
-    )
+    sweep = bist.frequency_sweep(array, patterns, half_periods, crc, config.mtj, config.clock)
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "bist_results.csv")
     _write_bist_csv(
@@ -235,8 +233,7 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
         raise UsageError("attack inject: need --targets or --random")
     tampered = bist.inject_attack(cells, spec)
     mtj.save_array(args.out_array, tampered)
-    model = config.delay_model()
-    bad = [i for i, c in enumerate(tampered) if mtj.is_malicious(c, model)]
+    bad = [i for i, c in enumerate(tampered) if mtj.is_malicious(c, config.mtj)]
     print(
         f"tampered cells {list(spec.target_indices)} -> {args.out_array}; "
         f"now outside tolerance: {bad}"
@@ -245,7 +242,6 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
 
 
 def cmd_trace_gen(args, config: ExperimentConfig) -> int:
-    params = config.trace_params()
     kind = ConditionKind(args.condition)
     if kind is ConditionKind.PROCESS_VARIATION:
         if args.pv_fraction is None:
@@ -265,7 +261,7 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
         condition,
         n_patterns=n,
         seed=config.seed,
-        params=params,
+        params=config.trace,
         pattern_filter=pattern_filter,
     )
     name = args.name or f"{circuit.name}_{kind.value}"
@@ -328,7 +324,7 @@ def cmd_katan_enc(args, config: ExperimentConfig) -> int:
     key = parse_hex(args.key, 80)
     pt = parse_hex(args.pt, 32)
     if args.trojan:
-        ct = trojan.encrypt32_trojan(pt, key, config.katan_trojan())
+        ct = trojan.encrypt32_trojan(pt, key, config.katan_trojan)
     else:
         ct = katan.encrypt32(pt, key)
     print(to_hex(ct, 32))

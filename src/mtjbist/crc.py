@@ -70,15 +70,9 @@ def _validate(value: int, nbits: int) -> None:
 
 
 def crc_remainder(value: int, nbits: int, config: CrcConfig) -> int:
-    """Remainder of value(x) * x^g mod the generator, MSB-first division."""
-    _validate(value, nbits)
-    g = config.check_width
-    mask = (1 << g) - 1
-    reg = 0
-    for i in range(nbits - 1, -1, -1):
-        fb = ((reg >> (g - 1)) ^ (value >> i)) & 1
-        reg = ((reg << 1) & mask) ^ (config.poly if fb else 0)
-    return reg
+    """Remainder of value(x) * x^g mod the generator, MSB-first division:
+    the last state of the zero-initialized receiver register."""
+    return decoder_register_states(value, nbits, config, init=0)[-1]
 
 
 def encode(pattern: int, config: CrcConfig) -> Message:
@@ -101,7 +95,7 @@ def decoder_register_states(message_bits: int, nbits: int, config: CrcConfig, in
     Starts from the hardware reset state (config.reset_state unless ``init``
     overrides it) and returns nbits+1 states including the initial one. This
     models switching activity; the error decision itself uses the zero-init
-    arithmetic of crc_remainder.
+    register, through crc_remainder.
     """
     _validate(message_bits, nbits)
     g = config.check_width

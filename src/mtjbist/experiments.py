@@ -96,14 +96,12 @@ def device(config: ExperimentConfig, circuit: str, trojan: bool):
     the configured key is rejected before any pattern is drawn.
     """
     if circuit == "crc":
-        crc = config.crc()
-        dut = TrojanCrcDecoderCircuit(config.crc_trojan(), crc) if trojan else CrcDecoderCircuit(crc)
+        dut = TrojanCrcDecoderCircuit(config.crc) if trojan else CrcDecoderCircuit(config.crc)
     elif circuit == "katan":
         key = config.katan_key
         if trojan:
-            spec = config.katan_trojan()
-            check_katan_trigger_reachable(key, spec)
-            dut = TrojanKatanCircuit(key, spec)
+            check_katan_trigger_reachable(key, config.katan_trojan)
+            dut = TrojanKatanCircuit(key, config.katan_trojan)
         else:
             dut = KatanCircuit(key)
     else:
@@ -112,7 +110,7 @@ def device(config: ExperimentConfig, circuit: str, trojan: bool):
 
 
 def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
-    params = config.trace_params()
+    params = config.trace
     seeds = child_seeds(config.seed, 8)
     pv = float(np.random.default_rng(seeds[6]).uniform(*PV_FRACTION_RANGE))
     temperature = float(np.random.default_rng(seeds[7]).uniform(*TEMPERATURE_RANGE_C))

@@ -15,21 +15,10 @@ so each trigger fires on exactly one quarter of its input space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .bits import parity, to_hex
 from .crc import CrcConfig, Message, verify
 from .katan import BLOCK_BITS, KEY_BITS, encrypt32
-
-
-class TrojanTarget(Enum):
-    CRC_DECODER = "crc_decoder"
-    KATAN32 = "katan32"
-
-
-class TrojanPayload(Enum):
-    INVERT_ERROR_FLAG = "invert_error_flag"
-    FLIP_FIRST_LAST_CIPHER_BITS = "flip_first_last_cipher_bits"
 
 
 # ciphertext bit 31 ("first" in big-endian reading) and bit 0 ("last")
@@ -38,44 +27,23 @@ PAYLOAD_MASK_32 = 0x8000_0001
 
 @dataclass(frozen=True)
 class TrojanSpec:
-    target: TrojanTarget
-    payload: TrojanPayload
-    # tap positions for the KATAN trigger parities; unused for the CRC
-    # decoder, whose trigger taps the whole data and check words
+    """Tap positions of the KATAN-32 trigger parities. The CRC decoder's
+    trigger taps the whole data and check words, so it needs no spec."""
+
     trigger_key_bits: tuple[int, ...] = tuple(range(8))
     trigger_pt_bits: tuple[int, ...] = tuple(range(8))
 
     def __post_init__(self):
-        pairs = {
-            TrojanTarget.CRC_DECODER: TrojanPayload.INVERT_ERROR_FLAG,
-            TrojanTarget.KATAN32: TrojanPayload.FLIP_FIRST_LAST_CIPHER_BITS,
-        }
-        if pairs[self.target] is not self.payload:
-            raise ValueError(f"payload {self.payload} does not match target {self.target}")
-        if self.target is TrojanTarget.KATAN32:
-            for name, taps, width in (
-                ("trigger_key_bits", self.trigger_key_bits, KEY_BITS),
-                ("trigger_pt_bits", self.trigger_pt_bits, BLOCK_BITS),
-            ):
-                if not taps:
-                    raise ValueError(f"{name} must not be empty")
-                if len(set(taps)) != len(taps):
-                    raise ValueError(f"{name} has duplicate positions")
-                if any(not 0 <= t < width for t in taps):
-                    raise ValueError(f"{name} positions must lie in [0, {width})")
-
-
-def crc_trojan_spec() -> TrojanSpec:
-    return TrojanSpec(TrojanTarget.CRC_DECODER, TrojanPayload.INVERT_ERROR_FLAG)
-
-
-def katan_trojan_spec(key_bits=tuple(range(8)), pt_bits=tuple(range(8))) -> TrojanSpec:
-    return TrojanSpec(
-        TrojanTarget.KATAN32,
-        TrojanPayload.FLIP_FIRST_LAST_CIPHER_BITS,
-        trigger_key_bits=tuple(key_bits),
-        trigger_pt_bits=tuple(pt_bits),
-    )
+        for name, taps, width in (
+            ("trigger_key_bits", self.trigger_key_bits, KEY_BITS),
+            ("trigger_pt_bits", self.trigger_pt_bits, BLOCK_BITS),
+        ):
+            if not taps:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(taps)) != len(taps):
+                raise ValueError(f"{name} has duplicate positions")
+            if any(not 0 <= t < width for t in taps):
+                raise ValueError(f"{name} positions must lie in [0, {width})")
 
 
 def _mask(taps) -> int:
@@ -98,8 +66,6 @@ def crc_verify_trojan(message: Message, config: CrcConfig) -> int:
 
 def katan_trigger(plaintext: int, key: int, spec: TrojanSpec) -> bool:
     """Fires when the tapped key parity and tapped plaintext parity are both odd."""
-    if spec.target is not TrojanTarget.KATAN32:
-        raise ValueError("spec does not target katan32")
     return bool(
         parity(key & _mask(spec.trigger_key_bits))
         & parity(plaintext & _mask(spec.trigger_pt_bits))

@@ -28,7 +28,7 @@ from mtjbist.experiments import (
 from mtjbist.katan import decrypt32, encrypt32
 from mtjbist.mtj import MtjCell, MtjDelayModel, nominal_array, switching_delay
 from mtjbist.traces import NORMAL, TROJAN, simulate_trace
-from mtjbist.trojan import crc_trigger, katan_trigger, katan_trojan_spec
+from mtjbist.trojan import TrojanSpec, crc_trigger, katan_trigger
 
 from oracles import detector_double_loop, katan32_encrypt
 
@@ -255,7 +255,7 @@ def test_criterion_07_katan_identification_and_dormancy(exp2_result):
     if not all(d is Decision.REJECT for d in exp2_result.decisions["trojan"]):
         problems.append("an active KATAN Trojan trace was accepted")
     key = ExperimentConfig().katan_key
-    spec = katan_trojan_spec()
+    spec = TrojanSpec()
     dormant = next(p for p in range(1 << 10) if not katan_trigger(p, key, spec))
     a = simulate_trace(KatanCircuit(key), dormant, NORMAL, noise_sigma=0.0)
     b = simulate_trace(TrojanKatanCircuit(key, spec), dormant, TROJAN, noise_sigma=0.0)
@@ -310,7 +310,7 @@ def test_criterion_09_trigger_rates():
     )
     if fired != 16384:
         problems.append(f"CRC trigger fired {fired}/65536, expected 16384")
-    spec = katan_trojan_spec()
+    spec = TrojanSpec()
     rng = np.random.default_rng(9)
     n = 100_000
     hits = 0

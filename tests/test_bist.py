@@ -288,7 +288,8 @@ def test_rounds_match_oracle_on_every_pattern_and_clock():
 )
 def test_sweep_matches_oracle_property(tms, states, patterns, half_periods, launch_offset_cycles, sample_edge):
     cells = [MtjCell(tm_actual=tm, state=s) for tm, s in zip(tms, states)]
-    sweep = frequency_sweep(cells, patterns, half_periods, CRC8, MODEL, launch_offset_cycles, sample_edge)
+    clock = ClockConfig(launch_offset_cycles=launch_offset_cycles, sample_edge=sample_edge)
+    sweep = frequency_sweep(cells, patterns, half_periods, CRC8, MODEL, clock)
     expected = [
         (hp, p) + oracle_round(p, cells, hp, launch_offset_cycles, sample_edge)[::2]
         for hp in half_periods
@@ -339,5 +340,5 @@ def test_sample_exactly_at_completion_reads_new_state():
     # at half period 1.0, which the cell just makes
     model = MtjDelayModel(delay01_max=2.0, delay10_max=2.0)
     cells = [MtjCell(tm_actual=1.3)] + nominal_array(N_CELLS - 1)
-    sweep = frequency_sweep(cells, [0x01], [1.0, 0.999], CRC8, model, launch_offset_cycles=1.0)
+    sweep = frequency_sweep(cells, [0x01], [1.0, 0.999], CRC8, model, ClockConfig(launch_offset_cycles=1.0))
     assert [r.faulted_positions for r in sweep.rows] == [frozenset(), frozenset({0})]

@@ -12,12 +12,7 @@ from mtjbist.circuits import (
 from mtjbist.crc import CrcConfig, decoder_register_states, encode
 from mtjbist.katan import core_states, key_window_toggles
 from mtjbist.traces import toggle_profile
-from mtjbist.trojan import (
-    crc_trigger,
-    crc_trojan_spec,
-    katan_trigger,
-    katan_trojan_spec,
-)
+from mtjbist.trojan import TrojanSpec, crc_trigger, katan_trigger
 from oracles import katan32_states, katan32_toggles, katan_key_bits, katan_window_flips
 
 KEY = 0x9E3779B97F4A7C15F39D
@@ -55,7 +50,7 @@ def test_crc_circuit_shape_and_name():
 
 def test_trojan_crc_circuit_activation_iff_trigger():
     clean = CrcDecoderCircuit()
-    circ = TrojanCrcDecoderCircuit(crc_trojan_spec())
+    circ = TrojanCrcDecoderCircuit()
     config = CrcConfig()
     fired = 0
     assert np.array_equal(circ.toggles(range(256)), clean.toggles(range(256)))
@@ -69,13 +64,6 @@ def test_trojan_crc_circuit_activation_iff_trigger():
     assert fired == 128
     assert circ.trigger_toggles == 16
     assert circ.name == "crc_decoder_trojan"
-
-
-def test_trojan_crc_circuit_rejects_katan_spec():
-    with pytest.raises(ValueError):
-        TrojanCrcDecoderCircuit(katan_trojan_spec())
-    with pytest.raises(ValueError):
-        TrojanKatanCircuit(KEY, crc_trojan_spec())
 
 
 def test_katan_circuit_matches_round_trace():
@@ -120,7 +108,7 @@ def test_katan_circuit_key_window_advances():
 
 
 def test_trojan_katan_circuit_activation():
-    spec = katan_trojan_spec()
+    spec = TrojanSpec()
     circ = TrojanKatanCircuit(KEY, spec)
     clean = KatanCircuit(KEY)
     hits = 0

@@ -109,6 +109,23 @@ def test_bist_sweep_rejects_non_finite_half_period(tmp_path, capsys):
     assert not (tmp_path / "bist_results.csv").exists()
 
 
+# each used to print "0 runs" and write a header-only CSV, or, for a negative
+# count, exit 1 with numpy's "negative dimensions are not allowed"
+@pytest.mark.parametrize("flags, message", [
+    (["--n-random", "0"], "bist sweep: --n-random must be >= 1, got 0"),
+    (["--n-random", "-1"], "bist sweep: --n-random must be >= 1, got -1"),
+    (["--patterns", ","], "bist sweep: --patterns needs at least one pattern"),
+    (["--patterns", ""], "bist sweep: --patterns needs at least one pattern"),
+    (["--half-periods", ","], "bist sweep: --half-periods needs at least one half period"),
+    (["--patterns", "01", "--half-periods", ""], "bist sweep: --half-periods needs at least one half period"),
+])
+def test_bist_sweep_rejects_an_empty_grid(tmp_path, capsys, flags, message):
+    rc = main(["bist", "sweep", *flags, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("row", ["1 x", "1 -1", "1 nan"])
 def test_bist_sweep_bad_array_row_exits_1_with_location(tmp_path, capsys, row):
     # a nan thickness used to pass: is_malicious calls it healthy, yet the

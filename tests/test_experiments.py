@@ -70,7 +70,7 @@ def test_crc_experiment_condition_parameters_in_range():
 def test_crc_trojan_dataset_only_holds_triggering_patterns():
     cfg = small_config()
     result = run_crc_identification(cfg)
-    crc = cfg.crc()
+    crc = cfg.crc
     for pattern in result.datasets["trojan"].patterns:
         assert crc_trigger(encode(int(pattern), crc))
 
@@ -80,7 +80,7 @@ def test_katan_experiment_structure_and_trigger_conditioning():
     result = run_katan_identification(cfg)
     assert set(result.datasets) == {"reference", "normal", "trojan"}
     key = cfg.katan_key
-    spec = cfg.katan_trojan()
+    spec = cfg.katan_trojan
     for pattern in result.datasets["trojan"].patterns:
         assert katan_trigger(int(pattern), key, spec)
 

@@ -31,12 +31,12 @@ from mtjbist.traces import (
     write_dataset,
     write_trace_csv,
 )
-from mtjbist.trojan import crc_trigger, crc_trojan_spec, katan_trigger, katan_trojan_spec
+from mtjbist.trojan import TrojanSpec, crc_trigger, katan_trigger
 from oracles import read_trace_rows, write_trace_rows
 
 KATAN_KEY = 0x9E3779B97F4A7C15F39D
-CRC_TROJAN = TrojanCrcDecoderCircuit(crc_trojan_spec())
-KATAN_TROJAN = TrojanKatanCircuit(KATAN_KEY, katan_trojan_spec())
+CRC_TROJAN = TrojanCrcDecoderCircuit()
+KATAN_TROJAN = TrojanKatanCircuit(KATAN_KEY, TrojanSpec())
 
 
 class StubCircuit:
@@ -117,7 +117,7 @@ def test_activation_spike_dwarfs_nominal_activity():
 
 def test_dormant_trojan_trace_is_bit_identical():
     clean = CrcDecoderCircuit()
-    infected = TrojanCrcDecoderCircuit(crc_trojan_spec())
+    infected = TrojanCrcDecoderCircuit()
     dormant = next(p for p in range(256) if not crc_trigger(encode(p, CRC8)))
     a = simulate_trace(clean, dormant, NORMAL, noise_sigma=0.0)
     b = simulate_trace(infected, dormant, TROJAN, noise_sigma=0.0)
@@ -244,7 +244,7 @@ def test_build_dataset_per_trace_noise_seeds():
         (CrcDecoderCircuit(), Condition(ConditionKind.TEMPERATURE, temperature_c=87.5), None),
         (CRC_TROJAN, TROJAN, lambda p: crc_trigger(encode(p, CRC8))),
         (KatanCircuit(KATAN_KEY), Condition(ConditionKind.TEMPERATURE, temperature_c=33.0), None),
-        (KATAN_TROJAN, TROJAN, lambda p: katan_trigger(p, KATAN_KEY, katan_trojan_spec())),
+        (KATAN_TROJAN, TROJAN, lambda p: katan_trigger(p, KATAN_KEY, TrojanSpec())),
     ]
     for circ, condition, pattern_filter in cases:
         ds = build_dataset(circ, condition, n_patterns=4, seed=9, pattern_filter=pattern_filter)
@@ -285,7 +285,7 @@ def test_toggle_rows_of_wrong_shape_rejected():
 
 
 def test_build_dataset_honours_pattern_filter():
-    circ = TrojanCrcDecoderCircuit(crc_trojan_spec())
+    circ = TrojanCrcDecoderCircuit()
     trig = lambda p: crc_trigger(encode(p, CRC8))
     ds = build_dataset(circ, TROJAN, n_patterns=10, seed=5, pattern_filter=trig)
     assert all(trig(int(p)) for p in ds.patterns)

@@ -5,15 +5,11 @@ from mtjbist.crc import CrcConfig, Message, encode, verify
 from mtjbist.katan import decrypt32, encrypt32
 from mtjbist.trojan import (
     PAYLOAD_MASK_32,
-    TrojanPayload,
     TrojanSpec,
-    TrojanTarget,
     crc_trigger,
-    crc_trojan_spec,
     crc_verify_trojan,
     encrypt32_trojan,
     katan_trigger,
-    katan_trojan_spec,
 )
 
 CRC8 = CrcConfig()
@@ -74,7 +70,7 @@ def test_crc_trigger_rate_over_codewords_is_half_for_default_poly():
 
 
 def test_katan_trigger_matches_manual_parity():
-    spec = katan_trojan_spec()
+    spec = TrojanSpec()
     rng = np.random.default_rng(17)
     for _ in range(300):
         pt = int(rng.integers(0, 1 << 32))
@@ -84,7 +80,7 @@ def test_katan_trigger_matches_manual_parity():
 
 
 def test_katan_trigger_rate_near_quarter():
-    spec = katan_trojan_spec()
+    spec = TrojanSpec()
     rng = np.random.default_rng(99)
     n = 20_000
     fired = sum(
@@ -95,7 +91,7 @@ def test_katan_trigger_rate_near_quarter():
 
 
 def test_katan_payload_flips_exactly_first_and_last_bits():
-    spec = katan_trojan_spec()
+    spec = TrojanSpec()
     rng = np.random.default_rng(31)
     seen_trigger = 0
     for _ in range(80):
@@ -118,19 +114,17 @@ def test_payload_mask_is_bits_31_and_0():
 
 
 def test_custom_tap_positions():
-    spec = katan_trojan_spec(key_bits=(79,), pt_bits=(31,))
+    spec = TrojanSpec(trigger_key_bits=(79,), trigger_pt_bits=(31,))
     assert katan_trigger(1 << 31, 1 << 79, spec)
     assert not katan_trigger(1 << 31, 1, spec)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        TrojanSpec(TrojanTarget.CRC_DECODER, TrojanPayload.FLIP_FIRST_LAST_CIPHER_BITS)
-    with pytest.raises(ValueError):
-        katan_trojan_spec(key_bits=())
-    with pytest.raises(ValueError):
-        katan_trojan_spec(key_bits=(0, 0))
-    with pytest.raises(ValueError):
-        katan_trojan_spec(pt_bits=(32,))
-    with pytest.raises(ValueError):
-        katan_trigger(0, 0, crc_trojan_spec())
+    with pytest.raises(ValueError, match="trigger_key_bits must not be empty"):
+        TrojanSpec(trigger_key_bits=())
+    with pytest.raises(ValueError, match="duplicate"):
+        TrojanSpec(trigger_key_bits=(0, 0))
+    with pytest.raises(ValueError, match=r"trigger_pt_bits positions must lie in \[0, 32\)"):
+        TrojanSpec(trigger_pt_bits=(32,))
+    with pytest.raises(ValueError, match=r"\[0, 80\)"):
+        TrojanSpec(trigger_key_bits=(80,))
