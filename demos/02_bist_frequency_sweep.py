@@ -43,8 +43,8 @@ half_periods = [float(h) for h in np.linspace(3.0, 0.75, 10)]
 sweep = frequency_sweep(tampered, patterns, half_periods, crc, model)
 
 print("\nhalf period (ns) -> patterns flagged")
-for hp in half_periods:
-    n = sum(r.error_flag for r in sweep.rows if r.half_period == hp)
+for hp, flags in zip(half_periods, sweep.flags):
+    n = int(flags.sum())
     bar = "#" * n
     print(f"{hp:6.2f}  {n:2d}/8 {bar}")
 

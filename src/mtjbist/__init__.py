@@ -15,7 +15,6 @@ from .bist import (
     ClockConfig,
     CoverageReport,
     SweepResult,
-    SweepRow,
     detection_coverage,
     frequency_sweep,
     inject_attack,

@@ -29,7 +29,9 @@ set; the error flag fires iff that XOR is nonzero. A pattern enters only
 through its toggle mask and a clock only through its mask of cells still
 switching at the sample edge, so all patterns x clocks x cells are one
 broadcast of the two masks, and all flags one product with the syndrome
-matrix, which is built once per CrcConfig.
+matrix. The check value is GF(2)-linear in the data too, so all patterns
+are encoded by one product with the generator matrix. Both matrices are
+built once per CrcConfig.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+
+from .crc import _validate
 
 # perfbench's traced run hooks bist.run_bist, frequency_sweep, encode, verify,
 # apply_bit and sense by module attribute, so they stay importable here until
@@ -144,11 +148,12 @@ def inject_attack(array: list[MtjCell], spec: AttackSpec) -> list[MtjCell]:
     return out
 
 
-def message_bits(msg: Message, config: CrcConfig) -> tuple[int, ...]:
-    """Cell assignment: cells 0..d-1 carry data bits 0..d-1 (bit i is the
-    2^i coefficient), cells d..d+g-1 carry check bits the same way."""
-    d, g = config.data_width, config.check_width
-    return tuple((msg.data >> i) & 1 for i in range(d)) + tuple((msg.check >> i) & 1 for i in range(g))
+def _bits(values, width: int) -> np.ndarray:
+    """(len(values), width) uint8: column k holds bit k of each value, for
+    values that fit in width bits, however wide."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=-1, count=width, bitorder="little")
 
 
 @lru_cache(maxsize=32)
@@ -159,10 +164,30 @@ def _syndrome_matrix(crc: CrcConfig) -> np.ndarray:
     set: data cell i is bit g + i of data||check, check cell j is bit j.
     """
     d, g = crc.data_width, crc.check_width
-    columns = [crc_remainder(1 << pos, d + g, crc) for pos in [*range(g, g + d), *range(g)]]
-    out = np.array([[(c >> k) & 1 for k in range(g)] for c in columns], dtype=np.uint8)
+    out = _bits([crc_remainder(1 << pos, d + g, crc) for pos in [*range(g, g + d), *range(g)]], g)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=32)
+def _generator_matrix(crc: CrcConfig) -> np.ndarray:
+    """(d, g) read-only bits: row i is the check value of data bit i alone."""
+    d, g = crc.data_width, crc.check_width
+    out = _bits([crc_remainder(1 << i, d, crc) for i in range(d)], g)
+    out.setflags(write=False)
+    return out
+
+
+def _codewords(patterns: list[int], crc: CrcConfig) -> np.ndarray:
+    """(P, n) bool launched bits of each pattern's codeword, one cell per bit:
+    cells 0..d-1 carry data bits 0..d-1 (bit i is the 2^i coefficient),
+    cells d..d+g-1 carry the check bits the same way."""
+    for p in patterns:
+        _validate(p, crc.data_width)
+    data = _bits(patterns, crc.data_width)
+    # uint8 sums wrap modulo 256, which keeps their parity
+    check = (data @ _generator_matrix(crc)) & 1
+    return np.hstack([data, check]).astype(bool)
 
 
 def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockConfig], crc: CrcConfig,
@@ -184,8 +209,7 @@ def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockCo
             )
     state = np.array([c.state for c in array], dtype=bool)
     delay = np.array([switching_delay(model, c.tm_actual, (int(c.state), 1 - int(c.state))) for c in array])
-    codes = {p: message_bits(encode(p, crc), crc) for p in dict.fromkeys(patterns)}
-    launched = np.array([codes[p] for p in patterns], dtype=bool).reshape(len(patterns), n)
+    launched = _codewords(patterns, crc)
     launch = np.array([c.launch_time for c in clocks]).reshape(-1, 1)
     sample = np.array([c.sample_time for c in clocks]).reshape(-1, 1)
     # (H, n): cells that, once toggled, are still switching at the sample edge
@@ -219,17 +243,19 @@ def run_bist(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    half_period: float
-    pattern: int
-    error_flag: int
-    faulted_positions: frozenset[int]
-
-
-@dataclass(frozen=True)
+# eq=False: the fields hold arrays, which do not compare to one bool
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """Round (h, p) ran patterns[p] at half_periods[h]."""
+
+    half_periods: tuple[float, ...]
+    patterns: tuple[int, ...]
+    # (H, P) bool error flag of each round
+    flags: np.ndarray
+    # (H, P) int: the round's faulted cells are fault_sets[fault_index[h, p]]
+    fault_index: np.ndarray
+    # one set of faulted cells per distinct fault vector
+    fault_sets: tuple[frozenset[int], ...]
     # per pattern, the largest half period at which the error flag fired
     # (None when the pattern never fired anywhere on the grid)
     largest_flagged_half_period: dict[int, float | None]
@@ -245,32 +271,22 @@ def frequency_sweep(
 ) -> SweepResult:
     """Run every pattern at every clock setting, each on the same starting array.
 
-    Each clock is ``clock`` at one of the half periods. Rows come clock by
-    clock, in the order of half_periods, and within a clock in the order of
-    patterns.
+    Each clock is ``clock`` at one of the half periods.
     """
-    patterns = [int(p) for p in patterns]
-    half_periods = [float(hp) for hp in half_periods]
+    patterns = tuple(int(p) for p in patterns)
+    half_periods = tuple(float(hp) for hp in half_periods)
     clocks = [replace(clock, half_period=hp) for hp in half_periods]
-    _, faults, flags = _bist_rounds(array, patterns, clocks, crc, model)
-    # one frozenset per distinct fault vector, keyed by its packed bytes and
-    # shared by every round that has it
+    _, faults, flags = _bist_rounds(array, list(patterns), clocks, crc, model)
+    # one frozenset per distinct fault vector, shared by every round that has it
     flat = faults.reshape(-1, faults.shape[-1])
     packed = np.packbits(flat, axis=-1)
-    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel().tolist()
-    fault_sets: dict[bytes, frozenset[int]] = {}
-    for i, key in enumerate(keys):
-        if key not in fault_sets:
-            fault_sets[key] = frozenset(np.flatnonzero(flat[i]).tolist())
-    rounds = [(hp, p) for hp in half_periods for p in patterns]
-    rows = tuple(
-        SweepRow(hp, p, flag, fault_sets[key])
-        for (hp, p), flag, key in zip(rounds, flags.ravel().astype(np.int64).tolist(), keys)
-    )
+    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    fault_sets = tuple(frozenset(np.flatnonzero(flat[i]).tolist()) for i in first.tolist())
     # -inf marks a pattern that never fired: every half period is positive
     flagged_hp = np.where(flags, np.array(half_periods).reshape(-1, 1), -np.inf).max(axis=0, initial=-np.inf)
     worst = {p: (hp if hp > 0 else None) for p, hp in zip(patterns, flagged_hp.tolist())}
-    return SweepResult(rows=rows, largest_flagged_half_period=worst)
+    return SweepResult(half_periods, patterns, flags, inverse.reshape(flags.shape), fault_sets, worst)
 
 
 @dataclass(frozen=True)

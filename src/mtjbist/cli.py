@@ -153,12 +153,20 @@ def _load_array(config: ExperimentConfig, path: str | None) -> list[mtj.MtjCell]
     return mtj.nominal_array(n)
 
 
-def _write_bist_csv(path, rows, data_width: int) -> None:
+def _write_bist_csv(path, sweep: bist.SweepResult, data_width: int) -> None:
+    """One row per round, clock by clock and within a clock pattern by
+    pattern; each half period, pattern and fault set is formatted once."""
+    half_periods = [f"{hp:.10g}," for hp in sweep.half_periods]
+    patterns = [f"{to_hex(p, data_width)}," for p in sweep.patterns]
+    # the error flag is a function of the fault vector, so of its set
+    flag_of = np.zeros(len(sweep.fault_sets), dtype=np.int64)
+    flag_of[sweep.fault_index] = sweep.flags
+    suffixes = [f"{flag},{';'.join(map(str, sorted(cells)))}\n"
+                for flag, cells in zip(flag_of.tolist(), sweep.fault_sets)]
+    body = "".join([hp + p + suffixes[k]
+                    for hp, row in zip(half_periods, sweep.fault_index.tolist()) for p, k in zip(patterns, row)])
     with open(path, "w") as fh:
-        fh.write("half_period_ns,pattern_hex,error_flag,faulted_indices\n")
-        for hp, pattern, flag, faulted in rows:
-            cells = ";".join(str(i) for i in sorted(faulted))
-            fh.write(f"{hp:.10g},{to_hex(pattern, data_width)},{flag},{cells}\n")
+        fh.write("half_period_ns,pattern_hex,error_flag,faulted_indices\n" + body)
 
 
 def cmd_bist_run(args, config: ExperimentConfig) -> int:
@@ -170,22 +178,19 @@ def cmd_bist_run(args, config: ExperimentConfig) -> int:
         if args.pattern
         else config.crc_reference_pattern
     )
-    res = bist.run_bist(pattern, array, clock, crc, config.mtj)
+    sweep = bist.frequency_sweep(array, [pattern], [clock.half_period], crc, config.mtj, clock)
+    flagged = bool(sweep.flags[0, 0])
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "bist_results.csv")
-    _write_bist_csv(
-        out_csv,
-        [(clock.half_period, pattern, res.error_flag, res.faulted_positions)],
-        crc.data_width,
-    )
-    verdict = "ERROR" if res.error_flag else "clean"
+    _write_bist_csv(out_csv, sweep, crc.data_width)
+    verdict = "ERROR" if flagged else "clean"
     print(
         f"pattern {to_hex(pattern, crc.data_width)} at half period "
         f"{clock.half_period:g} ns: {verdict} "
-        f"(launch {res.launch_time:g} ns, sample {res.sample_time:g} ns)"
+        f"(launch {clock.launch_time:g} ns, sample {clock.sample_time:g} ns)"
     )
     print(f"wrote {out_csv}")
-    return 2 if res.error_flag else 0
+    return 2 if flagged else 0
 
 
 def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
@@ -209,13 +214,9 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
     sweep = bist.frequency_sweep(array, patterns, half_periods, crc, config.mtj, config.clock)
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "bist_results.csv")
-    _write_bist_csv(
-        out_csv,
-        [(r.half_period, r.pattern, r.error_flag, r.faulted_positions) for r in sweep.rows],
-        crc.data_width,
-    )
-    n_flagged = sum(r.error_flag for r in sweep.rows)
-    print(f"{len(sweep.rows)} runs, {n_flagged} raised the error flag; wrote {out_csv}")
+    _write_bist_csv(out_csv, sweep, crc.data_width)
+    n_flagged = int(sweep.flags.sum())
+    print(f"{sweep.flags.size} runs, {n_flagged} raised the error flag; wrote {out_csv}")
     for p in patterns:
         worst = sweep.largest_flagged_half_period[p]
         if worst is not None:
@@ -242,6 +243,8 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
 
 
 def cmd_trace_gen(args, config: ExperimentConfig) -> int:
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"trace gen: --n must be >= 1, got {args.n}")
     kind = ConditionKind(args.condition)
     if kind is ConditionKind.PROCESS_VARIATION:
         if args.pv_fraction is None:

@@ -41,6 +41,7 @@ def _parse_bool(text: str) -> bool:
 
 
 _hex = partial(int, base=16)
+_positive = checked(finite_float, lambda s: s > 0, "expected a positive number")
 
 
 def _bit_positions(text: str) -> tuple[int, ...]:
@@ -100,9 +101,8 @@ CONFIG_KEYS = {
     "trace.spike_gain": ("trace.spike_gain", finite_float),
     "trace.k_pv": ("trace.k_pv", finite_float),
     "trace.k_temp": ("trace.k_temp", finite_float),
-    "detector.sensitivity": ("detector_sensitivity", checked(finite_float, lambda s: s > 0,
-                                                             "expected a positive number")),
-    "detector.sensitivities": ("detector_sensitivities", checked(lambda text: split_list(text, finite_float), bool,
+    "detector.sensitivity": ("detector_sensitivity", _positive),
+    "detector.sensitivities": ("detector_sensitivities", checked(lambda text: split_list(text, _positive), bool,
                                                                  "expected at least one level")),
     "detector.normalized": ("detector_normalized", _parse_bool),
     "detector.n_patterns": ("detector_n_patterns", checked(int, lambda n: n >= 1, "expected at least 1")),

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import to_hex
-
 
 @dataclass(frozen=True)
 class CrcConfig:
@@ -40,14 +38,6 @@ class CrcConfig:
     def reset_state(self) -> int:
         init = self.receiver_init
         return ((1 << self.check_width) - 1) if init is None else init
-
-    @property
-    def poly_hex(self) -> str:
-        return to_hex(self.poly, self.check_width)
-
-    @classmethod
-    def from_hex(cls, poly_hex: str, check_width: int = 8, data_width: int = 8, receiver_init=None):
-        return cls(int(poly_hex, 16), check_width, data_width, receiver_init)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,23 @@ def bist_round(pattern: int, tm_actual, states, half_period: float, launch_offse
     return flag, sensed, faulted
 
 
+def message_bits(msg, config) -> tuple[int, ...]:
+    """Cell assignment of a CRC message: cells 0..d-1 carry data bits 0..d-1
+    (bit i is the 2^i coefficient), cells d..d+g-1 carry check bits the same way."""
+    d, g = config.data_width, config.check_width
+    return tuple((msg.data >> i) & 1 for i in range(d)) + tuple((msg.check >> i) & 1 for i in range(g))
+
+
+def write_bist_rows(path, rows, data_width: int) -> None:
+    """The BIST results CSV: one line per (half period, pattern, error flag,
+    faulted cells) row, the pattern in fixed-width hex, the cells sorted."""
+    with open(path, "w") as fh:
+        fh.write("half_period_ns,pattern_hex,error_flag,faulted_indices\n")
+        for hp, pattern, flag, faulted in rows:
+            cells = ";".join(str(i) for i in sorted(faulted))
+            fh.write(f"{hp:.10g},{pattern:0{(data_width + 3) // 4}x},{flag},{cells}\n")
+
+
 # ---------------------------------------------------------------------------
 # trace CSV: the per-row writer and parse loop that define the file format
 

@@ -133,7 +133,7 @@ def test_criterion_03_slowed_cell_flagged_at_fast_clock():
                 problems.append(f"pattern {pattern:#04x}: faults {set(res.faulted_positions)}")
     half_periods = [float(h) for h in np.linspace(3.0, 0.8, 20)]
     sweep = frequency_sweep(array, [0x01], half_periods, CRC8, MODEL)
-    flags = [r.error_flag for r in sweep.rows]
+    flags = sweep.flags[:, 0].tolist()
     if flags != sorted(flags):
         problems.append("error flag not monotone along the frequency sweep")
     if flags[0] != 0 or flags[-1] != 1:

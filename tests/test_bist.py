@@ -1,3 +1,7 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +10,16 @@ from hypothesis import strategies as st
 from mtjbist.bist import (
     AttackSpec,
     ClockConfig,
+    _bist_rounds,
     detection_coverage,
     frequency_sweep,
     inject_attack,
-    message_bits,
     run_bist,
 )
+from mtjbist.cli import _write_bist_csv
 from mtjbist.crc import CrcConfig, encode
 from mtjbist.mtj import MtjCell, MtjDelayModel, PendingTransition, nominal_array
-from oracles import bist_round
+from oracles import bist_round, message_bits, write_bist_rows
 
 CRC8 = CrcConfig()
 MODEL = MtjDelayModel()
@@ -25,6 +30,16 @@ def infected_array(index: int, tm: float = 1.3) -> list[MtjCell]:
     cells = nominal_array(N_CELLS)
     cells[index] = MtjCell(tm_actual=tm)
     return cells
+
+
+def sweep_rows(sweep):
+    """(half period, pattern, error flag, faulted cells) of each round of a
+    sweep, clock by clock and within a clock pattern by pattern."""
+    return [
+        (hp, p, int(sweep.flags[h, j]), sweep.fault_sets[sweep.fault_index[h, j]])
+        for h, hp in enumerate(sweep.half_periods)
+        for j, p in enumerate(sweep.patterns)
+    ]
 
 
 def test_default_clock_times():
@@ -150,7 +165,10 @@ def test_sweep_rows_and_worst_half_period():
     array = infected_array(0)
     half_periods = [3.0, 1.4, 1.0]
     sweep = frequency_sweep(array, [0x01, 0x02], half_periods, CRC8, MODEL)
-    assert len(sweep.rows) == 6
+    assert sweep.half_periods == (3.0, 1.4, 1.0)
+    assert sweep.patterns == (0x01, 0x02)
+    assert sweep.flags.shape == sweep.fault_index.shape == (3, 2)
+    assert sweep_rows(sweep)[2:4] == [(1.4, 0x01, 1, frozenset({0})), (1.4, 0x02, 0, frozenset())]
     # pattern 0x01 toggles the infected cell: silent at 3.0, flagged below
     assert sweep.largest_flagged_half_period[0x01] == pytest.approx(1.4)
     # pattern 0x02 never toggles cell 0
@@ -260,15 +278,15 @@ def test_rounds_match_oracle_on_every_pattern_and_clock():
     n_flagged = n_masked = 0
     for cells in arrays:
         sweep = frequency_sweep(cells, patterns, half_periods, CRC8, MODEL)
-        assert len(sweep.rows) == len(half_periods) * len(patterns)
+        assert sweep.flags.shape == (len(half_periods), len(patterns))
         worst = {}
-        for row in sweep.rows:
-            flag, sensed, faulted = oracle_round(row.pattern, cells, row.half_period)
-            assert (row.error_flag, row.faulted_positions) == (flag, faulted)
-            res = run_bist(row.pattern, cells, ClockConfig(half_period=row.half_period), CRC8, MODEL)
+        for hp, pattern, error_flag, faulted_positions in sweep_rows(sweep):
+            flag, sensed, faulted = oracle_round(pattern, cells, hp)
+            assert (error_flag, faulted_positions) == (flag, faulted)
+            res = run_bist(pattern, cells, ClockConfig(half_period=hp), CRC8, MODEL)
             assert (res.error_flag, list(res.sensed_bits), res.faulted_positions) == (flag, sensed, faulted)
             if flag:
-                worst[row.pattern] = max(worst.get(row.pattern, 0.0), row.half_period)
+                worst[pattern] = max(worst.get(pattern, 0.0), hp)
             n_flagged += flag
             n_masked += bool(faulted) and not flag
         assert sweep.largest_flagged_half_period == {p: worst.get(p) for p in patterns}
@@ -295,7 +313,47 @@ def test_sweep_matches_oracle_property(tms, states, patterns, half_periods, laun
         for hp in half_periods
         for p in patterns
     ]
-    assert [(r.half_period, r.pattern, r.error_flag, r.faulted_positions) for r in sweep.rows] == expected
+    assert sweep_rows(sweep) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tms=st.lists(st.floats(0.5, 2.0), min_size=N_CELLS, max_size=N_CELLS),
+    states=st.lists(st.integers(0, 1), min_size=N_CELLS, max_size=N_CELLS),
+    patterns=st.lists(st.integers(0, 255), min_size=1, max_size=6),
+    repeats=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    half_periods=st.lists(st.floats(0.3, 4.0), min_size=1, max_size=4),
+)
+def test_sweep_csv_matches_oracle_writer(tms, states, patterns, repeats, half_periods):
+    # repeated patterns, and a neighbouring float that prints like its half
+    # period under .10g, each get their own row
+    patterns = patterns + [patterns[i % len(patterns)] for i in repeats]
+    half_periods = half_periods + [float(np.nextafter(half_periods[0], np.inf))]
+    cells = [MtjCell(tm_actual=tm, state=s) for tm, s in zip(tms, states)]
+    rows = [(hp, p) + oracle_round(p, cells, hp)[::2] for hp in half_periods for p in patterns]
+    with tempfile.TemporaryDirectory() as tmp:
+        expected, written = Path(tmp, "expected.csv"), Path(tmp, "written.csv")
+        write_bist_rows(expected, rows, CRC8.data_width)
+        _write_bist_csv(written, frequency_sweep(cells, patterns, half_periods, CRC8, MODEL), CRC8.data_width)
+        assert written.read_bytes() == expected.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_launched_words_match_scalar_encode(data):
+    g = data.draw(st.integers(1, 16))
+    crc = CrcConfig(poly=data.draw(st.integers(1, (1 << g) - 1)), check_width=g,
+                    data_width=data.draw(st.integers(1, 130)))
+    d, n = crc.data_width, crc.data_width + g
+    patterns = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=6))
+    launched, _, _ = _bist_rounds(nominal_array(n), patterns, [ClockConfig()], crc, MODEL)
+    assert launched.astype(int).tolist() == [list(message_bits(encode(p, crc), crc)) for p in patterns]
+    # a pattern that does not fit fails as the scalar encoder does
+    bad = data.draw(st.one_of(st.integers(1 << d, 1 << (d + 8)), st.integers(-(1 << 8), -1)))
+    with pytest.raises(ValueError) as scalar:
+        encode(bad, crc)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        _bist_rounds(nominal_array(n), patterns + [bad], [ClockConfig()], crc, MODEL)
 
 
 @pytest.mark.parametrize("include_complement", [False, True])
@@ -341,4 +399,4 @@ def test_sample_exactly_at_completion_reads_new_state():
     model = MtjDelayModel(delay01_max=2.0, delay10_max=2.0)
     cells = [MtjCell(tm_actual=1.3)] + nominal_array(N_CELLS - 1)
     sweep = frequency_sweep(cells, [0x01], [1.0, 0.999], CRC8, model, ClockConfig(launch_offset_cycles=1.0))
-    assert [r.faulted_positions for r in sweep.rows] == [frozenset(), frozenset({0})]
+    assert [faulted for _, _, _, faulted in sweep_rows(sweep)] == [frozenset(), frozenset({0})]

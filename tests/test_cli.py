@@ -171,6 +171,15 @@ def test_trace_gen_dataset_layout(tmp_path, capsys):
     assert "circuit = crc_decoder" in manifest
 
 
+# each used to exit 1 with "n_patterns must be >= 1", naming no option
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_trace_gen_rejects_a_count_below_one(tmp_path, capsys, n):
+    rc = main(["trace", "gen", "--n", n, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"trace gen: --n must be >= 1, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_trace_gen_condition_parameter_required(tmp_path, capsys):
     rc = main(["trace", "gen", "--condition", "process_variation", "--out", str(tmp_path)])
     assert rc == 1

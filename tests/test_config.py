@@ -113,9 +113,13 @@ def test_bad_value_reports_key_and_line():
     ("seed = 1\ndetector.n_patterns = 0\n", 2, "bad value for detector.n_patterns: expected at least 1, got '0'"),
     ("detector.sensitivity = 0\n", 1, "bad value for detector.sensitivity: expected a positive number, got '0'"),
     ("detector.sensitivity = -0.1\n", 1, "expected a positive number, got '-0.1'"),
+    # used to fail only after the whole identification ran, without a line
+    ("seed = 1\ndetector.sensitivities = 0, 0.1\n", 2,
+     "bad value for detector.sensitivities: expected a positive number, got '0'"),
+    ("detector.sensitivities = 0.1 -0.2\n", 1, "bad value for detector.sensitivities: expected a positive number"),
 ], ids=["duplicate", "nan-float", "nan-delay", "inf-float", "nan-in-list", "empty-list", "commas-only",
         "bad-hex-key", "bad-hex-pattern", "bad-hex-poly", "bad-hex-crc", "wide-key", "wide-pattern", "no-equals",
-        "zero-patterns", "zero-sensitivity", "negative-sensitivity"])
+        "zero-patterns", "zero-sensitivity", "negative-sensitivity", "zero-level", "negative-level"])
 def test_bad_line_names_source_and_line(text, line, message):
     with pytest.raises(ValueError, match=f"^conf:{line}: .*{re.escape(message)}"):
         parse_config_text(text, source="conf")
@@ -212,7 +216,7 @@ def _taps(width):
 
 _TEXT = st.text("abcxyz_/.-", min_size=1, max_size=8).map(lambda t: (t, t))
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_LEVELS = st.lists(_FINITE, min_size=1, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs)))
+_LEVELS = st.lists(st.floats(0, exclude_min=True, allow_infinity=False), min_size=1, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs)))
 
 # values each key can take, as text with what it parses to; every value fits
 # every value of the other keys and their defaults, so the objects accept them

@@ -90,11 +90,6 @@ def test_config_validation():
         CrcConfig(data_width=0)
 
 
-def test_poly_hex():
-    assert CRC8.poly_hex == "07"
-    assert CrcConfig.from_hex("07").poly == 0x07
-
-
 def test_receiver_reset_state_defaults_all_ones():
     assert CRC8.reset_state == 0xFF
     assert CrcConfig(receiver_init=0x12).reset_state == 0x12
