@@ -20,8 +20,6 @@ from mtjbist import (
     TraceParams,
     TrojanCrcDecoderCircuit,
     build_dataset,
-    crc_trigger,
-    encode,
     simulate_trace,
     toggle_profile,
 )
@@ -29,6 +27,7 @@ from mtjbist import (
 crc = CrcConfig()
 circuit = CrcDecoderCircuit(crc)
 params = TraceParams()
+noiseless = TraceParams(noise_sigma=0.0)
 
 # the toggle profile is the per-step Hamming distance of the register
 pattern = 0xA5
@@ -37,7 +36,7 @@ print(f"toggle profile of pattern {pattern:#04x}: {profile.tolist()}")
 print(f"(16 shift steps, register toggles per step)\n")
 
 # one noiseless trace: baseline current plus one unit per toggle
-trace = simulate_trace(circuit, pattern, NORMAL, noise_sigma=0.0, params=params)
+trace = simulate_trace(circuit, pattern, NORMAL, params=noiseless)
 active = trace.samples[: len(profile)]
 print(f"noiseless trace: baseline {params.baseline} uA,"
       f" peak {active.max():.1f} uA at step {int(active.argmax())}")
@@ -46,23 +45,23 @@ print(f"noiseless trace: baseline {params.baseline} uA,"
 pv = Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=0.2)
 hot = Condition(ConditionKind.TEMPERATURE, temperature_c=120.0)
 for cond, label in ((pv, "process variation +20% length"), (hot, "die at 120 C")):
-    t = simulate_trace(circuit, pattern, cond, noise_sigma=0.0, params=params)
+    t = simulate_trace(circuit, pattern, cond, params=noiseless)
     ratio = (t.samples[0] - params.baseline) / (trace.samples[0] - params.baseline)
     print(f"{label}: switching term x{ratio:.3f}")
 
 # an active Trojan adds its trigger logic plus a payload spike
 infected = TrojanCrcDecoderCircuit()
-triggering = next(p for p in range(256) if crc_trigger(encode(p, crc)))
-dormant = next(p for p in range(256) if not crc_trigger(encode(p, crc)))
+triggering = next(p for p in range(256) if infected.fires(p))
+dormant = next(p for p in range(256) if not infected.fires(p))
 
-clean_t = simulate_trace(circuit, triggering, NORMAL, noise_sigma=0.0, params=params)
-trojan_t = simulate_trace(infected, triggering, TROJAN, noise_sigma=0.0, params=params)
+clean_t = simulate_trace(circuit, triggering, NORMAL, params=noiseless)
+trojan_t = simulate_trace(infected, triggering, TROJAN, params=noiseless)
 step = int(np.argmax(trojan_t.samples - clean_t.samples))
 print(f"\ntriggering pattern {triggering:#04x}: extra"
       f" {trojan_t.samples[step] - clean_t.samples[step]:.0f} uA at step {step}")
 
-clean_d = simulate_trace(circuit, dormant, NORMAL, noise_sigma=0.0, params=params)
-trojan_d = simulate_trace(infected, dormant, TROJAN, noise_sigma=0.0, params=params)
+clean_d = simulate_trace(circuit, dormant, NORMAL, params=noiseless)
+trojan_d = simulate_trace(infected, dormant, TROJAN, params=noiseless)
 print(f"dormant pattern {dormant:#04x}: traces identical ="
       f" {np.array_equal(clean_d.samples, trojan_d.samples)}")
 

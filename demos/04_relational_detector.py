@@ -18,13 +18,10 @@ from mtjbist import (
     ConditionKind,
     CrcDecoderCircuit,
     DetectorConfig,
-    ReferenceSignal,
     TrojanCrcDecoderCircuit,
     build_dataset,
     classify,
-    crc_trigger,
     cross_correlation,
-    encode,
     evaluation_signal,
     score,
     simulate_trace,
@@ -41,7 +38,7 @@ clean = CrcDecoderCircuit(crc)
 infected = TrojanCrcDecoderCircuit(crc)
 
 # golden reference from the clean device, threshold from a held-out clean set
-reference = ReferenceSignal(simulate_trace(clean, 0xA5, NORMAL, seed=1))
+reference = simulate_trace(clean, 0xA5, NORMAL, seed=1)
 heldout = build_dataset(clean, NORMAL, n_patterns=20, seed=2)
 threshold = threshold_from_reference(evaluation_signal(reference, heldout))
 print(f"acceptance threshold (mean over 20 held-out clean traces): {threshold:.1f}")
@@ -57,9 +54,7 @@ config = DetectorConfig(threshold=threshold, sensitivity=0.10)
 print(f"accept while |value - threshold| <= {config.sensitivity:.0%} of the threshold\n")
 print(f"{'device':>18} {'mean value':>12} {'vs threshold':>12} {'rejected':>9}")
 for label, (circuit, condition) in conditions.items():
-    flt = None
-    if condition is TROJAN:
-        flt = lambda p: crc_trigger(encode(p, crc))
+    flt = circuit.fires if condition is TROJAN else None
     ds = build_dataset(circuit, condition, n_patterns=20, seed=3, pattern_filter=flt)
     signal = evaluation_signal(reference, ds)
     decisions = classify(signal, config)

@@ -36,7 +36,6 @@ from .detector import (
     Decision,
     DetectorConfig,
     EvaluationSignal,
-    ReferenceSignal,
     classify,
     cross_correlation,
     evaluation_signal,
@@ -62,7 +61,6 @@ from .katan import (
 from .mtj import (
     MtjCell,
     MtjDelayModel,
-    MtjLogicState,
     PendingTransition,
     apply_bit,
     is_malicious,

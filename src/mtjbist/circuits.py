@@ -7,10 +7,11 @@ A circuit exposes:
   toggles(patterns)  (len(patterns), n_steps) int64 array, one row per
                      pattern: entry t is the Hamming distance between the
                      circuit's register state before and after step t
-  activation_steps(pattern)   steps at which embedded malicious logic fires
-                              (empty for clean circuits)
-  trigger_toggles    extra switching the trigger logic contributes at an
-                     activation step
+  fires(pattern)     True when embedded malicious logic fires on the
+                     pattern (never for clean circuits); it fires at the
+                     last step, n_steps - 1
+  trigger_toggles    extra switching the trigger logic contributes when it
+                     fires
 
 toggles takes a whole dataset's patterns at once, so a circuit can compute
 the rows in one batched pass.
@@ -48,8 +49,8 @@ class CrcDecoderCircuit:
             rows.append([(a ^ b).bit_count() for a, b in zip(states, states[1:])])
         return np.array(rows, dtype=np.int64).reshape(len(rows), self.n_steps)
 
-    def activation_steps(self, pattern: int) -> tuple[int, ...]:
-        return ()
+    def fires(self, pattern: int) -> bool:
+        return False
 
     trigger_toggles = 0
 
@@ -61,10 +62,8 @@ class TrojanCrcDecoderCircuit(CrcDecoderCircuit):
         super().__init__(config)
         self.name = "crc_decoder_trojan"
 
-    def activation_steps(self, pattern: int) -> tuple[int, ...]:
-        if crc_trigger(encode(pattern, self.config)):
-            return (self.n_steps - 1,)
-        return ()
+    def fires(self, pattern: int) -> bool:
+        return crc_trigger(encode(pattern, self.config))
 
     @property
     def trigger_toggles(self) -> int:
@@ -102,8 +101,8 @@ class KatanCircuit:
         out += key_window_toggles(self.key)
         return out
 
-    def activation_steps(self, pattern: int) -> tuple[int, ...]:
-        return ()
+    def fires(self, pattern: int) -> bool:
+        return False
 
     trigger_toggles = 0
 
@@ -116,10 +115,8 @@ class TrojanKatanCircuit(KatanCircuit):
         self.spec = spec
         self.name = "katan32_trojan"
 
-    def activation_steps(self, pattern: int) -> tuple[int, ...]:
-        if katan_trigger(pattern, self.key, self.spec):
-            return (self.n_steps - 1,)
-        return ()
+    def fires(self, pattern: int) -> bool:
+        return katan_trigger(pattern, self.key, self.spec)
 
     @property
     def trigger_toggles(self) -> int:

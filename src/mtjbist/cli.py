@@ -20,10 +20,10 @@ from .detector import (
     Decision,
     DetectorConfig,
     EvaluationSignal,
-    ReferenceSignal,
     classify,
     evaluation_signal,
     score,
+    threshold_from_reference,
 )
 from .textio import finite_float, parse_at, records, split_list
 from .traces import (
@@ -217,8 +217,7 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
     _write_bist_csv(out_csv, sweep, crc.data_width)
     n_flagged = int(sweep.flags.sum())
     print(f"{sweep.flags.size} runs, {n_flagged} raised the error flag; wrote {out_csv}")
-    for p in patterns:
-        worst = sweep.largest_flagged_half_period[p]
+    for p, worst in sweep.largest_flagged_half_period.items():
         if worst is not None:
             print(f"pattern {to_hex(p, crc.data_width)}: flagged up to half period {worst:g} ns")
     return 2 if n_flagged else 0
@@ -246,16 +245,14 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     if args.n is not None and args.n < 1:
         raise UsageError(f"trace gen: --n must be >= 1, got {args.n}")
     kind = ConditionKind(args.condition)
-    if kind is ConditionKind.PROCESS_VARIATION:
-        if args.pv_fraction is None:
-            raise UsageError("trace gen: --pv-fraction required for process_variation")
-        condition = Condition(kind, pv_length_fraction=args.pv_fraction)
-    elif kind is ConditionKind.TEMPERATURE:
-        if args.temperature is None:
-            raise UsageError("trace gen: --temperature required for temperature")
-        condition = Condition(kind, temperature_c=args.temperature)
-    else:
-        condition = Condition(kind)
+    if kind is ConditionKind.PROCESS_VARIATION and args.pv_fraction is None:
+        raise UsageError("trace gen: --pv-fraction required for process_variation")
+    if kind is ConditionKind.TEMPERATURE and args.temperature is None:
+        raise UsageError("trace gen: --temperature required for temperature")
+    try:
+        condition = Condition(kind, pv_length_fraction=args.pv_fraction, temperature_c=args.temperature)
+    except ValueError as exc:
+        raise UsageError(f"trace gen: --condition {kind.value}: {exc}") from None
 
     circuit, pattern_filter = experiments.device(config, args.circuit, kind is ConditionKind.TROJAN)
     n = args.n if args.n is not None else config.detector_n_patterns
@@ -276,9 +273,9 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
 
 def cmd_detect_eval(args, config: ExperimentConfig) -> int:
     dataset = read_dataset(args.dataset)
-    reference = ReferenceSignal(read_trace_csv(args.reference, dataset.dt, dataset.samples.shape[1]))
+    reference = read_trace_csv(args.reference, dataset.dt, dataset.samples.shape[1])
     signal = evaluation_signal(reference, dataset, config.detector_normalized)
-    threshold = args.threshold if args.threshold is not None else float(np.mean(signal.values))
+    threshold = args.threshold if args.threshold is not None else threshold_from_reference(signal)
     sensitivity = args.sensitivity if args.sensitivity is not None else config.detector_sensitivity
     decisions = classify(signal, DetectorConfig(threshold, sensitivity))
     os.makedirs(config.out, exist_ok=True)

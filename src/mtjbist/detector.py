@@ -21,17 +21,6 @@ DEFAULT_SENSITIVITY = 0.10
 SENSITIVITY_LEVELS = (0.05, 0.10, 0.20)
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceSignal:
-    """Golden trace captured from a verified clean device."""
-
-    trace: CurrentTrace
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self.trace.samples
-
-
 class Decision(Enum):
     ACCEPT = "accept"
     REJECT = "reject"
@@ -62,23 +51,15 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def _samples(x) -> np.ndarray:
-    if isinstance(x, ReferenceSignal):
-        x = x.trace
-    if isinstance(x, CurrentTrace):
-        x = x.samples
-    return np.asarray(x, dtype=float)
-
-
 def cross_correlation(a, b) -> np.ndarray:
-    """Full linear cross correlation of two equal-length signals.
+    """Full linear cross correlation of two equal-length sample arrays.
 
     For inputs of length N the output has length 2N - 1 with
     out[k] = sum_n a[n] * b[n + (N - 1) - k]; out[N - 1] is the zero-lag dot
     product. Matches np.correlate(a, b, mode="full").
     """
-    a = _samples(a)
-    b = _samples(b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or len(a) != len(b):
         raise ValueError("inputs must be equal-length one-dimensional signals")
     if len(a) == 0:
@@ -87,13 +68,13 @@ def cross_correlation(a, b) -> np.ndarray:
 
 
 def relational_detector(reference, test, normalized: bool = False) -> float:
-    """Maximum of |cross correlation|; >= 0, symmetric in its arguments.
+    """Maximum of |cross correlation| of two sample arrays; >= 0, symmetric in its arguments.
 
     normalized=True divides by the product of the signal 2-norms (energy
     normalization), making the value scale-invariant.
     """
-    a = _samples(reference)
-    b = _samples(test)
+    a = np.asarray(reference, dtype=float)
+    b = np.asarray(test, dtype=float)
     value = float(np.max(np.abs(cross_correlation(a, b))))
     if normalized:
         denom = float(np.linalg.norm(a) * np.linalg.norm(b))
@@ -121,10 +102,10 @@ class EvaluationSignal:
         return len(self.values)
 
 
-def evaluation_signal(reference: ReferenceSignal, dataset: Dataset, normalized: bool = False) -> EvaluationSignal:
+def evaluation_signal(reference: CurrentTrace, dataset: Dataset, normalized: bool = False) -> EvaluationSignal:
     """Detector value of every dataset row, one np.correlate per row (a
     batched FFT correlation would change the last bits of the values)."""
-    values = [relational_detector(reference, row, normalized) for row in dataset.samples]
+    values = [relational_detector(reference.samples, row, normalized) for row in dataset.samples]
     return EvaluationSignal(np.array(values))
 
 

@@ -39,7 +39,6 @@ from .detector import (
     Decision,
     DetectorConfig,
     EvaluationSignal,
-    ReferenceSignal,
     classify,
     evaluation_signal,
     score,
@@ -50,6 +49,7 @@ from .traces import (
     TROJAN,
     Condition,
     ConditionKind,
+    CurrentTrace,
     Dataset,
     PV_FRACTION_RANGE,
     TEMPERATURE_RANGE_C,
@@ -64,7 +64,7 @@ from .trojan import check_katan_trigger_reachable
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     threshold: float
-    reference: ReferenceSignal
+    reference: CurrentTrace
     datasets: dict[str, Dataset]
     signals: dict[str, EvaluationSignal]
     decisions: dict[str, list[Decision]]
@@ -106,7 +106,7 @@ def device(config: ExperimentConfig, circuit: str, trojan: bool):
             dut = KatanCircuit(key)
     else:
         raise ValueError(f"unknown circuit {circuit!r}")
-    return dut, (lambda p: bool(dut.activation_steps(p))) if trojan else None
+    return dut, dut.fires if trojan else None
 
 
 def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
@@ -124,7 +124,7 @@ def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
     clean, _ = device(config, circuit, trojan=False)
     infected, trigger = device(config, circuit, trojan=True)
     ref_pattern = config.crc_reference_pattern if circuit == "crc" else config.katan_reference_pattern
-    reference = ReferenceSignal(simulate_trace(clean, ref_pattern, NORMAL, seed=seeds[0], params=params))
+    reference = simulate_trace(clean, ref_pattern, NORMAL, seed=seeds[0], params=params)
     datasets = {}
     for name in DATASETS[circuit]:
         condition = conditions[name]
@@ -195,7 +195,7 @@ def write_confusion_csv(path, counts) -> None:
 def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir) -> None:
     """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    write_trace_csv(result.reference.trace, os.path.join(out_dir, "reference.csv"))
+    write_trace_csv(result.reference, os.path.join(out_dir, "reference.csv"))
     for name, dataset in result.datasets.items():
         write_dataset(dataset, os.path.join(out_dir, "datasets", name))
 

@@ -42,7 +42,8 @@ _L2_BITS = 19
 _L1_MASK = (1 << _L1_BITS) - 1
 _L2_MASK = (1 << _L2_BITS) - 1
 
-# Published per-round constant sequence (1 bit per round).
+# Published per-round constant sequence (1 bit per round); the tests
+# regenerate it from its defining 8-bit LFSR.
 IR = (
     1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1,
     0, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0,
@@ -61,22 +62,6 @@ IR = (
     0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1,
     1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0,
 )
-
-
-def round_constants() -> tuple[int, ...]:
-    """Regenerate IR from its defining LFSR.
-
-    8-bit LFSR, all-ones initial state, feedback x^8 + x^7 + x^5 + x^3 + 1
-    (taps at bits 7, 6, 4, 2), output taken from bit 6, feedback inserted at
-    bit 0. Provided so the hardcoded table is checkable, not trusted.
-    """
-    s = [1] * 8
-    seq = []
-    for _ in range(N_ROUNDS):
-        seq.append(s[6])
-        fb = s[7] ^ s[6] ^ s[4] ^ s[2]
-        s = [fb] + s[:7]
-    return tuple(seq)
 
 
 @lru_cache(maxsize=32)

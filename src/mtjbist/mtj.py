@@ -17,16 +17,8 @@ updated copies instead of mutating.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import IntEnum
 
 from .textio import records, split_list
-
-
-class MtjLogicState(IntEnum):
-    """Magnetization states and their fixed logic mapping."""
-
-    PARALLEL = 0        # low resistance
-    ANTIPARALLEL = 1    # high resistance
 
 
 @dataclass(frozen=True)
@@ -68,11 +60,15 @@ class PendingTransition:
 
 @dataclass(frozen=True)
 class MtjCell:
-    """One storage cell: nominal and actual thickness plus current state."""
+    """One storage cell: nominal and actual thickness plus current state.
+
+    state is the logic level the magnetization stores: 0 is parallel (low
+    resistance), 1 is anti-parallel (high resistance).
+    """
 
     tm_nominal: float = 1.0
     tm_actual: float = 1.0
-    state: int = MtjLogicState.PARALLEL
+    state: int = 0
     pending: PendingTransition | None = None
 
     def __post_init__(self):
@@ -150,14 +146,14 @@ def is_malicious(cell: MtjCell, model: MtjDelayModel) -> bool:
     return abs(cell.tm_actual - cell.tm_nominal) > model.tm_tolerance
 
 
-def nominal_array(n_cells: int, tm_nominal: float = 1.0, state: int = 0) -> list[MtjCell]:
-    """A fresh array of identical healthy cells."""
+def nominal_array(n_cells: int) -> list[MtjCell]:
+    """A fresh array of identical healthy cells, all parallel (0)."""
     if n_cells <= 0:
         raise ValueError("n_cells must be positive")
-    return [MtjCell(tm_nominal=tm_nominal, tm_actual=tm_nominal, state=state) for _ in range(n_cells)]
+    return [MtjCell() for _ in range(n_cells)]
 
 
-def load_array(path, tm_nominal: float = 1.0, state: int = 0) -> list[MtjCell]:
+def load_array(path) -> list[MtjCell]:
     """Read an array description from a plain-text table.
 
     One row per cell, columns ``index tm_actual`` (whitespace or comma
@@ -184,10 +180,7 @@ def load_array(path, tm_nominal: float = 1.0, state: int = 0) -> list[MtjCell]:
         raise ValueError(f"{path}: no cells")
     if sorted(rows) != list(range(len(rows))):
         raise ValueError(f"{path}: cell indices must be 0..{len(rows) - 1} without gaps")
-    return [
-        MtjCell(tm_nominal=tm_nominal, tm_actual=rows[i], state=state)
-        for i in range(len(rows))
-    ]
+    return [MtjCell(tm_actual=rows[i]) for i in range(len(rows))]
 
 
 def save_array(path, cells: list[MtjCell]) -> None:

@@ -12,9 +12,10 @@ switching term only, the bias baseline is condition-independent:
   ProcessVariation   scale = 1 + k_pv * pv_length_fraction
   Temperature        scale = 1 + k_temp * (temperature_c - 20)
 
-An active Trojan adds its trigger-logic toggles and a payload spike of
-spike_gain * i_unit at each activation step. A dormant Trojan adds nothing,
-so with zero noise its trace is bit-identical to the clean circuit's.
+A Trojan that fires adds its trigger-logic toggles and a payload spike of
+spike_gain * i_unit at the circuit's last step. A dormant Trojan adds
+nothing, so with zero noise its trace is bit-identical to the clean
+circuit's.
 """
 
 from __future__ import annotations
@@ -187,12 +188,9 @@ def _toggle_rows(circuit, patterns) -> np.ndarray:
     return rows
 
 
-def _synthesize(circuit, patterns, rows: np.ndarray, condition: Condition,
-                noise_sigma: float | None, seed: int, params: TraceParams) -> np.ndarray:
+def _synthesize(circuit, patterns, rows: np.ndarray, condition: Condition, seed: int,
+                params: TraceParams) -> np.ndarray:
     """(len(patterns), n_samples) currents: row i from toggles rows[i], its noise seeded with seed ^ i."""
-    sigma = params.noise_sigma if noise_sigma is None else float(noise_sigma)
-    if not 0 <= sigma < float("inf"):
-        raise ValueError("noise_sigma must be >= 0 and finite")
     if rows.shape[1] > params.n_samples:
         raise ValueError(
             f"circuit takes {rows.shape[1]} steps but the trace holds {params.n_samples} samples"
@@ -202,13 +200,14 @@ def _synthesize(circuit, patterns, rows: np.ndarray, condition: Condition,
     samples[:, : rows.shape[1]] += params.i_unit * scale * rows
     # every element sees the same float operations in the same order as a
     # trace synthesized on its own: switching term, trigger toggles, spike, noise
+    step = circuit.n_steps - 1
     for i, pattern in enumerate(patterns):
-        for step in circuit.activation_steps(pattern):
+        if circuit.fires(pattern):
             samples[i, step] += params.i_unit * scale * circuit.trigger_toggles
             samples[i, step] += params.spike_gain * params.i_unit
-    if sigma > 0:
+    if params.noise_sigma > 0:
         for i, row in enumerate(samples):
-            row += np.random.default_rng(seed ^ i).normal(0.0, sigma, params.n_samples)
+            row += np.random.default_rng(seed ^ i).normal(0.0, params.noise_sigma, params.n_samples)
     return samples
 
 
@@ -216,13 +215,12 @@ def simulate_trace(
     circuit,
     pattern: int,
     condition: Condition,
-    noise_sigma: float | None = None,
     seed: int = 0,
     params: TraceParams = DEFAULT_PARAMS,
 ) -> CurrentTrace:
-    """Synthesize one trace; noise_sigma=None takes the params default."""
+    """Synthesize one trace, its noise seeded with seed."""
     profile = toggle_profile(circuit, pattern)
-    samples = _synthesize(circuit, [pattern], profile[None], condition, noise_sigma, seed, params)
+    samples = _synthesize(circuit, [pattern], profile[None], condition, seed, params)
     return CurrentTrace(dt=params.dt, samples=samples[0])
 
 
@@ -260,7 +258,6 @@ def build_dataset(
     condition: Condition,
     n_patterns: int = 20,
     seed: int = 0,
-    noise_sigma: float | None = None,
     params: TraceParams = DEFAULT_PARAMS,
     pattern_filter=None,
 ) -> Dataset:
@@ -273,7 +270,7 @@ def build_dataset(
     rng = np.random.default_rng(seed)
     patterns = draw_patterns(circuit, n_patterns, rng, pattern_filter)
     rows = _toggle_rows(circuit, patterns)
-    samples = _synthesize(circuit, patterns, rows, condition, noise_sigma, seed, params)
+    samples = _synthesize(circuit, patterns, rows, condition, seed, params)
     return Dataset(condition, seed, circuit.name, circuit.input_width, params.dt, patterns, samples)
 
 

@@ -27,7 +27,7 @@ from mtjbist.experiments import (
 )
 from mtjbist.katan import decrypt32, encrypt32
 from mtjbist.mtj import MtjCell, MtjDelayModel, nominal_array, switching_delay
-from mtjbist.traces import NORMAL, TROJAN, simulate_trace
+from mtjbist.traces import NORMAL, TROJAN, TraceParams, simulate_trace
 from mtjbist.trojan import TrojanSpec, crc_trigger, katan_trigger
 
 from oracles import detector_double_loop, katan32_encrypt
@@ -94,7 +94,7 @@ def test_criterion_02_healthy_arrays_never_flag():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20)
     arrays = [
-        nominal_array(16, tm_nominal=1.0),
+        nominal_array(16),
         [MtjCell(tm_nominal=1.0, tm_actual=0.8) for _ in range(16)],
         [MtjCell(tm_nominal=1.0, tm_actual=1.3) for _ in range(16)],
         [MtjCell(tm_nominal=1.0, tm_actual=float(t)) for t in rng.uniform(0.8, 1.3, 16)],
@@ -205,10 +205,11 @@ def test_criterion_05_detector_matches_independent_reimplementation():
             break
     # noiseless traces have integer amplitudes, so equality stays exact
     circuit = CrcDecoderCircuit()
+    noiseless = TraceParams(noise_sigma=0.0)
     for pattern in range(0, 60, 2):
-        ta = simulate_trace(circuit, pattern, NORMAL, noise_sigma=0.0)
-        tb = simulate_trace(circuit, pattern + 1, NORMAL, noise_sigma=0.0)
-        mine = relational_detector(ta, tb)
+        ta = simulate_trace(circuit, pattern, NORMAL, params=noiseless)
+        tb = simulate_trace(circuit, pattern + 1, NORMAL, params=noiseless)
+        mine = relational_detector(ta.samples, tb.samples)
         ref = detector_double_loop(
             [int(v) for v in ta.samples], [int(v) for v in tb.samples]
         )
@@ -257,8 +258,9 @@ def test_criterion_07_katan_identification_and_dormancy(exp2_result):
     key = ExperimentConfig().katan_key
     spec = TrojanSpec()
     dormant = next(p for p in range(1 << 10) if not katan_trigger(p, key, spec))
-    a = simulate_trace(KatanCircuit(key), dormant, NORMAL, noise_sigma=0.0)
-    b = simulate_trace(TrojanKatanCircuit(key, spec), dormant, TROJAN, noise_sigma=0.0)
+    noiseless = TraceParams(noise_sigma=0.0)
+    a = simulate_trace(KatanCircuit(key), dormant, NORMAL, params=noiseless)
+    b = simulate_trace(TrojanKatanCircuit(key, spec), dormant, TROJAN, params=noiseless)
     if not np.array_equal(a.samples, b.samples):
         problems.append("dormant Trojan trace differs from the clean circuit")
     _check(

@@ -44,7 +44,7 @@ def test_crc_circuit_shape_and_name():
     assert circ.toggles([0x5A]).shape == (1, 16)
     assert circ.toggles([]).shape == (0, 16)
     assert circ.name == "crc_decoder"
-    assert circ.activation_steps(0x5A) == ()
+    assert not circ.fires(0x5A)
     assert circ.trigger_toggles == 0
 
 
@@ -55,12 +55,8 @@ def test_trojan_crc_circuit_activation_iff_trigger():
     fired = 0
     assert np.array_equal(circ.toggles(range(256)), clean.toggles(range(256)))
     for pattern in range(256):
-        steps = circ.activation_steps(pattern)
-        if crc_trigger(encode(pattern, config)):
-            fired += 1
-            assert steps == (circ.n_steps - 1,)
-        else:
-            assert steps == ()
+        assert circ.fires(pattern) is crc_trigger(encode(pattern, config))
+        fired += circ.fires(pattern)
     assert fired == 128
     assert circ.trigger_toggles == 16
     assert circ.name == "crc_decoder_trojan"
@@ -115,12 +111,8 @@ def test_trojan_katan_circuit_activation():
     patterns = range(0, 4096, 37)
     assert np.array_equal(circ.toggles(patterns), clean.toggles(patterns))
     for pattern in patterns:
-        steps = circ.activation_steps(pattern)
-        if katan_trigger(pattern, KEY, spec):
-            hits += 1
-            assert steps == (circ.n_steps - 1,)
-        else:
-            assert steps == ()
+        assert circ.fires(pattern) is katan_trigger(pattern, KEY, spec)
+        hits += circ.fires(pattern)
     assert hits > 0
     assert circ.trigger_toggles == 16
     assert circ.name == "katan32_trojan"

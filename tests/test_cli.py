@@ -102,6 +102,20 @@ def test_bist_sweep_reports_largest_flagged_half_period(tmp_path, capsys):
     assert len(rows) == 1 + 6
 
 
+def test_bist_sweep_prints_each_pattern_once(tmp_path, capsys):
+    # a repeated pattern used to repeat its summary line
+    array = tmp_path / "cells.txt"
+    mtj.save_array(array, [mtj.MtjCell(tm_actual=1.3 if i in (2, 11) else 1.0) for i in range(16)])
+    rc = main(["bist", "sweep", "--array", str(array), "--patterns", "a5,ff,a5,01",
+               "--half-periods", "3,1.4,1", "--out", str(tmp_path)])
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pattern ")]
+    assert rc == 2
+    assert lines == ["pattern a5: flagged up to half period 1.4 ns", "pattern ff: flagged up to half period 1.4 ns"]
+    # the CSV keeps one row per round
+    rows = (tmp_path / "bist_results.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 4
+
+
 def test_bist_sweep_rejects_non_finite_half_period(tmp_path, capsys):
     rc = main(["bist", "sweep", "--patterns", "01", "--half-periods", "3,nan", "--out", str(tmp_path)])
     assert rc == 1
@@ -184,6 +198,22 @@ def test_trace_gen_condition_parameter_required(tmp_path, capsys):
     rc = main(["trace", "gen", "--condition", "process_variation", "--out", str(tmp_path)])
     assert rc == 1
     assert "--pv-fraction required" in capsys.readouterr().err
+
+
+# each used to exit 0 and write a dataset that silently ignored the extra flag
+@pytest.mark.parametrize("flags, message", [
+    (["--condition", "normal", "--pv-fraction", "0.1"], "--condition normal: normal takes no parameters"),
+    (["--condition", "trojan", "--temperature", "50"], "--condition trojan: trojan takes no parameters"),
+    (["--condition", "process_variation", "--pv-fraction", "0.1", "--temperature", "50"],
+     "--condition process_variation: process variation takes pv_length_fraction only"),
+    (["--condition", "temperature", "--temperature", "50", "--pv-fraction", "0.1"],
+     "--condition temperature: temperature takes temperature_c only"),
+], ids=["normal", "trojan", "process_variation", "temperature"])
+def test_trace_gen_rejects_a_flag_the_condition_does_not_take(tmp_path, capsys, flags, message):
+    rc = main(["trace", "gen", "--n", "2", *flags, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"trace gen: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_detect_eval_and_score_round(tmp_path, capsys):

@@ -8,7 +8,6 @@ from mtjbist.detector import (
     Decision,
     DetectorConfig,
     EvaluationSignal,
-    ReferenceSignal,
     classify,
     cross_correlation,
     evaluation_signal,
@@ -147,7 +146,7 @@ def test_threshold_is_mean():
 
 
 def test_evaluation_signal_over_dataset():
-    ref = ReferenceSignal(CurrentTrace(dt=0.1, samples=np.linspace(0, 1, 128)))
+    ref = CurrentTrace(dt=0.1, samples=np.linspace(0, 1, 128))
     rows = np.array([np.linspace(0, 1, 128) + i for i in range(3)])
     ds = Dataset(condition=NORMAL, seed=0, circuit="stub", pattern_bits=4, dt=0.1,
                  patterns=[0, 1, 2], samples=rows)

@@ -9,9 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtjbist.circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit, TrojanKatanCircuit
-from mtjbist.crc import CrcConfig, encode
-
-CRC8 = CrcConfig()
 from mtjbist.traces import (
     NORMAL,
     TROJAN,
@@ -31,7 +28,7 @@ from mtjbist.traces import (
     write_dataset,
     write_trace_csv,
 )
-from mtjbist.trojan import TrojanSpec, crc_trigger, katan_trigger
+from mtjbist.trojan import TrojanSpec
 from oracles import read_trace_rows, write_trace_rows
 
 KATAN_KEY = 0x9E3779B97F4A7C15F39D
@@ -50,15 +47,15 @@ class StubCircuit:
     def toggles(self, patterns):
         return np.tile(np.array([1, 2, 1], dtype=np.int64), (len(patterns), 1))
 
-    def activation_steps(self, pattern):
-        return ()
+    def fires(self, pattern):
+        return False
 
 
 class ActiveStub(StubCircuit):
     trigger_toggles = 5
 
-    def activation_steps(self, pattern):
-        return (2,)
+    def fires(self, pattern):
+        return True
 
 
 def test_toggle_profile_counts_flipped_bits():
@@ -118,15 +115,16 @@ def test_activation_spike_dwarfs_nominal_activity():
 def test_dormant_trojan_trace_is_bit_identical():
     clean = CrcDecoderCircuit()
     infected = TrojanCrcDecoderCircuit()
-    dormant = next(p for p in range(256) if not crc_trigger(encode(p, CRC8)))
-    a = simulate_trace(clean, dormant, NORMAL, noise_sigma=0.0)
-    b = simulate_trace(infected, dormant, TROJAN, noise_sigma=0.0)
+    dormant = next(p for p in range(256) if not infected.fires(p))
+    noiseless = TraceParams(noise_sigma=0.0)
+    a = simulate_trace(clean, dormant, NORMAL, params=noiseless)
+    b = simulate_trace(infected, dormant, TROJAN, params=noiseless)
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_noise_is_seeded_gaussian():
     params = TraceParams(n_samples=100)
-    noiseless = simulate_trace(StubCircuit(), 0, NORMAL, noise_sigma=0.0, params=params)
+    noiseless = simulate_trace(StubCircuit(), 0, NORMAL, params=TraceParams(n_samples=100, noise_sigma=0.0))
     noisy = simulate_trace(StubCircuit(), 0, NORMAL, seed=42, params=params)
     expected = noiseless.samples + np.random.default_rng(42).normal(0.0, 0.05, 100)
     assert np.array_equal(noisy.samples, expected)
@@ -166,8 +164,6 @@ def test_trace_validation():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 TraceParams(**{name: bad})
-    with pytest.raises(ValueError, match="finite"):
-        simulate_trace(StubCircuit(), 0, NORMAL, noise_sigma=np.nan, params=TraceParams(n_samples=100))
 
 
 def dataset(samples, patterns=None, dt=0.1, pattern_bits=4):
@@ -242,9 +238,9 @@ def test_build_dataset_per_trace_noise_seeds():
         (CrcDecoderCircuit(), NORMAL, None),
         (CrcDecoderCircuit(), Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=-0.15), None),
         (CrcDecoderCircuit(), Condition(ConditionKind.TEMPERATURE, temperature_c=87.5), None),
-        (CRC_TROJAN, TROJAN, lambda p: crc_trigger(encode(p, CRC8))),
+        (CRC_TROJAN, TROJAN, CRC_TROJAN.fires),
         (KatanCircuit(KATAN_KEY), Condition(ConditionKind.TEMPERATURE, temperature_c=33.0), None),
-        (KATAN_TROJAN, TROJAN, lambda p: katan_trigger(p, KATAN_KEY, TrojanSpec())),
+        (KATAN_TROJAN, TROJAN, KATAN_TROJAN.fires),
     ]
     for circ, condition, pattern_filter in cases:
         ds = build_dataset(circ, condition, n_patterns=4, seed=9, pattern_filter=pattern_filter)
@@ -255,9 +251,8 @@ def test_build_dataset_per_trace_noise_seeds():
             again = simulate_trace(circ, int(pattern), condition, seed=9 ^ i)
             assert np.array_equal(row, again.samples)
             if pattern_filter is not None:
-                step = circ.n_steps - 1
-                assert circ.activation_steps(int(pattern)) == (step,)
-                assert row[step] > DEFAULT_PARAMS.spike_gain
+                assert circ.fires(int(pattern))
+                assert row[circ.n_steps - 1] > DEFAULT_PARAMS.spike_gain
 
 
 def test_build_dataset_computes_toggles_in_one_call():
@@ -286,9 +281,8 @@ def test_toggle_rows_of_wrong_shape_rejected():
 
 def test_build_dataset_honours_pattern_filter():
     circ = TrojanCrcDecoderCircuit()
-    trig = lambda p: crc_trigger(encode(p, CRC8))
-    ds = build_dataset(circ, TROJAN, n_patterns=10, seed=5, pattern_filter=trig)
-    assert all(trig(int(p)) for p in ds.patterns)
+    ds = build_dataset(circ, TROJAN, n_patterns=10, seed=5, pattern_filter=circ.fires)
+    assert all(circ.fires(int(p)) for p in ds.patterns)
 
 
 def test_trace_csv_round_trip_is_exact(tmp_path):
