@@ -299,19 +299,64 @@ def write_trace_csv(trace: CurrentTrace, path) -> None:
     _write_samples_csv(path, _time_column(trace.dt, len(trace.samples)), trace.samples)
 
 
+@functools.lru_cache(maxsize=4)
+def _time_strings(dt: float, n: int) -> list[str]:
+    """The time field of each of n rows as the writer formats it; read only."""
+    return [t[:-1] for t in _time_column(dt, n)]
+
+
+# str.splitlines() breaks a line at these as well as at "\n", and float()
+# strips them from the ends of a field
+_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_written_body(body: str, dt: float | None, n_samples: int | None) -> CurrentTrace | None:
+    """The trace of a body whose times are exactly the writer's, parsing only
+    the currents; None for any other body."""
+    # a comma after every newline: a field ends in "\n" exactly where its row
+    # does, so 2n + 1 fields, the n even ones before the last the writer's
+    # times and the last one empty, are n rows of one time and one current
+    text = body.replace("\n", "\n,")
+    n = len(text) - len(body)  # the newlines
+    fields = text.split(",")
+    if (len(fields) != 2 * n + 1 or fields[-1] or n < MIN_TRACE_SAMPLES or n_samples not in (None, n)
+            or any(map(body.__contains__, _OTHER_LINE_BREAKS))):
+        return None
+    try:
+        step = float(fields[2] if dt is None else dt)
+    except ValueError:
+        return None
+    # the chained comparison is False for nan
+    if not 0 < step < float("inf") or fields[0:-1:2] != _time_strings(step, n):
+        return None
+    try:
+        # np.array parses each string as float() does, its "\n" included
+        return CurrentTrace(step, np.array(fields[1::2], dtype=float))
+    except ValueError:
+        return None  # a current that float() rejects or that is not finite
+
+
 def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) -> CurrentTrace:
     """A trace CSV whose row i is at time i * step, the step being its first.
 
     A given dt or n_samples is the geometry the trace must have: its step
     must equal dt to DT_RTOL, and it must hold n_samples rows. Every error
     names the file and the line.
+
+    A file whose time column is the writer's text for its geometry, taking
+    the step from dt or else from the second row, is read without parsing a
+    time. Any other file takes the general path below, with the same result.
     """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ValueError(f"{path}:1: unexpected header {header!r}")
-        # one read and split is cheaper than iterating the file line by line
-        lines = fh.read().splitlines()
+        body = fh.read()
+    trace = _read_written_body(body, dt, n_samples)
+    if trace is not None:
+        return trace
+    # one read and split is cheaper than iterating the file line by line
+    lines = body.splitlines()
 
     def line(k: int) -> int:
         """File line of data row k, found only when an error needs it; past the end, the line after the last."""
@@ -420,7 +465,7 @@ def read_dataset(dirpath) -> Dataset:
     try:
         kind_line, kind = kv.pop("condition.kind")
         n, seed, dt = (kv.pop(key)[1] for key in ("n_traces", "seed", "dt_ns"))
-        files = [kv.pop(f"trace.{i}.file")[1] for i in range(n)]
+        files = [kv.pop(f"trace.{i}.file") for i in range(n)]
         patterns = [kv.pop(f"trace.{i}.pattern") for i in range(n)]
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
@@ -432,11 +477,18 @@ def read_dataset(dirpath) -> Dataset:
         raise ValueError(f"{path}:{ln}: unknown key {key!r}, n_traces is {n}")
     parse_pattern = functools.partial(parse_hex, width=bits)
     patterns = [parse_at(path, ln, f"trace.{i}.pattern", parse_pattern, text) for i, (ln, text) in enumerate(patterns)]
+    first_use: dict[str, int] = {}
+    for i, (ln, name) in enumerate(files):
+        if name in ("", ".", "..") or name != os.path.basename(name):
+            raise ValueError(f"{path}:{ln}: bad value for trace.{i}.file: {name!r} is not a file name in the directory")
+        if name in first_use:
+            raise ValueError(f"{path}:{ln}: bad value for trace.{i}.file: {name!r} is also trace.{first_use[name]}.file")
+        first_use[name] = i
     try:
         condition = Condition(kind, pv_length_fraction=pv, temperature_c=temperature)
     except ValueError as exc:
         raise ValueError(f"{path}:{kind_line}: {exc}") from None
     rows: list[np.ndarray] = []
-    for fname in files:
+    for _, fname in files:
         rows.append(read_trace_csv(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None).samples)
     return Dataset(condition, seed, circuit, bits, dt, patterns, np.array(rows))

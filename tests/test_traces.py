@@ -355,15 +355,23 @@ def _manifest_2_traces(tmp_path):
     ({11: "trace.00.file = trace_000.csv"}, 11, "unknown key 'trace.00.file'"),
     ({11: "trace.0.name = x"}, 11, "unknown key 'trace.0.name'"),
     ({6: "", 11: "circuit"}, 11, "expected 'key = value', got 'circuit'"),
+    # each of these three used to be read: a trace file must be its own entry in the directory
+    ({9: "trace.1.file = ../outside.csv"}, 9,
+     "bad value for trace.1.file: '../outside.csv' is not a file name in the directory"),
+    ({9: "trace.1.file = {ds}/trace_001.csv"}, 9, "trace_001.csv' is not a file name in the directory"),
+    ({9: "trace.1.file = trace_000.csv"}, 9, "bad value for trace.1.file: 'trace_000.csv' is also trace.0.file"),
 ], ids=["n-abc", "n-zero", "n-negative", "seed-float", "pattern-zz", "pattern-too-wide", "pattern-negative",
         "bits-64", "dt-nan", "dt-zero", "kind", "condition-parameter", "unknown", "duplicate",
-        "index-beyond-n", "index-not-canonical", "unknown-field", "no-equals"])
+        "index-beyond-n", "index-not-canonical", "unknown-field", "no-equals",
+        "file-outside", "file-absolute", "file-repeated"])
 def test_read_dataset_bad_manifest_line_names_it(tmp_path, edits, line, message):
     manifest = _manifest_2_traces(tmp_path)
+    # a readable trace just outside the dataset directory
+    (tmp_path / "outside.csv").write_bytes((tmp_path / "ds" / "trace_001.csv").read_bytes())
     lines = manifest.read_text().splitlines()
     assert len(lines) == 10
     for ln, text in sorted(edits.items()):
-        lines[ln - 1:ln] = [text]
+        lines[ln - 1:ln] = [text.replace("{ds}", str(tmp_path / "ds"))]
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}:{line}: .*{re.escape(message)}"):
         read_dataset(tmp_path / "ds")
@@ -593,3 +601,83 @@ def test_read_trace_csv_reads_near_valid_text_as_the_row_loop(header, case):
 @given(lines=st.lists(st.text(max_size=20), max_size=120))
 def test_read_trace_csv_reads_arbitrary_text_as_the_row_loop(lines):
     _assert_read_as_the_row_loop_reads("\n".join(["time_ns,current_uA", *lines]))
+
+
+# str.splitlines() breaks a line at each of these, float() strips them
+_LINE_BREAKS_BUT_NEWLINE = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def _written_trace_off_by_one_edit(draw):
+    """Text of a trace as write_trace_csv writes it, taken off the writer's
+    form by one edit, and a geometry (dt, n_samples) to read it against."""
+    n = MIN_TRACE_SAMPLES + draw(st.sampled_from([0, 1, 27]))
+    dt = draw(st.sampled_from([0.1, 0.25, 1e-3, 3.0, 0.123456789012]))
+    samples = draw(st.lists(_SAMPLES, min_size=n, max_size=n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_trace_csv(CurrentTrace(dt, samples), path)
+        text = path.read_text()
+    header, *rows = text.splitlines()
+    k = draw(st.integers(0, n - 2))
+    t, v = rows[k].split(",")
+    edit = draw(st.sampled_from(["time-digit", "no-newline", "crlf", "line-break", "swapped-separators",
+                                 "unterminated-row"]))
+    if edit == "time-digit":
+        rows[k] = f"{t[:-1]}{draw(st.sampled_from('0123456789').filter(lambda d: d != t[-1]))},{v}"
+    elif edit == "no-newline":
+        # row k runs into row k + 1, or the last row ends the file
+        k = draw(st.sampled_from([k, n - 1]))
+        rows[k:k + 2] = ["".join(rows[k:k + 2])]
+    elif edit == "line-break":
+        c = draw(st.sampled_from(_LINE_BREAKS_BUT_NEWLINE))
+        rows[k] = draw(st.sampled_from([f"{t},{c}{v}", f"{t},{v}{c}"]))
+    elif edit == "swapped-separators":
+        # the next row's time closes this row and its current stands alone
+        t_next, v_next = rows[k + 1].split(",")
+        rows[k:k + 2] = [f"{rows[k]},{t_next}", v_next]
+    eol = "\r\n" if edit == "crlf" else "\n"
+    text = eol.join([header, *rows]) + (eol if edit != "no-newline" or k < n - 1 else "")
+    if edit == "unterminated-row":
+        # one more row, of one field or two, after the last newline
+        text += draw(st.sampled_from(["4.0", f"{len(rows) * dt!r},4.0", "x"]))
+    geometry = draw(st.sampled_from([(None, None), (dt, None), (dt, n), (0.1, None), (None, n + 1)]))
+    return text, geometry
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_written_trace_off_by_one_edit())
+def test_read_trace_csv_reads_a_written_trace_with_one_edit_as_the_row_loop(case):
+    text, geometry = case
+    _assert_read_as_the_row_loop_reads(text, *geometry)
+
+
+def test_read_dataset_of_a_dt_whose_manifest_form_drops_digits(tmp_path, monkeypatch):
+    # the manifest keeps dt_ns = 0.123456789, the files step by 0.123456789012
+    ds = build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=3, seed=2, params=TraceParams(dt=0.123456789012))
+    write_dataset(ds, tmp_path / "ds")
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    back = read_dataset(tmp_path / "ds")
+    assert len(calls) == len(ds)
+    assert back.dt == 0.123456789
+    assert back.samples.tobytes() == ds.samples.tobytes()
+    for i in range(len(ds)):
+        assert read_trace_rows(tmp_path / "ds" / f"trace_{i:03d}.csv", back.dt) == (ds.dt, ds.samples[i].tolist())
+
+
+def test_written_traces_are_read_without_loadtxt(tmp_path, monkeypatch):
+    ds = build_dataset(KATAN_TROJAN, TROJAN, n_patterns=3, seed=5, pattern_filter=KATAN_TROJAN.fires)
+    write_dataset(ds, tmp_path / "ds")
+    reference = simulate_trace(KatanCircuit(KATAN_KEY), 7, NORMAL, params=TraceParams(dt=0.3, n_samples=300))
+    write_trace_csv(reference, tmp_path / "reference.csv")
+
+    def fail(*args, **kw):
+        raise AssertionError("a written trace fell through to np.loadtxt")
+
+    monkeypatch.setattr(np, "loadtxt", fail)
+    back = read_dataset(tmp_path / "ds")
+    assert (back.dt, back.samples.tobytes()) == (ds.dt, ds.samples.tobytes())
+    trace = read_trace_csv(tmp_path / "reference.csv")
+    assert (trace.dt, trace.samples.tobytes()) == (0.3, reference.samples.tobytes())
