@@ -23,30 +23,23 @@ alone, so cell i faults (reads back its stale state) exactly when
 where delay_i = switching_delay(tm_actual_i, state_i -> 1 - state_i). The
 sensed word is the launched word XOR the fault vector. The receiver's
 zero-init remainder is GF(2)-linear and the launched word is a codeword, so
-the remainder of the sensed word is the XOR of the faulted cells' syndrome
-columns, column i being the remainder of the word with only cell i's bit
-set; the error flag fires iff that XOR is nonzero. A pattern enters only
-through its toggle mask and a clock only through its mask of cells still
-switching at the sample edge, so all patterns x clocks x cells are one
-broadcast of the two masks, and all flags one product with the syndrome
-matrix. The check value is GF(2)-linear in the data too, so all patterns
-are encoded by one product with the generator matrix. Both matrices are
-built once per CrcConfig.
+the error flag fires iff the fault vector's syndrome is nonzero. A pattern
+enters only through its toggle mask and a clock only through its mask of
+cells still switching at the sample edge, so all patterns x clocks x cells
+are one broadcast of the two masks. crc.py encodes all patterns and takes
+all syndromes, each in one GF(2) product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
-
-from .crc import _validate
 
 # perfbench's traced run hooks bist.run_bist, frequency_sweep, encode, verify,
 # apply_bit and sense by module attribute, so they stay importable here until
 # the next benchmark change re-hooks the kernel (ROADMAP 2)
-from .crc import CrcConfig, Message, crc_remainder, encode, verify  # noqa: F401
+from .crc import CrcConfig, codewords, encode, syndromes, verify  # noqa: F401
 from .mtj import MtjCell, MtjDelayModel, apply_bit, is_malicious, sense, switching_delay  # noqa: F401
 
 
@@ -148,48 +141,6 @@ def inject_attack(array: list[MtjCell], spec: AttackSpec) -> list[MtjCell]:
     return out
 
 
-def _bits(values, width: int) -> np.ndarray:
-    """(len(values), width) uint8: column k holds bit k of each value, for
-    values that fit in width bits, however wide."""
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in values), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(-1, nbytes), axis=-1, count=width, bitorder="little")
-
-
-@lru_cache(maxsize=32)
-def _syndrome_matrix(crc: CrcConfig) -> np.ndarray:
-    """(n, g) read-only bits of each cell's syndrome column.
-
-    Column i is the receiver remainder of the word with only cell i's bit
-    set: data cell i is bit g + i of data||check, check cell j is bit j.
-    """
-    d, g = crc.data_width, crc.check_width
-    out = _bits([crc_remainder(1 << pos, d + g, crc) for pos in [*range(g, g + d), *range(g)]], g)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _generator_matrix(crc: CrcConfig) -> np.ndarray:
-    """(d, g) read-only bits: row i is the check value of data bit i alone."""
-    d, g = crc.data_width, crc.check_width
-    out = _bits([crc_remainder(1 << i, d, crc) for i in range(d)], g)
-    out.setflags(write=False)
-    return out
-
-
-def _codewords(patterns: list[int], crc: CrcConfig) -> np.ndarray:
-    """(P, n) bool launched bits of each pattern's codeword, one cell per bit:
-    cells 0..d-1 carry data bits 0..d-1 (bit i is the 2^i coefficient),
-    cells d..d+g-1 carry the check bits the same way."""
-    for p in patterns:
-        _validate(p, crc.data_width)
-    data = _bits(patterns, crc.data_width)
-    # uint8 sums wrap modulo 256, which keeps their parity
-    check = (data @ _generator_matrix(crc)) & 1
-    return np.hstack([data, check]).astype(bool)
-
-
 def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockConfig], crc: CrcConfig,
                  model: MtjDelayModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pattern at every clock on the same array, in closed form.
@@ -209,14 +160,13 @@ def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockCo
             )
     state = np.array([c.state for c in array], dtype=bool)
     delay = np.array([switching_delay(model, c.tm_actual, (int(c.state), 1 - int(c.state))) for c in array])
-    launched = _codewords(patterns, crc)
+    launched = codewords(patterns, crc)
     launch = np.array([c.launch_time for c in clocks]).reshape(-1, 1)
     sample = np.array([c.sample_time for c in clocks]).reshape(-1, 1)
     # (H, n): cells that, once toggled, are still switching at the sample edge
     slow = sample < launch + delay
     faults = (launched != state) & slow[:, None, :]
-    # uint8 sums wrap modulo 256, which keeps their parity
-    flags = ((faults.astype(np.uint8) @ _syndrome_matrix(crc)) & 1).any(axis=-1)
+    flags = syndromes(faults, crc).any(axis=-1)
     return launched, faults, flags
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crc import CrcConfig, encode, decoder_register_states
+from .crc import CrcConfig, encode, register_timelines
 from .katan import KEY_BITS, N_ROUNDS, BLOCK_BITS, core_states, key_window_toggles
 from .trojan import TrojanSpec, crc_trigger, katan_trigger
 
@@ -42,12 +42,9 @@ class CrcDecoderCircuit:
         return self.config.data_width + self.config.check_width
 
     def toggles(self, patterns) -> np.ndarray:
-        rows = []
-        for pattern in patterns:
-            msg = encode(pattern, self.config)
-            states = decoder_register_states(msg.packed(self.config), self.n_steps, self.config)
-            rows.append([(a ^ b).bit_count() for a, b in zip(states, states[1:])])
-        return np.array(rows, dtype=np.int64).reshape(len(rows), self.n_steps)
+        """Register popcounts of consecutive states, every pattern in one product."""
+        states = register_timelines(patterns, self.config)
+        return (states[:, 1:] != states[:, :-1]).sum(axis=-1, dtype=np.int64)
 
     def fires(self, pattern: int) -> bool:
         return False

@@ -25,7 +25,7 @@ from .detector import (
     score,
     threshold_from_reference,
 )
-from .textio import finite_float, parse_at, records, split_list
+from .textio import finite_float, parse_at, read_text, records, split_list
 from .traces import (
     NORMAL,
     TROJAN,
@@ -292,17 +292,16 @@ def cmd_detect_eval(args, config: ExperimentConfig) -> int:
 def cmd_detect_score(args, config: ExperimentConfig) -> int:
     path = args.evaluation
     values = []
-    with open(path) as fh:
-        rows = records(fh)
-        ln, header = next(rows, (1, ""))
-        columns = header.split(",")
-        if "value" not in columns:
-            raise ValueError(f"{path}:{ln}: no 'value' column")
-        for ln, text in rows:
-            row = text.split(",")
-            if len(row) != len(columns):
-                raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
-            values.append(parse_at(path, ln, "value", finite_float, row[columns.index("value")]))
+    rows = records(read_text(path).split("\n"))
+    ln, header = next(rows, (1, ""))
+    columns = header.split(",")
+    if "value" not in columns:
+        raise ValueError(f"{path}:{ln}: no 'value' column")
+    for ln, text in rows:
+        row = text.split(",")
+        if len(row) != len(columns):
+            raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
+        values.append(parse_at(path, ln, "value", finite_float, row[columns.index("value")]))
     try:
         signal = EvaluationSignal(np.array(values))
     except ValueError as exc:
@@ -361,10 +360,10 @@ def cmd_exp2(args, config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # report: summarize any file this tool writes
 
-def _report_csv(path) -> None:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+def _report_csv(path, text: str) -> None:
+    first, _, rest = text.partition("\n")
+    header = first.strip().split(",")
+    rows = [line.strip().split(",") for line in rest.split("\n") if line.strip()]
     print(f"{path}: {len(rows)} rows, columns {header}")
     for j, col in enumerate(header):
         cells = [r[j] for r in rows if j < len(r)]
@@ -381,9 +380,8 @@ def _report_csv(path) -> None:
             print(f"  {col}: min {min(nums):.6g}, max {max(nums):.6g}, mean {sum(nums) / len(nums):.6g}")
 
 
-def _report_kv(path) -> None:
-    with open(path) as fh:
-        lines = [line.rstrip() for line in fh if line.strip()]
+def _report_kv(path, text: str) -> None:
+    lines = [line.rstrip() for line in text.split("\n") if line.strip()]
     print(f"{path}: {len(lines)} entries")
     for line in lines[:40]:
         print(f"  {line}")
@@ -391,12 +389,11 @@ def _report_kv(path) -> None:
 
 def cmd_report(args, config: ExperimentConfig) -> int:
     for path in args.files:
-        with open(path) as fh:
-            first = fh.readline()
-        if "," in first:
-            _report_csv(path)
+        text = read_text(path)
+        if "," in text.partition("\n")[0]:
+            _report_csv(path, text)
         else:
-            _report_kv(path)
+            _report_kv(path, text)
     return 0
 
 

@@ -26,7 +26,7 @@ from .bits import parse_hex
 from .crc import CrcConfig
 from .detector import DEFAULT_SENSITIVITY, SENSITIVITY_LEVELS
 from .mtj import MtjDelayModel
-from .textio import checked, finite_float, read_kv, split_list
+from .textio import checked, finite_float, read_kv, read_text, split_list
 from .traces import TraceParams
 from .trojan import TrojanSpec
 
@@ -140,5 +140,4 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    return parse_config_text(read_text(path), source=str(path))

@@ -8,11 +8,21 @@ raises the error flag on any nonzero result.
 
 Polynomials are stored without the implicit leading x^g term: the default
 x^8 + x^2 + x + 1 is poly=0x07 with check_width=8.
+
+decoder_register_states is the one definition of the arithmetic. Its step
+is GF(2)-linear in the register and the message bit jointly, so a timeline
+is the zero word's timeline from the reset state XOR the zero-init
+timelines of the message's set bits. Those unit timelines, built once per
+CrcConfig, give every batched map: the check value (the register after the
+d data bits), the syndromes (after all n bits) and register_timelines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -99,3 +109,52 @@ def decoder_register_states(message_bits: int, nbits: int, config: CrcConfig, in
         reg = ((reg << 1) & mask) ^ (config.poly if fb else 0)
         states.append(reg)
     return states
+
+
+def _bits(values, width: int) -> np.ndarray:
+    """(len(values), width) uint8: column k holds bit k of each value, for
+    values that fit in width bits, however wide."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(int(v).to_bytes(nbytes, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=-1, count=width, bitorder="little")
+
+
+@lru_cache(maxsize=32)
+def _unit_timelines(config: CrcConfig) -> np.ndarray:
+    """(n, n+1, g) read-only bits: row c is the zero-init register timeline of
+    the codeword-length word with only cell c's bit set, cells ordered as in
+    codewords (data cell i is bit g + i of data||check, check cell j bit j)."""
+    d, g = config.data_width, config.check_width
+    n = d + g
+    out = np.stack([_bits(decoder_register_states(1 << pos, n, config, init=0), g)
+                    for pos in [*range(g, n), *range(g)]])
+    out.setflags(write=False)
+    return out
+
+
+def codewords(patterns, config: CrcConfig) -> np.ndarray:
+    """(P, n) bool bits of each pattern's codeword, one cell per bit: cells
+    0..d-1 carry data bits 0..d-1 (bit i is the 2^i coefficient), cells
+    d..d+g-1 carry the check bits the same way."""
+    d = config.data_width
+    for p in patterns:
+        _validate(p, d)
+    data = _bits(patterns, d)
+    # uint8 sums wrap modulo 256, which keeps their parity
+    check = (data @ _unit_timelines(config)[:d, d]) & 1
+    return np.hstack([data, check]).astype(bool)
+
+
+def syndromes(words: np.ndarray, config: CrcConfig) -> np.ndarray:
+    """(..., g) uint8 bits of the zero-init receiver remainder of each (..., n)
+    word of cell bits; a codeword's is zero."""
+    return (words.astype(np.uint8) @ _unit_timelines(config)[:, -1]) & 1
+
+
+def register_timelines(patterns, config: CrcConfig) -> np.ndarray:
+    """(P, n+1, g) uint8 bits of the receiver register, from the reset state,
+    while each pattern's codeword shifts in: decoder_register_states of the
+    packed codeword, for all patterns in one product."""
+    n, g = config.data_width + config.check_width, config.check_width
+    flat = (codewords(patterns, config).astype(np.uint8) @ _unit_timelines(config).reshape(n, -1)) & 1
+    return flat.reshape(-1, n + 1, g) ^ _bits(decoder_register_states(0, n, config), g)

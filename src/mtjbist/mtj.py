@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .textio import records, split_list
+from .textio import read_text, records, split_list
 
 
 @dataclass(frozen=True)
@@ -161,21 +161,20 @@ def load_array(path) -> list[MtjCell]:
     ordering in the file is free.
     """
     rows: dict[int, float] = {}
-    with open(path) as fh:
-        for ln, text in records(fh):
-            parts = split_list(text)
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'index tm_actual', got {text!r}")
-            try:
-                idx, tm = int(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: expected an integer index and a number, got {text!r}") from None
-            # the chained comparison is False for nan
-            if not 0 < tm < float("inf"):
-                raise ValueError(f"{path}:{ln}: tm_actual must be positive and finite, got {parts[1]!r}")
-            if idx in rows:
-                raise ValueError(f"{path}:{ln}: duplicate cell index {idx}")
-            rows[idx] = tm
+    for ln, text in records(read_text(path).split("\n")):
+        parts = split_list(text)
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{ln}: expected 'index tm_actual', got {text!r}")
+        try:
+            idx, tm = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: expected an integer index and a number, got {text!r}") from None
+        # the chained comparison is False for nan
+        if not 0 < tm < float("inf"):
+            raise ValueError(f"{path}:{ln}: tm_actual must be positive and finite, got {parts[1]!r}")
+        if idx in rows:
+            raise ValueError(f"{path}:{ln}: duplicate cell index {idx}")
+        rows[idx] = tm
     if not rows:
         raise ValueError(f"{path}: no cells")
     if sorted(rows) != list(range(len(rows))):

@@ -1,12 +1,34 @@
 """The line syntax of every hand-editable input: the run config, the dataset
 manifest, the array table and the evaluation CSV. ``#`` starts a comment,
 blank lines are skipped but counted, list items are separated by commas
-and/or whitespace, and every error reads ``source:line: ...``.
+and/or whitespace, and every error reads ``source:line: ...``. Every input
+file, trace CSVs included, is read through read_text.
 """
 
 from __future__ import annotations
 
 import math
+
+
+def read_text(path) -> str:
+    """The file as UTF-8 text, in one text-mode read (newlines become ``\\n``).
+
+    A byte that is not UTF-8 raises ``path:line: not UTF-8 text``; the line
+    is found only then, by re-reading the bytes.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    # count lines as the text read does: \r\n, \r and \n each end one
+    line = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+    raise ValueError(f"{path}:{line}: not UTF-8 text")
 
 
 def records(lines):

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .bits import parse_hex, to_hex
-from .textio import checked, finite_float, parse_at, read_kv
+from .textio import checked, finite_float, parse_at, read_kv, read_text
 
 MIN_TRACE_SAMPLES = 100
 
@@ -347,11 +347,9 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
     the step from dt or else from the second row, is read without parsing a
     time. Any other file takes the general path below, with the same result.
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"{path}:1: unexpected header {header!r}")
-        body = fh.read()
+    header, _, body = read_text(path).partition("\n")
+    if header.strip() != TRACE_HEADER:
+        raise ValueError(f"{path}:1: unexpected header {header.strip()!r}")
     trace = _read_written_body(body, dt, n_samples)
     if trace is not None:
         return trace
@@ -458,9 +456,8 @@ def read_dataset(dirpath) -> Dataset:
     """A dataset directory; every trace CSV must step by the manifest's dt_ns
     and hold as many samples as the first."""
     path = os.path.join(dirpath, "manifest")
-    with open(path) as fh:
-        kv = read_kv(fh.read().splitlines(), path,
-                     lambda key: str if key.startswith("trace.") else MANIFEST_KEYS.get(key))
+    kv = read_kv(read_text(path).splitlines(), path,
+                 lambda key: str if key.startswith("trace.") else MANIFEST_KEYS.get(key))
     # keys are popped as they are used, so any key left over is unknown
     try:
         kind_line, kind = kv.pop("condition.kind")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,38 @@ def test_crc_circuit_states_follow_decoder_register():
     rows = circ.toggles(patterns)
     assert rows.dtype == np.int64
     assert rows.tolist() == [toggle_profile(circ, p).tolist() for p in patterns]
+
+
+@st.composite
+def crc_configs(draw):
+    """Data widths 1-40, check widths 1-16, any polynomial, and a receiver
+    reset state of all ones (None), zero or any value."""
+    g = draw(st.integers(1, 16))
+    init = draw(st.one_of(st.none(), st.just(0), st.integers(0, (1 << g) - 1)))
+    return CrcConfig(poly=draw(st.integers(1, (1 << g) - 1)), check_width=g,
+                     data_width=draw(st.integers(1, 40)), receiver_init=init)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_crc_toggles_match_register_loop(data):
+    config = data.draw(crc_configs())
+    d, n = config.data_width, config.data_width + config.check_width
+    patterns = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=12))
+    circ, trojan = CrcDecoderCircuit(config), TrojanCrcDecoderCircuit(config)
+    rows = circ.toggles(patterns)
+    assert rows.dtype == np.int64
+    assert rows.shape == (len(patterns), n)
+    assert rows.tolist() == [_hamming(decoder_register_states(encode(p, config).packed(config), n, config))
+                             for p in patterns]
+    assert circ.toggles([]).shape == (0, n)
+    for p in patterns:
+        assert trojan.fires(p) is crc_trigger(encode(p, config))
+    bad = data.draw(st.sampled_from([-1, 1 << d]))
+    with pytest.raises(ValueError) as expected:
+        encode(bad, config)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        circ.toggles([*patterns, bad])
 
 
 def test_crc_circuit_shape_and_name():

@@ -468,6 +468,35 @@ def test_report_handles_csv_and_manifest(tmp_path, capsys):
     assert "condition.kind = normal" in out
 
 
+# format -> (file under tmp_path, command reading it); the trace and the
+# manifest come from a 2-trace dataset, the others are written here
+NOT_UTF8_INPUTS = {
+    "trace": ("ds/trace_001.csv", ["detect", "eval", "{d}", "{d}/trace_000.csv"]),
+    "manifest": ("ds/manifest", ["detect", "eval", "{d}", "{d}/trace_000.csv"]),
+    "config": ("run.conf", ["katan", "enc", "--key", "0" * 20, "--pt", "1", "--config", "{f}"]),
+    "array": ("cells.txt", ["bist", "run", "--array", "{f}"]),
+    "evaluation": ("evaluation.csv", ["detect", "score", "{f}", "--threshold", "1", "--condition", "normal"]),
+    "report": ("evaluation.csv", ["report", "{f}"]),
+}
+
+
+@pytest.mark.parametrize("fmt", NOT_UTF8_INPUTS)
+def test_input_that_is_not_utf8_names_path_and_line(tmp_path, capsys, fmt):
+    name, argv = NOT_UTF8_INPUTS[fmt]
+    assert main(["trace", "gen", "--n", "2", "--out", str(tmp_path), "--name", "ds"]) == 0
+    (tmp_path / "run.conf").write_bytes(b"seed = 2\r\n\r\n")
+    mtj.save_array(tmp_path / "cells.txt", mtj.nominal_array(16))
+    (tmp_path / "evaluation.csv").write_bytes(b"index,value,decision\n0,1.5,accept\n")
+    path = tmp_path / name
+    # the bad byte opens the line after the last; \r\n ends one line, as in text mode
+    line = path.read_text().count("\n") + 1
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    filled = [a.format(d=tmp_path / "ds", f=path) for a in argv]
+    assert main(filled + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8 text\n"
+
+
 def test_config_file_changes_behaviour(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("crc.reference_pattern = 3c\nclock.half_period_ns = 2.5\n")

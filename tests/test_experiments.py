@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtjbist.config import ExperimentConfig
 from mtjbist.crc import encode
@@ -105,6 +107,17 @@ def test_katan_trojan_rejected_and_clean_accepted():
     result = run_katan_identification(small_config())
     assert all(d is Decision.ACCEPT for d in result.decisions["normal"])
     assert all(d is Decision.REJECT for d in result.decisions["trojan"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**63 - 1))
+def test_every_seed_accepts_clean_and_rejects_trojan_traces(seed):
+    # the paper's claim at the default config (n=20), not only at seed 1
+    for run in (run_crc_identification, run_katan_identification):
+        result = run(ExperimentConfig(seed=seed))
+        for name, decisions in result.decisions.items():
+            expected = Decision.REJECT if name == "trojan" else Decision.ACCEPT
+            assert decisions == [expected] * 20, (run.__name__, name)
 
 
 def test_write_experiment_layout(tmp_path):
