@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .crc import CrcConfig, encode, register_timelines
-from .katan import KEY_BITS, N_ROUNDS, BLOCK_BITS, core_states, key_window_toggles
+from .katan import BLOCK_BITS, KEY_BITS, L1_BITS, L2_BITS, N_ROUNDS, core_states, key_window_toggles, window_flips
 from .trojan import TrojanSpec, crc_trigger, katan_trigger
 
 
@@ -85,17 +85,11 @@ class KatanCircuit:
         self.name = "katan32"
 
     def toggles(self, patterns) -> np.ndarray:
-        """Core-state popcounts of all patterns as numpy lanes, plus the key window's flips.
-
-        Only two consecutive states of the batch are alive at any time.
-        """
-        states = core_states(patterns, self.key)
-        prev = next(states)
-        out = np.empty((len(prev), N_ROUNDS), dtype=np.int64)
-        for r, cur in enumerate(states):
-            out[:, r] = np.bitwise_count(prev ^ cur)
-            prev = cur
-        out += key_window_toggles(self.key)
+        """Flips inside the L1, L2 and key windows of all patterns, from their bit streams."""
+        l1, l2 = core_states(patterns, self.key)
+        core = window_flips(l1, L1_BITS) + window_flips(l2, L2_BITS)
+        out = np.empty((l1.shape[1], N_ROUNDS), dtype=np.int64)
+        np.add(core.T, key_window_toggles(self.key), out=out)
         return out
 
     def fires(self, pattern: int) -> bool:

@@ -123,7 +123,7 @@ def _built(source, ln: int, make, *args, **kwargs):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    values = read_kv(text.splitlines(), source, _CONFIG_PARSERS.get)
+    values = read_kv(text.split("\n"), source, _CONFIG_PARSERS.get)
     flat, held, last_line = {}, {}, {}
     for key, (ln, value) in values.items():
         attr, _, name = CONFIG_KEYS[key][0].partition(".")

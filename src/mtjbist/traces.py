@@ -456,7 +456,7 @@ def read_dataset(dirpath) -> Dataset:
     """A dataset directory; every trace CSV must step by the manifest's dt_ns
     and hold as many samples as the first."""
     path = os.path.join(dirpath, "manifest")
-    kv = read_kv(read_text(path).splitlines(), path,
+    kv = read_kv(read_text(path).split("\n"), path,
                  lambda key: str if key.startswith("trace.") else MANIFEST_KEYS.get(key))
     # keys are popped as they are used, so any key left over is unknown
     try:

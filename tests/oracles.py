@@ -84,6 +84,19 @@ def katan_window_flips(key: int, n_rounds: int = 254) -> list[int]:
     return [sum(k[2 * r + i] ^ k[2 * r + 2 + i] for i in range(80)) for r in range(n_rounds)]
 
 
+def katan_stream_states(l1, l2) -> list[int]:
+    """32-bit states of one block read from its L1 and L2 bit streams.
+
+    State r is the 13 L1 positions from r followed by the 19 L2 positions
+    from r, most significant bit first.
+    """
+    states = []
+    for r in range(len(l1) - 12):
+        bits = [int(b) for b in l1[r : r + 13]] + [int(b) for b in l2[r : r + 19]]
+        states.append(int("".join(map(str, bits)), 2))
+    return states
+
+
 def katan32_toggles(plaintext: int, key: int) -> list[int]:
     """Per-round Hamming distance of the 32-bit state plus the key-window flips."""
     states = katan32_states(plaintext, key)

@@ -86,6 +86,13 @@ def test_unknown_key_reports_line_number():
         parse_config_text("seed = 1\n\nclock.frequency = 5\n", source="conf")
 
 
+def test_config_breaks_lines_at_newlines_only():
+    # a form feed is not a line break: the comment's tail stays in the comment
+    assert parse_config_text("# run\f more\nseed = 5\n").seed == 5
+    with pytest.raises(ValueError, match=r"conf:3: bad value for seed"):
+        parse_config_text("# run\f more\n\nseed = x\n", source="conf")
+
+
 def test_bad_value_reports_key_and_line():
     with pytest.raises(ValueError, match=r"<config>:1: bad value for seed"):
         parse_config_text("seed = not-a-number")

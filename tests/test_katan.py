@@ -13,11 +13,23 @@ from mtjbist.katan import (
     encrypt32_batch,
     key_stream,
     key_window_toggles,
+    window_flips,
 )
-from oracles import katan32_encrypt, katan32_states, katan_ir_sequence, katan_key_bits, katan_window_flips
+from oracles import (
+    katan32_encrypt,
+    katan32_states,
+    katan_ir_sequence,
+    katan_key_bits,
+    katan_stream_states,
+    katan_window_flips,
+)
 
 keys = st.integers(0, (1 << 80) - 1)
 blocks = st.integers(0, (1 << 32) - 1)
+# lane counts on both sides of byte, 30-bit int digit and 64-bit word boundaries
+block_lists = st.one_of(st.sampled_from([7, 8, 9, 30, 31, 63, 64, 65]), st.integers(0, 200)).flatmap(
+    lambda n: st.lists(blocks, min_size=n, max_size=n)
+)
 
 ALL_ONES_KEY = (1 << 80) - 1
 
@@ -42,7 +54,8 @@ def test_matches_bit_list_oracle():
 
 
 def _timeline(pt: int, key: int) -> list[int]:
-    return [int(s[0]) for s in core_states([pt], key)]
+    l1, l2 = core_states([pt], key)
+    return katan_stream_states(l1[:, 0], l2[:, 0])
 
 
 def test_round_by_round_states_match_oracle():
@@ -53,10 +66,12 @@ def test_round_by_round_states_match_oracle():
 @settings(max_examples=30, deadline=None)
 @given(keys, st.lists(blocks, min_size=1, max_size=5))
 def test_core_state_lanes_match_oracle(key, pts):
-    lanes = np.array(list(core_states(pts, key)))
-    assert lanes.shape == (N_ROUNDS + 1, len(pts))
+    l1, l2 = core_states(pts, key)
+    assert l1.shape == (13 + N_ROUNDS, len(pts))
+    assert l2.shape == (19 + N_ROUNDS, len(pts))
+    assert l1.dtype == l2.dtype == np.uint8
     for j, pt in enumerate(pts):
-        assert lanes[:, j].tolist() == katan32_states(pt, key)
+        assert katan_stream_states(l1[:, j], l2[:, j]) == katan32_states(pt, key)
 
 
 def test_state_timeline_endpoints():
@@ -103,7 +118,7 @@ def test_batch_matches_scalar():
 
 
 @settings(max_examples=30, deadline=None)
-@given(keys, st.lists(blocks, min_size=1, max_size=8))
+@given(keys, block_lists)
 def test_batch_matches_oracle(key, pts):
     cts = encrypt32_batch(np.array(pts, dtype=np.uint64), key)
     assert cts.dtype == np.uint64
@@ -115,6 +130,9 @@ def test_batch_accepts_empty_array():
     assert cts.shape == (0,)
     assert cts.dtype == np.uint64
     assert encrypt32_batch([], 1).shape == (0,)
+    l1, l2 = core_states([], 1)
+    assert l1.shape == (13 + N_ROUNDS, 0)
+    assert l2.shape == (19 + N_ROUNDS, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,6 +142,19 @@ def test_key_window_prefix_sum_matches_naive_sum(key):
     assert window.dtype == np.int64
     assert window.tolist() == katan_window_flips(key)
     assert not window.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 90), st.integers(1, 3), st.integers(0, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_window_flips_match_naive_count(width, step, extra, n_lanes, seed):
+    stream = np.random.default_rng(seed).integers(0, 2, size=(width + step + extra, n_lanes), dtype=np.uint8)
+    flips = window_flips(stream, width, step)
+    starts = range(0, extra + 1, step)
+    assert flips.shape == (len(starts), n_lanes)
+    for r, start in enumerate(starts):
+        for j in range(n_lanes):
+            naive = sum(int(stream[p, j] != stream[p + step, j]) for p in range(start, start + width))
+            assert flips[r, j] == naive
 
 
 def test_no_collisions_in_large_plaintext_sample():

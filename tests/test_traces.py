@@ -389,6 +389,19 @@ def test_read_dataset_accepts_comments_and_optional_keys(tmp_path):
     assert np.array_equal(back.samples, ds.samples)
 
 
+def test_read_dataset_breaks_lines_at_newlines_only(tmp_path):
+    manifest = _manifest_2_traces(tmp_path)
+    ds = read_dataset(tmp_path / "ds")
+    lines = manifest.read_text().splitlines()
+    # a form feed is not a line break: the comment's tail stays in the comment
+    manifest.write_text("# dataset\f more\n" + "\n".join(lines) + "\n")
+    assert np.array_equal(read_dataset(tmp_path / "ds").samples, ds.samples)
+    lines[2] = "n_traces = abc"
+    manifest.write_text("# dataset\f more\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}:4: bad value for n_traces"):
+        read_dataset(tmp_path / "ds")
+
+
 _CONDITIONS = st.one_of(
     st.sampled_from([NORMAL, TROJAN]),
     st.integers(-200, 200).map(lambda k: Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=k / 1000)),
