@@ -107,6 +107,14 @@ def test_katan_circuit_matches_round_trace():
         assert toggle_profile(circ, pattern).tolist() == row.tolist()
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, (1 << 80) - 1), st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=4))
+def test_katan_toggles_match_oracle(key, patterns):
+    rows = KatanCircuit(key).toggles(patterns)
+    assert rows.shape == (len(patterns), 254)
+    assert [row.tolist() for row in rows] == [katan32_toggles(p, key) for p in patterns]
+
+
 # lane counts on both sides of byte, 30-bit int digit and 64-bit word boundaries
 @settings(max_examples=12, deadline=None)
 @given(
@@ -115,7 +123,7 @@ def test_katan_circuit_matches_round_trace():
         lambda n: st.lists(st.integers(0, (1 << 32) - 1), min_size=n, max_size=n)
     ),
 )
-def test_katan_toggles_match_oracle(key, patterns):
+def test_katan_toggles_match_oracle_across_lane_boundaries(key, patterns):
     rows = KatanCircuit(key).toggles(patterns)
     assert rows.shape == (len(patterns), 254)
     assert [row.tolist() for row in rows] == [katan32_toggles(p, key) for p in patterns]

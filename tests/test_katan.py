@@ -118,10 +118,18 @@ def test_batch_matches_scalar():
 
 
 @settings(max_examples=30, deadline=None)
-@given(keys, block_lists)
+@given(keys, st.lists(blocks, min_size=1, max_size=8))
 def test_batch_matches_oracle(key, pts):
     cts = encrypt32_batch(np.array(pts, dtype=np.uint64), key)
     assert cts.dtype == np.uint64
+    assert cts.tolist() == [katan32_encrypt(pt, key) for pt in pts]
+
+
+@settings(max_examples=15, deadline=None)
+@given(keys, block_lists)
+def test_batch_matches_oracle_across_lane_boundaries(key, pts):
+    cts = encrypt32_batch(np.array(pts, dtype=np.uint64), key)
+    assert cts.shape == (len(pts),)
     assert cts.tolist() == [katan32_encrypt(pt, key) for pt in pts]
 
 
@@ -155,6 +163,14 @@ def test_window_flips_match_naive_count(width, step, extra, n_lanes, seed):
         for j in range(n_lanes):
             naive = sum(int(stream[p, j] != stream[p + step, j]) for p in range(start, start + width))
             assert flips[r, j] == naive
+
+
+def test_window_flips_count_past_a_byte():
+    # every position flips, so each 300-wide window holds 300 flips
+    stream = np.tile(np.array([[0], [1]], dtype=np.uint8), (200, 2))
+    flips = window_flips(stream, 300)
+    assert flips.shape == (100, 2)
+    assert (flips == 300).all()
 
 
 def test_no_collisions_in_large_plaintext_sample():
