@@ -25,7 +25,7 @@ from .detector import (
     score,
     threshold_from_reference,
 )
-from .textio import finite_float, parse_at, read_text, records, split_list
+from .textio import checked, finite_float, parse_at, read_text, records, split_list
 from .traces import (
     NORMAL,
     TROJAN,
@@ -297,11 +297,12 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
     columns = header.split(",")
     if "value" not in columns:
         raise ValueError(f"{path}:{ln}: no 'value' column")
+    parse_value = checked(finite_float, lambda v: v >= 0, "must be >= 0")
     for ln, text in rows:
         row = text.split(",")
         if len(row) != len(columns):
             raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
-        values.append(parse_at(path, ln, "value", finite_float, row[columns.index("value")]))
+        values.append(parse_at(path, ln, "value", parse_value, row[columns.index("value")]))
     try:
         signal = EvaluationSignal(np.array(values))
     except ValueError as exc:

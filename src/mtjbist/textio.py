@@ -11,24 +11,20 @@ import math
 
 
 def read_text(path) -> str:
-    """The file as UTF-8 text, in one text-mode read (newlines become ``\\n``).
+    """The file as UTF-8 text, in one binary read; \\r\\n and \\r become ``\\n``
+    as in a text-mode read.
 
-    A byte that is not UTF-8 raises ``path:line: not UTF-8 text``; the line
-    is found only then, by re-reading the bytes.
+    A byte that is not UTF-8 raises ``path:line: not UTF-8 text``.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    # count lines as the text read does: \r\n, \r and \n each end one
-    line = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
-    raise ValueError(f"{path}:{line}: not UTF-8 text")
+        # count lines as the text does: \r\n, \r and \n each end one
+        line = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def records(lines):

@@ -283,57 +283,54 @@ TRACE_HEADER = "time_ns,current_uA"
 DT_RTOL = 1e-6
 
 
-def _time_column(dt: float, n: int) -> list[str]:
-    """The ``time,`` prefix of each of n rows, formatted once per geometry."""
-    return [f"{i * dt!r}," for i in range(n)]
+@functools.lru_cache(maxsize=4)
+def _time_strings(dt: float, n: int) -> list[str]:
+    """The time field of each of n rows, as the writer writes it; read only."""
+    # repr of a float, never "np.float64(...)": the shortest text of the exact double
+    return [repr(i * float(dt)) for i in range(n)]
 
 
 def _write_samples_csv(path, times: list[str], samples: np.ndarray) -> None:
-    # repr floats: shortest form that parses back to the exact double
-    text = "".join([f"{t}{v!r}\n" for t, v in zip(times, samples.tolist())])
+    text = "".join([f"{t},{v!r}\n" for t, v in zip(times, samples.tolist())])
     with open(path, "w") as fh:
         fh.write(f"{TRACE_HEADER}\n{text}")
 
 
 def write_trace_csv(trace: CurrentTrace, path) -> None:
-    _write_samples_csv(path, _time_column(trace.dt, len(trace.samples)), trace.samples)
-
-
-@functools.lru_cache(maxsize=4)
-def _time_strings(dt: float, n: int) -> list[str]:
-    """The time field of each of n rows as the writer formats it; read only."""
-    return [t[:-1] for t in _time_column(dt, n)]
+    _write_samples_csv(path, _time_strings(trace.dt, len(trace.samples)), trace.samples)
 
 
 # str.splitlines() breaks a line at these as well as at "\n", and float()
-# strips them from the ends of a field
+# strips most of them from the ends of a field
 _OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _read_written_body(body: str, dt: float | None, n_samples: int | None) -> CurrentTrace | None:
-    """The trace of a body whose times are exactly the writer's, parsing only
-    the currents; None for any other body."""
+def _split_rows(body: str) -> tuple[list[str], int, float | None]:
+    """(fields, n, step) of a body of n rows, blank lines dropped: times at fields[0:-1:2],
+    currents at fields[1::2], step the one whose writer text the times are, else None.
+    A body that is not rows of two fields raises ValueError."""
     # a comma after every newline: a field ends in "\n" exactly where its row
-    # does, so 2n + 1 fields, the n even ones before the last the writer's
-    # times and the last one empty, are n rows of one time and one current
+    # does, so 2n + 1 fields for n newlines, the last one empty and no "\n" in
+    # an even one, are n rows of two fields (and a row of four is not two rows)
     text = body.replace("\n", "\n,")
-    n = len(text) - len(body)  # the newlines
+    n = len(text) - len(body)
     fields = text.split(",")
-    if (len(fields) != 2 * n + 1 or fields[-1] or n < MIN_TRACE_SAMPLES or n_samples not in (None, n)
-            or any(map(body.__contains__, _OTHER_LINE_BREAKS))):
-        return None
-    try:
-        step = float(fields[2] if dt is None else dt)
-    except ValueError:
-        return None
-    # the chained comparison is False for nan
-    if not 0 < step < float("inf") or fields[0:-1:2] != _time_strings(step, n):
-        return None
-    try:
-        # np.array parses each string as float() does, its "\n" included
-        return CurrentTrace(step, np.array(fields[1::2], dtype=float))
-    except ValueError:
-        return None  # a current that float() rejects or that is not finite
+    if len(fields) == 2 * n + 1 and not fields[-1] and not any(map(body.__contains__, _OTHER_LINE_BREAKS)):
+        times = fields[0:-1:2]
+        try:
+            step = float(times[1])
+        except (IndexError, ValueError):
+            step = None
+        # the chained comparison is False for nan; the writer's times hold no "\n"
+        if step is not None and 0 < step < float("inf") and times == _time_strings(step, n):
+            return fields, n, step
+        if "\n" not in "".join(times):
+            return fields, n, None
+    # blank lines dropped, lines broken at newlines only, the last one ended
+    rebuilt = "".join(f"{raw}\n" for raw in body.splitlines() if raw.strip())
+    if rebuilt == body:
+        raise ValueError("not rows of two fields")
+    return _split_rows(rebuilt)
 
 
 def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) -> CurrentTrace:
@@ -341,74 +338,52 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
 
     A given dt or n_samples is the geometry the trace must have: its step
     must equal dt to DT_RTOL, and it must hold n_samples rows. Every error
-    names the file and the line.
-
-    A file whose time column is the writer's text for its geometry, taking
-    the step from dt or else from the second row, is read without parsing a
-    time. Any other file takes the general path below, with the same result.
+    names the file and the line. The currents are parsed in one call, the
+    times only where they are not the writer's text for the file's own step.
     """
     header, _, body = read_text(path).partition("\n")
     if header.strip() != TRACE_HEADER:
         raise ValueError(f"{path}:1: unexpected header {header.strip()!r}")
-    trace = _read_written_body(body, dt, n_samples)
-    if trace is not None:
-        return trace
-    # one read and split is cheaper than iterating the file line by line
-    lines = body.splitlines()
 
-    def line(k: int) -> int:
-        """File line of data row k, found only when an error needs it; past the end, the line after the last."""
+    def error(k: int, message: str) -> ValueError:
+        """message at the file line of data row k; past the end, the line after the last."""
+        lines = body.splitlines()
         data = [i for i, raw in enumerate(lines) if raw.strip()]
-        return (data[k] if k < len(data) else len(lines)) + 2
+        return ValueError(f"{path}:{(data[k] if k < len(data) else len(lines)) + 2}: {message}")
 
-    rows = _loadtxt_rows(lines)
-    if rows is None:
-        # the row loop accepts whatever float() accepts, such as 1_0, which
-        # loadtxt does not, and names the first row that is not two numbers
-        times: list[float] = []
-        values: list[float] = []
-        try:
-            for raw in lines:
-                if not raw.strip():
-                    continue
+    try:
+        fields, n, step = _split_rows(body)
+        # np.array parses each string as float() does, its "\n" included
+        samples = np.array(fields[1::2], dtype=float)
+        times = np.array(fields[0:-1:2], dtype=float) if step is None else None
+    except ValueError:
+        # name the first data row that is not two numbers
+        for k, raw in enumerate(raw for raw in body.splitlines() if raw.strip()):
+            try:
                 t, v = raw.split(",")
-                times.append(float(t))
-                values.append(float(v))
-        except ValueError:
-            raise ValueError(f"{path}:{line(len(values))}: expected 'time_ns,current_uA', got {raw.strip()!r}") from None
-        rows = np.array([times, values]).T
-    n = len(rows)
+                float(t), float(v)
+            except ValueError:
+                raise error(k, f"expected 'time_ns,current_uA', got {raw.strip()!r}") from None
+        raise
     if n < MIN_TRACE_SAMPLES:
         raise ValueError(f"{path}: {n} samples, a trace needs >= {MIN_TRACE_SAMPLES}")
-    times, samples = rows[:, 0], rows[:, 1].copy()
-    step = float(times[1] - times[0])
+    if times is not None:
+        step = float(times[1] - times[0])
     if not 0 < step < float("inf"):
-        raise ValueError(f"{path}:{line(1)}: time step {step!r} ns is not positive and finite")
+        raise error(1, f"time step {step!r} ns is not positive and finite")
     if dt is not None and not abs(step - dt) <= DT_RTOL * dt:
-        raise ValueError(f"{path}:{line(1)}: time step {step!r} ns, expected {dt!r} ns")
+        raise error(1, f"time step {step!r} ns, expected {dt!r} ns")
     if n_samples is not None and n != n_samples:
-        raise ValueError(f"{path}:{line(min(n, n_samples))}: {n} samples, expected {n_samples}")
-    grid = np.arange(n) * step
-    ok = np.abs(times - grid) <= DT_RTOL * grid
-    ok &= np.isfinite(samples)
-    if not ok.all():
-        k = int(ok.argmin())
-        raise ValueError(f"{path}:{line(k)}: expected time {k} * {step!r} ns and a finite current, "
-                         f"got {float(times[k])!r},{float(samples[k])!r}")
+        raise error(min(n, n_samples), f"{n} samples, expected {n_samples}")
+    ok = np.isfinite(samples)
+    if times is not None:
+        grid = np.arange(n) * step
+        ok &= np.abs(times - grid) <= DT_RTOL * grid
+    k = int(ok.argmin())  # the first row that is off, if any
+    if not ok[k]:
+        t = k * step if times is None else float(times[k])  # the writer's times are k * step
+        raise error(k, f"expected time {k} * {step!r} ns and a finite current, got {t!r},{float(samples[k])!r}")
     return CurrentTrace(dt=step, samples=samples)
-
-
-def _loadtxt_rows(lines: list[str]) -> np.ndarray | None:
-    """The (rows, 2) doubles of lines, or None where np.loadtxt cannot read
-    them as two numbers per line; loadtxt skips empty lines, as the row loop
-    does, and warns on input that has no others."""
-    if not any(lines):
-        return None
-    try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return rows if rows.shape[1] == 2 else None
 
 
 def _write_kv(fh, key: str, value) -> None:
@@ -433,7 +408,7 @@ def write_dataset(dataset: Dataset, dirpath) -> None:
         for i, pattern in enumerate(dataset.patterns):
             _write_kv(fh, f"trace.{i}.file", f"trace_{i:03d}.csv")
             _write_kv(fh, f"trace.{i}.pattern", to_hex(int(pattern), dataset.pattern_bits))
-    times = _time_column(dataset.dt, dataset.samples.shape[1])
+    times = _time_strings(dataset.dt, dataset.samples.shape[1])
     for i, row in enumerate(dataset.samples):
         _write_samples_csv(os.path.join(dirpath, f"trace_{i:03d}.csv"), times, row)
 

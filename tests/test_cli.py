@@ -300,7 +300,8 @@ def test_detect_eval_bad_manifest_value_names_path_and_line(tmp_path, capsys, li
     (["0,1.5,accept", "", "1,abc,accept"], 4, "bad value for value: could not convert string to float: 'abc'"),
     (["1,inf,accept"], 2, "bad value for value: expected a finite number, got 'inf'"),
     (["1,nan,accept"], 2, "bad value for value: expected a finite number, got 'nan'"),
-], ids=["short-row", "long-row", "abc", "inf", "nan"])
+    (["0,1.5,accept", "1,-1.5,accept"], 3, "bad value for value: must be >= 0, got '-1.5'"),
+], ids=["short-row", "long-row", "abc", "inf", "nan", "negative"])
 def test_detect_score_bad_row_names_path_and_line(tmp_path, capsys, rows, line, message):
     evaluation = tmp_path / "evaluation.csv"
     evaluation.write_text("index,value,decision\n" + "".join(f"{r}\n" for r in rows))

@@ -96,6 +96,14 @@ def test_key_stream_prefix_is_key():
     assert key_stream(key, 600) == katan_key_bits(key, 600)
 
 
+def test_key_stream_length_is_checked():
+    key = 0x9E3779B97F4A7C15F39D
+    assert key_stream(key, 0) == []
+    # a negative length used to slice 587 bits off the cached schedule
+    with pytest.raises(ValueError, match="n_bits must be >= 0, got -1"):
+        key_stream(key, -1)
+
+
 def test_avalanche_sanity():
     # flipping one plaintext bit flips roughly half the ciphertext bits
     rng = np.random.default_rng(9)

@@ -294,6 +294,15 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.samples, trace.samples)
 
 
+def test_a_numpy_step_is_written_as_a_float_step(tmp_path):
+    samples = np.full(MIN_TRACE_SAMPLES, 4.0)
+    # the numpy step first: a float step of the same value must not reuse its text
+    write_trace_csv(CurrentTrace(np.float64(0.1), samples), tmp_path / "numpy.csv")
+    write_trace_csv(CurrentTrace(0.1, samples), tmp_path / "float.csv")
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+    assert read_trace_csv(tmp_path / "numpy.csv").dt == 0.1
+
+
 def test_trace_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("volts,amps\n0.0,1.0\n")
@@ -453,10 +462,14 @@ def grid_rows(n=120, dt=0.1):
     # a blank line still counts in the reported line number
     ({4: "", 6: "x"}, 8, "got 'x'"),
     ({4: "  ", 6: "0.6,4.0,1"}, 8, "got '0.6,4.0,1'"),
-    # '#' starts no comment in a trace file: np.loadtxt's default would drop it
+    # '#' starts no comment in a trace file
     ({5: "0.5,4.0 # note"}, 7, "got '0.5,4.0 # note'"),
+    # two rows' worth of fields on one line is one bad row, not two rows
+    ({5: "4,0,4,0"}, 7, "got '4,0,4,0'"),
+    # a form feed ends a line, though float() would strip it from the current
+    ({5: "0.5,\f4.0"}, 7, "got '0.5,'"),
 ], ids=["three-fields", "one-field", "not-a-number", "time-jump", "time-offset", "zero-step",
-        "nan-current", "after-blank", "after-whitespace-line", "comment"])
+        "nan-current", "after-blank", "after-whitespace-line", "comment", "four-fields", "form-feed"])
 def test_read_trace_csv_names_the_bad_line(tmp_path, edits, line, message):
     rows = grid_rows()
     for i, text in edits.items():
@@ -497,7 +510,7 @@ def test_read_trace_csv_checks_expected_geometry(tmp_path):
 
 @pytest.mark.parametrize("row", ["0.0,4.0,1", "0.0"], ids=["three-fields", "one-field"])
 def test_read_trace_csv_rejects_rows_of_one_wrong_width(tmp_path, row):
-    # every row alike, so np.loadtxt reads them all as one matrix of the wrong width
+    # every row alike, all of one wrong width
     path = tmp_path / "t.csv"
     write_rows(path, [row] * 120)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected 'time_ns,current_uA', got '{row}'"):
@@ -514,7 +527,7 @@ def test_read_trace_csv_of_blank_lines_names_the_file_and_warns_nothing(tmp_path
 
 
 def test_read_trace_csv_parses_what_float_parses(tmp_path):
-    # float() reads '1_0' as 10 and an Arabic-Indic digit as a digit, np.loadtxt neither
+    # float() reads '1_0' as 10 and an Arabic-Indic digit as a digit
     rows = grid_rows()
     rows[5] = "0.5,1_0"
     rows[6] = "0.6,\u0661"
@@ -635,7 +648,7 @@ def _written_trace_off_by_one_edit(draw):
     k = draw(st.integers(0, n - 2))
     t, v = rows[k].split(",")
     edit = draw(st.sampled_from(["time-digit", "no-newline", "crlf", "line-break", "swapped-separators",
-                                 "unterminated-row"]))
+                                 "merged-rows", "unterminated-row"]))
     if edit == "time-digit":
         rows[k] = f"{t[:-1]}{draw(st.sampled_from('0123456789').filter(lambda d: d != t[-1]))},{v}"
     elif edit == "no-newline":
@@ -649,6 +662,9 @@ def _written_trace_off_by_one_edit(draw):
         # the next row's time closes this row and its current stands alone
         t_next, v_next = rows[k + 1].split(",")
         rows[k:k + 2] = [f"{rows[k]},{t_next}", v_next]
+    elif edit == "merged-rows":
+        # row k and row k + 1 on one line of four fields
+        rows[k:k + 2] = [",".join(rows[k:k + 2])]
     eol = "\r\n" if edit == "crlf" else "\n"
     text = eol.join([header, *rows]) + (eol if edit != "no-newline" or k < n - 1 else "")
     if edit == "unterminated-row":
@@ -665,31 +681,22 @@ def test_read_trace_csv_reads_a_written_trace_with_one_edit_as_the_row_loop(case
     _assert_read_as_the_row_loop_reads(text, *geometry)
 
 
-def test_read_dataset_of_a_dt_whose_manifest_form_drops_digits(tmp_path, monkeypatch):
+def test_read_dataset_of_a_dt_whose_manifest_form_drops_digits(tmp_path):
     # the manifest keeps dt_ns = 0.123456789, the files step by 0.123456789012
     ds = build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=3, seed=2, params=TraceParams(dt=0.123456789012))
     write_dataset(ds, tmp_path / "ds")
-    calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
     back = read_dataset(tmp_path / "ds")
-    assert len(calls) == len(ds)
     assert back.dt == 0.123456789
     assert back.samples.tobytes() == ds.samples.tobytes()
     for i in range(len(ds)):
         assert read_trace_rows(tmp_path / "ds" / f"trace_{i:03d}.csv", back.dt) == (ds.dt, ds.samples[i].tolist())
 
 
-def test_written_traces_are_read_without_loadtxt(tmp_path, monkeypatch):
+def test_written_traces_are_read_back_exactly(tmp_path):
     ds = build_dataset(KATAN_TROJAN, TROJAN, n_patterns=3, seed=5, pattern_filter=KATAN_TROJAN.fires)
     write_dataset(ds, tmp_path / "ds")
     reference = simulate_trace(KatanCircuit(KATAN_KEY), 7, NORMAL, params=TraceParams(dt=0.3, n_samples=300))
     write_trace_csv(reference, tmp_path / "reference.csv")
-
-    def fail(*args, **kw):
-        raise AssertionError("a written trace fell through to np.loadtxt")
-
-    monkeypatch.setattr(np, "loadtxt", fail)
     back = read_dataset(tmp_path / "ds")
     assert (back.dt, back.samples.tobytes()) == (ds.dt, ds.samples.tobytes())
     trace = read_trace_csv(tmp_path / "reference.csv")
