@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bist, experiments, katan, mtj, trojan
 from .bits import parse_hex, to_hex
-from .config import ExperimentConfig, load_config
+from .config import CONFIG_KEYS, ExperimentConfig, load_config
 from .detector import (
     Decision,
     DetectorConfig,
@@ -49,10 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    try:
+        return CONFIG_KEYS["seed"][1](text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="flat key = value config file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="run seed (overrides config)")
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS, help="run seed (overrides config)")
     common.add_argument("--out", default=argparse.SUPPRESS, help="output directory (overrides config)")
 
     root = _Parser(prog="mtjbist", parents=[common], description=__doc__)

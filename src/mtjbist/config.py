@@ -75,7 +75,7 @@ class ExperimentConfig:
 
 # dotted config key -> (attribute or attribute.field, parser)
 CONFIG_KEYS = {
-    "seed": ("seed", int),
+    "seed": ("seed", checked(int, lambda s: s >= 0, "expected a non-negative integer")),
     "out": ("out", str),
     "clock.half_period_ns": ("clock.half_period", finite_float),
     "clock.launch_offset_cycles": ("clock.launch_offset_cycles", finite_float),

@@ -54,9 +54,10 @@ from .traces import (
     PV_FRACTION_RANGE,
     TEMPERATURE_RANGE_C,
     build_dataset,
+    dataset_files,
     simulate_trace,
-    write_dataset,
-    write_trace_csv,
+    write_manifest,
+    write_traces,
 )
 from .trojan import check_katan_trigger_reachable
 
@@ -193,38 +194,48 @@ def write_confusion_csv(path, counts) -> None:
 
 
 def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir) -> None:
-    """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-    write_trace_csv(result.reference, os.path.join(out_dir, "reference.csv"))
+    """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest.
+
+    One write_traces call writes the reference and every dataset's traces, so
+    exp1 and exp2 fork at most once, from 60 trace files on: from n = 20 on two
+    CPUs. This process writes the manifests and tables meanwhile.
+    """
+    dirs = {name: os.path.join(out_dir, "datasets", name) for name in result.datasets}
+    files = [(os.path.join(out_dir, "reference.csv"), result.reference.dt, result.reference.samples)]
     for name, dataset in result.datasets.items():
-        write_dataset(dataset, os.path.join(out_dir, "datasets", name))
+        files += dataset_files(dataset, dirs[name])
 
-    with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:
-        fh.write("dataset,index,value,decision\n")
-        for name, signal in result.signals.items():
-            fh.writelines(f"{name},{row}" for row in evaluation_rows(signal, result.decisions[name]))
-            write_evaluation_csv(os.path.join(out_dir, f"evaluation_{name}.csv"), signal, result.decisions[name])
-            write_confusion_csv(
-                os.path.join(out_dir, f"confusion_{name}.csv"),
-                [(s, result.confusion[name][s]) for s in config.detector_sensitivities],
-            )
-
-    with open(os.path.join(out_dir, "manifest"), "w") as fh:
-        fh.write(f"seed = {config.seed}\n")
-        fh.write(f"threshold = {result.threshold:.10g}\n")
-        fh.write(f"sensitivity = {config.detector_sensitivity:.10g}\n")
-        levels = ", ".join(f"{s:.10g}" for s in config.detector_sensitivities)
-        fh.write(f"sensitivities = {levels}\n")
-        fh.write(f"n_patterns = {config.detector_n_patterns}\n")
-        fh.write(f"normalized = {str(config.detector_normalized).lower()}\n")
+    def write_tables():
         for name, dataset in result.datasets.items():
-            fh.write(f"dataset.{name}.circuit = {dataset.circuit}\n")
-            cond = dataset.condition
-            fh.write(f"dataset.{name}.condition = {cond.kind.value}\n")
-            if cond.pv_length_fraction is not None:
-                fh.write(f"dataset.{name}.pv_length_fraction = {cond.pv_length_fraction:.10g}\n")
-            if cond.temperature_c is not None:
-                fh.write(f"dataset.{name}.temperature_c = {cond.temperature_c:.10g}\n")
+            write_manifest(dataset, dirs[name])
+        with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:
+            fh.write("dataset,index,value,decision\n")
+            for name, signal in result.signals.items():
+                fh.writelines(f"{name},{row}" for row in evaluation_rows(signal, result.decisions[name]))
+                write_evaluation_csv(os.path.join(out_dir, f"evaluation_{name}.csv"), signal, result.decisions[name])
+                write_confusion_csv(
+                    os.path.join(out_dir, f"confusion_{name}.csv"),
+                    [(s, result.confusion[name][s]) for s in config.detector_sensitivities],
+                )
+
+        with open(os.path.join(out_dir, "manifest"), "w") as fh:
+            fh.write(f"seed = {config.seed}\n")
+            fh.write(f"threshold = {result.threshold:.10g}\n")
+            fh.write(f"sensitivity = {config.detector_sensitivity:.10g}\n")
+            levels = ", ".join(f"{s:.10g}" for s in config.detector_sensitivities)
+            fh.write(f"sensitivities = {levels}\n")
+            fh.write(f"n_patterns = {config.detector_n_patterns}\n")
+            fh.write(f"normalized = {str(config.detector_normalized).lower()}\n")
+            for name, dataset in result.datasets.items():
+                fh.write(f"dataset.{name}.circuit = {dataset.circuit}\n")
+                cond = dataset.condition
+                fh.write(f"dataset.{name}.condition = {cond.kind.value}\n")
+                if cond.pv_length_fraction is not None:
+                    fh.write(f"dataset.{name}.pv_length_fraction = {cond.pv_length_fraction:.10g}\n")
+                if cond.temperature_c is not None:
+                    fh.write(f"dataset.{name}.temperature_c = {cond.temperature_c:.10g}\n")
+
+    write_traces(files, write_tables)
 
 
 def any_rejection(result: ExperimentResult) -> bool:

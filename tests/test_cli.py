@@ -507,6 +507,13 @@ def test_config_file_changes_behaviour(tmp_path, capsys):
     assert "pattern 3c at half period 2.5 ns" in out
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    # used to fail inside numpy with an error that named no source
+    assert main(["exp1", "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "exp1").exists()
+
+
 def test_bad_config_file_is_usage_error(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("clock.frequency = 9\n")

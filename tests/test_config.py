@@ -116,6 +116,8 @@ def test_bad_value_reports_key_and_line():
     ("katan.key = 1" + "0" * 20 + "\n", 1, "does not fit in 80 bits"),
     ("katan.reference_pattern = 1ffffffff\n", 1, "does not fit in 32 bits"),
     ("\n\nseed 3\n", 3, "expected 'key = value', got 'seed 3'"),
+    # used to fail inside numpy, naming no source
+    ("seed = -3\n", 1, "bad value for seed: expected a non-negative integer, got '-3'"),
     # both used to fail only when the detector ran, without a line
     ("seed = 1\ndetector.n_patterns = 0\n", 2, "bad value for detector.n_patterns: expected at least 1, got '0'"),
     ("detector.sensitivity = 0\n", 1, "bad value for detector.sensitivity: expected a positive number, got '0'"),
@@ -126,7 +128,7 @@ def test_bad_value_reports_key_and_line():
     ("detector.sensitivities = 0.1 -0.2\n", 1, "bad value for detector.sensitivities: expected a positive number"),
 ], ids=["duplicate", "nan-float", "nan-delay", "inf-float", "nan-in-list", "empty-list", "commas-only",
         "bad-hex-key", "bad-hex-pattern", "bad-hex-poly", "bad-hex-crc", "wide-key", "wide-pattern", "no-equals",
-        "zero-patterns", "zero-sensitivity", "negative-sensitivity", "zero-level", "negative-level"])
+        "negative-seed", "zero-patterns", "zero-sensitivity", "negative-sensitivity", "zero-level", "negative-level"])
 def test_bad_line_names_source_and_line(text, line, message):
     with pytest.raises(ValueError, match=f"^conf:{line}: .*{re.escape(message)}"):
         parse_config_text(text, source="conf")
@@ -228,7 +230,7 @@ _LEVELS = st.lists(st.floats(0, exclude_min=True, allow_infinity=False), min_siz
 # values each key can take, as text with what it parses to; every value fits
 # every value of the other keys and their defaults, so the objects accept them
 _VALID = {
-    "seed": _ints(-10**6, 10**6),
+    "seed": _ints(0, 10**6),
     "out": _TEXT,
     "clock.half_period_ns": _floats(1e-3, 1e3),
     # launch before the earliest sample edge drawn, the third

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtjbist.cli import main
 from mtjbist.config import ExperimentConfig
 from mtjbist.crc import encode
 from mtjbist.detector import Decision
@@ -171,3 +172,55 @@ def test_circuit_name_maps():
     assert crc_names["trojan"] == "crc_decoder_trojan"
     assert crc_names["temperature"] == "crc_decoder"
     assert all(ds.pattern_bits == 8 for ds in crc_result.datasets.values())
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """The pids that os.fork returns to this process."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def test_split_write_gives_the_one_process_tree(tmp_path, monkeypatch, capsys, counted_forks):
+    commands = {"exp1": ["exp1"], "exp2": ["exp2"], "ds": ["trace", "gen", "--n", "60", "--name", "ds"]}
+    trees = {}
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        for name, argv in commands.items():
+            out = tmp_path / str(len(cpus))
+            assert main([*argv, "--seed", "1", "--out", str(out)]) in (0, 2)
+            trees[len(cpus), name] = _tree(out / name)
+            _no_child_left()
+    # at n = 20 exp1 writes 101 trace files, three shares, and exp2 61, two
+    # shares; trace gen writes 60, two shares
+    assert len(counted_forks) == 2 + 1 + 1
+    for name in commands:
+        assert trees[1, name] == trees[3, name]
+
+
+@pytest.mark.parametrize("rel", ["datasets/trojan/trace_019.csv", "reference.csv"], ids=["child", "parent"])
+def test_split_write_error_names_the_file(tmp_path, monkeypatch, capsys, counted_forks, rel):
+    # the last trace file falls in the third process's share, the first in this one's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    (tmp_path / "exp1" / rel).mkdir(parents=True)
+    assert main(["exp1", "--seed", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Is a directory: '{tmp_path / 'exp1' / rel}'" in err
+    assert len(counted_forks) == 2
+    _no_child_left()

@@ -1,3 +1,4 @@
+import os
 import re
 import tempfile
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtjbist import traces as traces_module
 from mtjbist.circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit, TrojanKatanCircuit
 from mtjbist.traces import (
     NORMAL,
@@ -18,6 +20,7 @@ from mtjbist.traces import (
     Dataset,
     DEFAULT_PARAMS,
     MIN_TRACE_SAMPLES,
+    MIN_TRACES_PER_PROCESS,
     TraceParams,
     build_dataset,
     draw_patterns,
@@ -27,6 +30,7 @@ from mtjbist.traces import (
     toggle_profile,
     write_dataset,
     write_trace_csv,
+    write_traces,
 )
 from mtjbist.trojan import TrojanSpec
 from oracles import read_trace_rows, write_trace_rows
@@ -701,3 +705,49 @@ def test_written_traces_are_read_back_exactly(tmp_path):
     assert (back.dt, back.samples.tobytes()) == (ds.dt, ds.samples.tobytes())
     trace = read_trace_csv(tmp_path / "reference.csv")
     assert (trace.dt, trace.samples.tobytes()) == (0.3, reference.samples.tobytes())
+
+
+def _split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest):
+    """str of the error that write_traces raises, or None, when it writes three
+    shares' worth of files, with a directory at each index in bad, on cpus."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    out = tmp_path / str(len(cpus))
+    out.mkdir()
+    files = [(str(out / f"t{i:03d}.csv"), 0.1, np.full(MIN_TRACE_SAMPLES, 0.5)) for i in range(3 * MIN_TRACES_PER_PROCESS)]
+    for i in bad:
+        os.mkdir(files[i][0])
+    try:
+        write_traces(files, lambda: open(out, "w") if fail_rest else None)
+    except OSError as exc:
+        return str(exc).replace(str(out), "<out>")
+    finally:
+        with pytest.raises(ChildProcessError):  # every child reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad, fail_rest, error", [
+    # in the second and the third share
+    ((89, 40, 70), False, "Is a directory: '<out>/t040.csv'"),
+    # this process's share comes first
+    ((89, 5), False, "Is a directory: '<out>/t005.csv'"),
+    # every trace file comes before the rest
+    ((70,), True, "Is a directory: '<out>/t070.csv'"),
+    ((), True, "Is a directory: '<out>'"),
+    ((), False, None),
+], ids=["children", "parent-and-child", "child-and-rest", "rest", "none"])
+def test_write_traces_raises_the_one_process_error(tmp_path, monkeypatch, bad, fail_rest, error):
+    one, split = (_split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest) for cpus in ({0}, {0, 1, 2}))
+    assert one == split == (error and f"[Errno 21] {error}")
+
+
+def test_write_traces_reports_a_child_that_dies(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    write, parent = traces_module._write_samples_csv, os.getpid()
+    monkeypatch.setattr(traces_module, "_write_samples_csv",
+                        lambda path, dt, samples: write(path, dt, samples) if os.getpid() == parent else os._exit(3))
+    files = [(str(tmp_path / f"t{i:03d}.csv"), 0.1, np.zeros(MIN_TRACE_SAMPLES)) for i in range(2 * MIN_TRACES_PER_PROCESS)]
+    with pytest.raises(OSError, match=r"^trace writer process \d+ failed$"):
+        write_traces(files, lambda: None)
+    assert len(list(tmp_path.iterdir())) == MIN_TRACES_PER_PROCESS
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
