@@ -92,7 +92,6 @@ from .trojan import (
     PAYLOAD_MASK_32,
     TrojanSpec,
     crc_trigger,
-    crc_verify_trojan,
     encrypt32_trojan,
     katan_trigger,
 )

@@ -7,21 +7,21 @@ A circuit exposes:
   toggles(patterns)  (len(patterns), n_steps) int64 array, one row per
                      pattern: entry t is the Hamming distance between the
                      circuit's register state before and after step t
-  fires(pattern)     True when embedded malicious logic fires on the
-                     pattern (never for clean circuits); it fires at the
-                     last step, n_steps - 1
+  fires(patterns)    bools shaped like patterns, True where embedded
+                     malicious logic fires on the pattern (never for clean
+                     circuits); it fires at the last step, n_steps - 1
   trigger_toggles    extra switching the trigger logic contributes when it
                      fires
 
-toggles takes a whole dataset's patterns at once, so a circuit can compute
-the rows in one batched pass.
+toggles and fires take a whole dataset's patterns at once, so a circuit can
+compute its rows and its trigger in one batched pass each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .crc import CrcConfig, encode, register_timelines
+from .crc import CrcConfig, codewords, register_timelines
 from .katan import BLOCK_BITS, KEY_BITS, L1_BITS, L2_BITS, N_ROUNDS, core_states, key_window_toggles, window_flips
 from .trojan import TrojanSpec, crc_trigger, katan_trigger
 
@@ -46,8 +46,8 @@ class CrcDecoderCircuit:
         states = register_timelines(patterns, self.config)
         return (states[:, 1:] != states[:, :-1]).sum(axis=-1, dtype=np.int64)
 
-    def fires(self, pattern: int) -> bool:
-        return False
+    def fires(self, patterns) -> np.ndarray:
+        return np.zeros(np.shape(patterns), bool)
 
     trigger_toggles = 0
 
@@ -59,8 +59,8 @@ class TrojanCrcDecoderCircuit(CrcDecoderCircuit):
         super().__init__(config)
         self.name = "crc_decoder_trojan"
 
-    def fires(self, pattern: int) -> bool:
-        return crc_trigger(encode(pattern, self.config))
+    def fires(self, patterns) -> np.ndarray:
+        return crc_trigger(codewords(np.ravel(patterns).tolist(), self.config), self.config).reshape(np.shape(patterns))
 
     @property
     def trigger_toggles(self) -> int:
@@ -92,8 +92,8 @@ class KatanCircuit:
         np.add(core.T, key_window_toggles(self.key), out=out)
         return out
 
-    def fires(self, pattern: int) -> bool:
-        return False
+    def fires(self, patterns) -> np.ndarray:
+        return np.zeros(np.shape(patterns), bool)
 
     trigger_toggles = 0
 
@@ -106,8 +106,8 @@ class TrojanKatanCircuit(KatanCircuit):
         self.spec = spec
         self.name = "katan32_trojan"
 
-    def fires(self, pattern: int) -> bool:
-        return katan_trigger(pattern, self.key, self.spec)
+    def fires(self, patterns) -> np.ndarray:
+        return katan_trigger(patterns, self.key, self.spec)
 
     @property
     def trigger_toggles(self) -> int:

@@ -200,11 +200,9 @@ def _synthesize(circuit, patterns, rows: np.ndarray, condition: Condition, seed:
     samples[:, : rows.shape[1]] += params.i_unit * scale * rows
     # every element sees the same float operations in the same order as a
     # trace synthesized on its own: switching term, trigger toggles, spike, noise
-    step = circuit.n_steps - 1
-    for i, pattern in enumerate(patterns):
-        if circuit.fires(pattern):
-            samples[i, step] += params.i_unit * scale * circuit.trigger_toggles
-            samples[i, step] += params.spike_gain * params.i_unit
+    fired, step = circuit.fires(patterns), circuit.n_steps - 1
+    samples[fired, step] += params.i_unit * scale * circuit.trigger_toggles
+    samples[fired, step] += params.spike_gain * params.i_unit
     if params.noise_sigma > 0:
         for i, row in enumerate(samples):
             row += np.random.default_rng(seed ^ i).normal(0.0, params.noise_sigma, params.n_samples)
@@ -225,21 +223,22 @@ def simulate_trace(
 
 
 def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_filter=None) -> list[int]:
-    """Distinct stimulus patterns, optionally restricted by a predicate.
-
-    Falls back to replacement draws only when the (filtered) input space is
-    smaller than n_patterns.
+    """Distinct stimulus patterns, optionally restricted by a predicate that
+    maps patterns to bools of their shape, as a circuit's fires does: called
+    once with every candidate, ascending, in an input space of at most 2**16,
+    else once per int drawn. Falls back to replacement draws only when the
+    (filtered) input space is smaller than n_patterns.
     """
     if n_patterns < 1:
         raise ValueError("n_patterns must be >= 1")
     space = 1 << circuit.input_width
-    accept = pattern_filter or (lambda p: True)
+    accept = pattern_filter or (lambda p: np.ones(np.shape(p), bool))
     if space <= (1 << 16):
-        candidates = [p for p in range(space) if accept(p)]
-        if not candidates:
+        candidates = np.flatnonzero(accept(np.arange(space)))
+        if not len(candidates):
             raise ValueError("pattern filter rejects the whole input space")
         picks = rng.choice(len(candidates), size=n_patterns, replace=len(candidates) < n_patterns)
-        return [candidates[int(i)] for i in picks]
+        return candidates[picks].tolist()
     # a dict keeps the accepted patterns distinct and in drawing order
     chosen: dict[int, None] = {}
     budget = 10_000 * n_patterns

@@ -10,14 +10,19 @@ Both Trojans share the shape rare trigger -> small payload:
 
 Over the uniform message space both parities are balanced and independent,
 so each trigger fires on exactly one quarter of its input space.
+
+Each trigger is one batched predicate over an array of inputs; the circuits'
+fires, and through it the Trojan pattern draw and the trace synthesis, call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bits import parity, to_hex
-from .crc import CrcConfig, Message, verify
+from .crc import CrcConfig
 from .katan import BLOCK_BITS, KEY_BITS, encrypt32
 
 
@@ -47,29 +52,21 @@ class TrojanSpec:
 
 
 def _mask(taps) -> int:
-    out = 0
-    for t in taps:
-        out |= 1 << t
-    return out
+    return sum(1 << t for t in taps)
 
 
-def crc_trigger(message: Message) -> bool:
-    """Fires when both the data parity and the check parity are odd."""
-    return bool(parity(message.data) & parity(message.check))
+def crc_trigger(words, config: CrcConfig) -> np.ndarray:
+    """(...) bools of (..., n) received words of cell bits in crc.codewords' layout:
+    True where the data parity and the check parity are both odd."""
+    data, check = np.split(np.asarray(words, dtype=bool), [config.data_width], axis=-1)
+    return np.logical_xor.reduce(data, axis=-1) & np.logical_xor.reduce(check, axis=-1)
 
 
-def crc_verify_trojan(message: Message, config: CrcConfig) -> int:
-    """Infected receiver: the error flag is inverted while triggered."""
-    flag = verify(message, config)
-    return flag ^ 1 if crc_trigger(message) else flag
-
-
-def katan_trigger(plaintext: int, key: int, spec: TrojanSpec) -> bool:
-    """Fires when the tapped key parity and tapped plaintext parity are both odd."""
-    return bool(
-        parity(key & _mask(spec.trigger_key_bits))
-        & parity(plaintext & _mask(spec.trigger_pt_bits))
-    )
+def katan_trigger(plaintexts, key: int, spec: TrojanSpec) -> np.ndarray:
+    """Bools shaped like plaintexts (0-d for one int): True where the tapped
+    key parity and the tapped plaintext parity are both odd."""
+    pts = np.asarray(plaintexts, dtype=np.int64)
+    return (np.bitwise_count(pts & _mask(spec.trigger_pt_bits)) & 1 & parity(key & _mask(spec.trigger_key_bits))) == 1
 
 
 def check_katan_trigger_reachable(key: int, spec: TrojanSpec) -> None:

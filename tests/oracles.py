@@ -30,6 +30,50 @@ def crc_long_division(value: int, nbits: int, poly_low: int, g: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Trojan triggers: parity-AND of tapped bits, one input at a time
+
+def tap_parity(value: int, taps) -> int:
+    """XOR of the listed bits of value."""
+    out = 0
+    for t in taps:
+        out ^= (value >> t) & 1
+    return out
+
+
+def crc_trojan_trigger(data: int, check: int, d: int, g: int) -> bool:
+    """The infected receiver's trigger on a received data word and check
+    value: odd parity over all d data bits AND over all g check bits."""
+    return bool(tap_parity(data, range(d)) and tap_parity(check, range(g)))
+
+
+def crc_trojan_fires(pattern: int, poly_low: int, d: int, g: int) -> bool:
+    """The trigger on the codeword of a d-bit data pattern."""
+    return crc_trojan_trigger(pattern, crc_long_division(pattern, d, poly_low, g), d, g)
+
+
+def crc_verify_trojan(msg, config) -> int:
+    """Infected receiver: the error flag (nonzero remainder over data||check)
+    is inverted while the trigger fires on the received message."""
+    d, g = config.data_width, config.check_width
+    flag = int(crc_long_division((msg.data << g) | msg.check, d + g, config.poly, g) != 0)
+    return flag ^ crc_trojan_trigger(msg.data, msg.check, d, g)
+
+
+def katan_trojan_fires(plaintext: int, key: int, key_taps, pt_taps) -> bool:
+    """The KATAN-32 trigger: odd tapped key parity AND odd tapped plaintext parity."""
+    return bool(tap_parity(key, key_taps) and tap_parity(plaintext, pt_taps))
+
+
+def scan_draw(space: int, n_patterns: int, rng, accept) -> list[int]:
+    """A draw from a small input space: the accepted patterns in ascending
+    order, one accept(p) per candidate, then n_patterns picks of rng.choice,
+    without replacement unless fewer patterns are accepted."""
+    candidates = [p for p in range(space) if accept(p)]
+    picks = rng.choice(len(candidates), size=n_patterns, replace=len(candidates) < n_patterns)
+    return [candidates[int(i)] for i in picks]
+
+
+# ---------------------------------------------------------------------------
 # KATAN-32: bit-list implementation from the round equations
 
 def katan_ir_sequence(n_rounds: int = 254) -> list[int]:

@@ -15,7 +15,17 @@ from mtjbist.crc import CrcConfig, decoder_register_states, encode
 from mtjbist.katan import core_states, key_window_toggles
 from mtjbist.traces import toggle_profile
 from mtjbist.trojan import TrojanSpec, crc_trigger, katan_trigger
-from oracles import katan32_states, katan32_toggles, katan_key_bits, katan_stream_states, katan_window_flips
+from oracles import (
+    crc_trojan_fires,
+    katan32_states,
+    katan32_toggles,
+    katan_key_bits,
+    katan_stream_states,
+    katan_trojan_fires,
+    katan_window_flips,
+    message_bits,
+    tap_parity,
+)
 
 KEY = 0x9E3779B97F4A7C15F39D
 
@@ -62,8 +72,9 @@ def test_crc_toggles_match_register_loop(data):
     assert rows.tolist() == [_hamming(decoder_register_states(encode(p, config).packed(config), n, config))
                              for p in patterns]
     assert circ.toggles([]).shape == (0, n)
-    for p in patterns:
-        assert trojan.fires(p) is crc_trigger(encode(p, config))
+    fired = trojan.fires(patterns)
+    assert fired.dtype == bool and fired.shape == (len(patterns),)
+    assert fired.tolist() == [bool(crc_trigger(message_bits(encode(p, config), config), config)) for p in patterns]
     bad = data.draw(st.sampled_from([-1, 1 << d]))
     with pytest.raises(ValueError) as expected:
         encode(bad, config)
@@ -86,12 +97,12 @@ def test_trojan_crc_circuit_activation_iff_trigger():
     clean = CrcDecoderCircuit()
     circ = TrojanCrcDecoderCircuit()
     config = CrcConfig()
-    fired = 0
     assert np.array_equal(circ.toggles(range(256)), clean.toggles(range(256)))
-    for pattern in range(256):
-        assert circ.fires(pattern) is crc_trigger(encode(pattern, config))
-        fired += circ.fires(pattern)
-    assert fired == 128
+    fired = circ.fires(range(256))
+    assert fired.dtype == bool and fired.shape == (256,)
+    assert fired.tolist() == [bool(crc_trigger(message_bits(encode(p, config), config), config)) for p in range(256)]
+    assert fired.sum() == 128
+    assert not clean.fires(range(256)).any()
     assert circ.trigger_toggles == 16
     assert circ.name == "crc_decoder_trojan"
 
@@ -156,15 +167,54 @@ def test_trojan_katan_circuit_activation():
     spec = TrojanSpec()
     circ = TrojanKatanCircuit(KEY, spec)
     clean = KatanCircuit(KEY)
-    hits = 0
     patterns = range(0, 4096, 37)
     assert np.array_equal(circ.toggles(patterns), clean.toggles(patterns))
-    for pattern in patterns:
-        assert circ.fires(pattern) is katan_trigger(pattern, KEY, spec)
-        hits += circ.fires(pattern)
-    assert hits > 0
+    fired = circ.fires(patterns)
+    assert fired.dtype == bool and fired.shape == (len(patterns),)
+    assert fired.tolist() == [bool(katan_trigger(pattern, KEY, spec)) for pattern in patterns]
+    assert fired.sum() > 0
+    assert not clean.fires(patterns).any()
     assert circ.trigger_toggles == 16
     assert circ.name == "katan32_trojan"
+
+
+@st.composite
+def trojan_circuits(draw):
+    """(clean circuit, Trojan circuit, scalar oracle of its trigger): a CRC
+    receiver of any polynomial, check and data widths 1-20 (data widths above
+    16 are drawn by rejection), or KATAN-32 under any tap sets and a key whose
+    tapped parity is odd, so that the trigger can fire."""
+    if draw(st.booleans()):
+        g, d = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+        config = CrcConfig(poly=draw(st.integers(1, (1 << g) - 1)), check_width=g, data_width=d)
+        return (CrcDecoderCircuit(config), TrojanCrcDecoderCircuit(config),
+                lambda p: crc_trojan_fires(p, config.poly, d, g))
+    key_taps = draw(st.lists(st.integers(0, 79), min_size=1, max_size=80, unique=True))
+    pt_taps = draw(st.lists(st.integers(0, 31), min_size=1, max_size=32, unique=True))
+    key = draw(st.integers(0, (1 << 80) - 1))
+    key ^= (1 - tap_parity(key, key_taps)) << key_taps[0]
+    spec = TrojanSpec(trigger_key_bits=tuple(key_taps), trigger_pt_bits=tuple(pt_taps))
+    return KatanCircuit(key), TrojanKatanCircuit(key, spec), lambda p: katan_trojan_fires(p, key, key_taps, pt_taps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trojan_circuits(), st.data())
+def test_fires_matches_the_scalar_trigger_oracle(case, data):
+    clean, trojan, oracle = case
+    patterns = data.draw(st.lists(st.integers(0, (1 << trojan.input_width) - 1), max_size=24))
+    expected = [oracle(p) for p in patterns]
+    column = np.array(patterns, dtype=np.int64).reshape(-1, 1)
+    for batch, shape in ((patterns, (len(patterns),)), (np.array(patterns, dtype=np.int64), (len(patterns),)),
+                         (column, column.shape)):
+        fired = trojan.fires(batch)
+        assert fired.dtype == bool and fired.shape == shape
+        assert fired.ravel().tolist() == expected
+        quiet = clean.fires(batch)
+        assert quiet.dtype == bool and quiet.shape == shape and not quiet.any()
+    for p, hit in zip(patterns, expected):
+        fired = trojan.fires(p)
+        assert np.shape(fired) == () and bool(fired) is hit
+        assert np.shape(clean.fires(p)) == () and not clean.fires(p)
 
 
 def test_core_states_agree_with_circuit_low_bits():

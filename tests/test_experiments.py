@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mtjbist.cli import main
 from mtjbist.config import ExperimentConfig
-from mtjbist.crc import encode
+from mtjbist.crc import codewords
 from mtjbist.detector import Decision
 from mtjbist.experiments import (
     any_rejection,
@@ -23,6 +23,7 @@ from mtjbist.traces import (
     read_dataset,
 )
 from mtjbist.trojan import crc_trigger, katan_trigger
+from oracles import crc_trojan_fires
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -74,8 +75,10 @@ def test_crc_trojan_dataset_only_holds_triggering_patterns():
     cfg = small_config()
     result = run_crc_identification(cfg)
     crc = cfg.crc
-    for pattern in result.datasets["trojan"].patterns:
-        assert crc_trigger(encode(int(pattern), crc))
+    patterns = result.datasets["trojan"].patterns
+    assert crc_trigger(codewords(patterns.tolist(), crc), crc).all()
+    for pattern in patterns:
+        assert crc_trojan_fires(int(pattern), crc.poly, crc.data_width, crc.check_width)
 
 
 def test_katan_experiment_structure_and_trigger_conditioning():

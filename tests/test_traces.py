@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtjbist import traces as traces_module
 from mtjbist.circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit, TrojanKatanCircuit
+from mtjbist.crc import CrcConfig
 from mtjbist.traces import (
     NORMAL,
     TROJAN,
@@ -33,7 +34,7 @@ from mtjbist.traces import (
     write_traces,
 )
 from mtjbist.trojan import TrojanSpec
-from oracles import read_trace_rows, write_trace_rows
+from oracles import crc_trojan_fires, read_trace_rows, scan_draw, write_trace_rows
 
 KATAN_KEY = 0x9E3779B97F4A7C15F39D
 CRC_TROJAN = TrojanCrcDecoderCircuit()
@@ -51,15 +52,15 @@ class StubCircuit:
     def toggles(self, patterns):
         return np.tile(np.array([1, 2, 1], dtype=np.int64), (len(patterns), 1))
 
-    def fires(self, pattern):
-        return False
+    def fires(self, patterns):
+        return np.zeros(np.shape(patterns), bool)
 
 
 class ActiveStub(StubCircuit):
     trigger_toggles = 5
 
-    def fires(self, pattern):
-        return True
+    def fires(self, patterns):
+        return np.ones(np.shape(patterns), bool)
 
 
 def test_toggle_profile_counts_flipped_bits():
@@ -223,6 +224,50 @@ def test_draw_patterns_small_space_falls_back_to_replacement():
 def test_draw_patterns_empty_filter_raises():
     with pytest.raises(ValueError):
         draw_patterns(CrcDecoderCircuit(), 5, np.random.default_rng(0), pattern_filter=lambda p: False)
+
+
+def _draw_both(circuit, n, seed, oracle):
+    """(draw_patterns with the circuit's fires, the per-candidate scan with
+    the scalar oracle) from one seed, or None for each that accepts nothing."""
+    space = 1 << circuit.input_width
+    if not any(oracle(p) for p in range(space)):
+        with pytest.raises(ValueError, match="rejects the whole input space"):
+            draw_patterns(circuit, n, np.random.default_rng(seed), circuit.fires)
+        return None, None
+    return (draw_patterns(circuit, n, np.random.default_rng(seed), circuit.fires),
+            scan_draw(space, n, np.random.default_rng(seed), oracle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 16), st.data(), st.integers(1, 40), st.integers(0, 2**63 - 1))
+def test_draw_patterns_equals_the_per_candidate_scan(d, g, data, n, seed):
+    config = CrcConfig(poly=data.draw(st.integers(1, (1 << g) - 1)), check_width=g, data_width=d)
+    drawn, scanned = _draw_both(TrojanCrcDecoderCircuit(config), n, seed,
+                                lambda p: crc_trojan_fires(p, config.poly, d, g))
+    assert drawn == scanned
+    assert draw_patterns(CrcDecoderCircuit(config), n, np.random.default_rng(seed)) == scan_draw(
+        1 << d, n, np.random.default_rng(seed), lambda p: True)
+
+
+def test_draw_patterns_scans_a_16_bit_space_as_the_per_candidate_scan():
+    config = CrcConfig(poly=0x1021, check_width=16, data_width=16)
+    drawn, scanned = _draw_both(TrojanCrcDecoderCircuit(config), 20, 1,
+                                lambda p: crc_trojan_fires(p, 0x1021, 16, 16))
+    assert drawn == scanned and len(set(drawn)) == 20
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(17, 20), st.integers(1, 16), st.data(), st.integers(1, 12), st.integers(0, 2**63 - 1))
+def test_draw_patterns_by_rejection_keeps_firing_patterns(d, g, data, n, seed):
+    config = CrcConfig(poly=data.draw(st.integers(1, (1 << g) - 1)), check_width=g, data_width=d)
+    oracle = lambda p: crc_trojan_fires(p, config.poly, d, g)  # noqa: E731
+    # the check parity is linear in the data bits, so the trigger fires on
+    # some pattern iff it fires on a single set bit
+    assume(any(oracle(1 << i) for i in range(d)))
+    circuit = TrojanCrcDecoderCircuit(config)
+    drawn = draw_patterns(circuit, n, np.random.default_rng(seed), circuit.fires)
+    assert len(drawn) == n == len(set(drawn))
+    assert all(type(p) is int and oracle(p) for p in drawn)
 
 
 def test_build_dataset_reproducible():

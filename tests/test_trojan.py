@@ -1,36 +1,48 @@
 import numpy as np
 import pytest
 
-from mtjbist.crc import CrcConfig, Message, encode, verify
+from mtjbist.crc import CrcConfig, Message, codewords, encode, verify
 from mtjbist.katan import decrypt32, encrypt32
 from mtjbist.trojan import (
     PAYLOAD_MASK_32,
     TrojanSpec,
     crc_trigger,
-    crc_verify_trojan,
     encrypt32_trojan,
     katan_trigger,
 )
+from oracles import crc_trojan_trigger, crc_verify_trojan, message_bits
 
 CRC8 = CrcConfig()
 
 
+def trigger(msg, config=CRC8):
+    """crc_trigger of one received message, laid out as its cell bits."""
+    return crc_trigger(np.array(message_bits(msg, config)), config)
+
+
 def test_crc_trigger_parity_cases():
-    assert crc_trigger(Message(0b1, 0b1))
-    assert crc_trigger(Message(0b111, 0b10000000))
-    assert not crc_trigger(Message(0b11, 0b1))  # even data parity
-    assert not crc_trigger(Message(0b1, 0b11))  # even check parity
-    assert not crc_trigger(Message(0, 0))
+    assert trigger(Message(0b1, 0b1))
+    assert trigger(Message(0b111, 0b10000000))
+    assert not trigger(Message(0b11, 0b1))  # even data parity
+    assert not trigger(Message(0b1, 0b11))  # even check parity
+    assert not trigger(Message(0, 0))
+    assert trigger(Message(0b1, 0b1)).shape == ()
 
 
 def test_crc_trigger_exact_quarter_small():
     config = CrcConfig(poly=0x3, check_width=4, data_width=4)
-    fired = sum(
-        crc_trigger(Message(data, check))
-        for data in range(16)
-        for check in range(16)
-    )
-    assert fired == 16 * 16 // 4
+    words = [[message_bits(Message(data, check), config) for check in range(16)] for data in range(16)]
+    fired = crc_trigger(words, config)
+    assert fired.shape == (16, 16) and fired.dtype == bool
+    assert fired.tolist() == [[crc_trojan_trigger(data, check, 4, 4) for check in range(16)] for data in range(16)]
+    assert fired.sum() == 16 * 16 // 4
+
+
+def test_crc_trigger_takes_the_codewords_layout():
+    config = CrcConfig(poly=0x1021, check_width=16, data_width=12)
+    patterns = list(range(0, 1 << 12, 7))
+    fired = crc_trigger(codewords(patterns, config), config)
+    assert fired.tolist() == [trigger(encode(p, config), config) for p in patterns]
 
 
 def test_crc_trojan_dormant_matches_clean_exhaustively():
@@ -40,7 +52,7 @@ def test_crc_trojan_dormant_matches_clean_exhaustively():
             msg = Message(data, check)
             clean = verify(msg, config)
             infected = crc_verify_trojan(msg, config)
-            if crc_trigger(msg):
+            if trigger(msg, config):
                 assert infected == clean ^ 1
             else:
                 assert infected == clean
@@ -50,11 +62,11 @@ def test_crc_trojan_masks_real_errors_and_raises_false_ones():
     # a triggered corrupted message reads back as clean
     msg = encode(0x07, CRC8)  # odd data parity
     corrupted = Message(msg.data, msg.check ^ 0b110)  # keep check parity
-    if crc_trigger(corrupted):
+    if trigger(corrupted):
         assert verify(corrupted, CRC8) == 1
         assert crc_verify_trojan(corrupted, CRC8) == 0
     # a triggered valid codeword raises a phantom error
-    fired = [p for p in range(256) if crc_trigger(encode(p, CRC8))]
+    fired = [p for p in range(256) if trigger(encode(p, CRC8))]
     assert fired, "no triggering codeword at d=8"
     good = encode(fired[0], CRC8)
     assert verify(good, CRC8) == 0
@@ -65,8 +77,8 @@ def test_crc_trigger_rate_over_codewords_is_half_for_default_poly():
     # x^8+x^2+x+1 has an (x+1) factor, so codewords have even weight and
     # parity(check) always equals parity(data): over encoded messages the
     # trigger fires on every odd-parity pattern, half the space
-    fired = sum(crc_trigger(encode(p, CRC8)) for p in range(256))
-    assert fired == 128
+    fired = crc_trigger(codewords(range(256), CRC8), CRC8)
+    assert fired.sum() == 128
 
 
 def test_katan_trigger_matches_manual_parity():
