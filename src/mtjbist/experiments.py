@@ -55,6 +55,7 @@ from .traces import (
     TEMPERATURE_RANGE_C,
     build_dataset,
     dataset_files,
+    remove_unlisted_traces,
     simulate_trace,
     write_manifest,
     write_traces,
@@ -236,6 +237,8 @@ def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir
                     fh.write(f"dataset.{name}.temperature_c = {cond.temperature_c:.10g}\n")
 
     write_traces(files, write_tables)
+    for name, dataset in result.datasets.items():
+        remove_unlisted_traces(dataset, dirs[name])
 
 
 def any_rejection(result: ExperimentResult) -> bool:

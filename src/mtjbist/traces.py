@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -460,6 +461,13 @@ def write_manifest(dataset: Dataset, dirpath) -> None:
             _write_kv(fh, f"trace.{i}.pattern", to_hex(int(pattern), dataset.pattern_bits))
 
 
+def remove_unlisted_traces(dataset: Dataset, dirpath) -> None:
+    """Remove each trace_<digits>.csv of dirpath that the dataset's manifest does not list."""
+    for name in set(os.listdir(dirpath)) - {f"trace_{i:03d}.csv" for i in range(len(dataset))}:
+        if re.fullmatch(r"trace_[0-9]+\.csv", name):
+            os.remove(os.path.join(dirpath, name))
+
+
 def write_dataset(dataset: Dataset, dirpath) -> None:
     """Persist a dataset as a directory: a ``manifest`` plus one CSV per trace.
 
@@ -467,6 +475,7 @@ def write_dataset(dataset: Dataset, dirpath) -> None:
     MIN_TRACES_PER_PROCESS traces on, with the bytes and error of one process.
     """
     write_traces(dataset_files(dataset, dirpath), lambda: write_manifest(dataset, dirpath))
+    remove_unlisted_traces(dataset, dirpath)
 
 
 # manifest key -> parser; the per-trace keys trace.<i>.file and

@@ -13,6 +13,7 @@ from mtjbist.config import CONFIG_KEYS
 from mtjbist.detector import DetectorConfig, EvaluationSignal, classify, score
 from mtjbist.experiments import write_confusion_csv, write_evaluation_csv
 from mtjbist.traces import MANIFEST_KEYS, NORMAL, TROJAN
+from test_golden import tree_digest
 
 ALL_ONES_KEY = "ffffffffffffffffffff"
 
@@ -594,3 +595,34 @@ def test_arbitrary_input_text_exits_0_1_or_2(tmp_path, capsys, fmt):
 
     run()
     capsys.readouterr()
+
+
+def test_exp2_rerun_with_fewer_traces_writes_the_tree_of_a_fresh_run(tmp_path, capsys):
+    # n = 30 first: the second run, at the default n = 20, removes trace_020 ... trace_029
+    conf = tmp_path / "n30.conf"
+    conf.write_text("detector.n_patterns = 30\n")
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    assert main(["exp2", "--seed", "1", "--config", str(conf), "--out", str(again)]) == 2
+    assert (again / "exp2" / "datasets" / "trojan" / "trace_029.csv").exists()
+    assert main(["exp2", "--seed", "1", "--out", str(again)]) == 2
+    assert main(["exp2", "--seed", "1", "--out", str(fresh)]) == 2
+    assert tree_digest(again / "exp2") == tree_digest(fresh / "exp2")
+
+
+def test_trace_gen_rerun_removes_only_unlisted_trace_files(tmp_path, capsys):
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    assert main(["trace", "gen", "--n", "12", "--seed", "4", "--out", str(again), "--name", "ds"]) == 0
+    # names that are not trace_<ASCII digits>.csv stay, as does everything in a subdirectory
+    kept = ["trace_012.txt", "trace_01a.csv", "trace_.csv", "Trace_013.csv", "trace_٣.csv", "notes.csv",
+            "sub/trace_013.csv"]
+    for name in kept:
+        (again / "ds" / name).parent.mkdir(exist_ok=True)
+        (again / "ds" / name).write_text("kept\n")
+    (again / "ds" / "trace_7.csv").write_text("stale\n")
+    assert main(["trace", "gen", "--n", "5", "--seed", "4", "--out", str(again), "--name", "ds"]) == 0
+    assert main(["trace", "gen", "--n", "5", "--seed", "4", "--out", str(fresh), "--name", "ds"]) == 0
+    for name in kept:
+        assert (again / "ds" / name).read_text() == "kept\n"
+        (again / "ds" / name).unlink()
+    (again / "ds" / "sub").rmdir()
+    assert tree_digest(again / "ds") == tree_digest(fresh / "ds")
