@@ -233,9 +233,9 @@ def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_fi
     if n_patterns < 1:
         raise ValueError("n_patterns must be >= 1")
     space = 1 << circuit.input_width
-    accept = pattern_filter or (lambda p: np.ones(np.shape(p), bool))
+    accept = pattern_filter or (lambda p: True)
     if space <= (1 << 16):
-        candidates = np.flatnonzero(accept(np.arange(space)))
+        candidates = np.flatnonzero(np.broadcast_to(accept(np.arange(space)), space))
         if not len(candidates):
             raise ValueError("pattern filter rejects the whole input space")
         picks = rng.choice(len(candidates), size=n_patterns, replace=len(candidates) < n_patterns)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mtjbist.cli import main
 from mtjbist.config import ExperimentConfig
-from mtjbist.crc import codewords
 from mtjbist.detector import Decision
 from mtjbist.experiments import (
     any_rejection,
@@ -22,7 +21,7 @@ from mtjbist.traces import (
     ConditionKind,
     read_dataset,
 )
-from mtjbist.trojan import crc_trigger, katan_trigger
+from mtjbist.trojan import katan_trigger
 from oracles import crc_trojan_fires
 
 
@@ -75,9 +74,7 @@ def test_crc_trojan_dataset_only_holds_triggering_patterns():
     cfg = small_config()
     result = run_crc_identification(cfg)
     crc = cfg.crc
-    patterns = result.datasets["trojan"].patterns
-    assert crc_trigger(codewords(patterns.tolist(), crc), crc).all()
-    for pattern in patterns:
+    for pattern in result.datasets["trojan"].patterns:
         assert crc_trojan_fires(int(pattern), crc.poly, crc.data_width, crc.check_width)
 
 

@@ -210,6 +210,10 @@ def test_draw_patterns_distinct_and_filtered():
     assert len(picks) == 20
     assert len(set(picks)) == 20
     assert all(p % 2 == 1 for p in picks)
+    # a filter that answers one bool for the whole batch holds for every candidate
+    everything = draw_patterns(CrcDecoderCircuit(), 20, np.random.default_rng(3), pattern_filter=lambda p: True)
+    assert everything == draw_patterns(CrcDecoderCircuit(), 20, np.random.default_rng(3))
+    assert len(set(everything)) == 20
 
 
 def test_draw_patterns_small_space_falls_back_to_replacement():

@@ -38,13 +38,6 @@ def test_crc_trigger_exact_quarter_small():
     assert fired.sum() == 16 * 16 // 4
 
 
-def test_crc_trigger_takes_the_codewords_layout():
-    config = CrcConfig(poly=0x1021, check_width=16, data_width=12)
-    patterns = list(range(0, 1 << 12, 7))
-    fired = crc_trigger(codewords(patterns, config), config)
-    assert fired.tolist() == [trigger(encode(p, config), config) for p in patterns]
-
-
 def test_crc_trojan_dormant_matches_clean_exhaustively():
     config = CrcConfig(poly=0x3, check_width=4, data_width=6)
     for data in range(64):
