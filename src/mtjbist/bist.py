@@ -27,7 +27,7 @@ the error flag fires iff the fault vector's syndrome is nonzero. A pattern
 enters only through its toggle mask and a clock only through its mask of
 cells still switching at the sample edge, so all patterns x clocks x cells
 are one broadcast of the two masks. crc.py encodes all patterns and takes
-all syndromes, each in one GF(2) product.
+the syndromes of the distinct fault vectors, each in one GF(2) product.
 """
 
 from __future__ import annotations
@@ -142,12 +142,13 @@ def inject_attack(array: list[MtjCell], spec: AttackSpec) -> list[MtjCell]:
 
 
 def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockConfig], crc: CrcConfig,
-                 model: MtjDelayModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 model: MtjDelayModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every pattern at every clock on the same array, in closed form.
 
-    Returns the launched bits (P, n), the faulted cells (H, P, n) and the
-    error flags (H, P), all bool, for P patterns, H clocks and n cells.
-    Cells with writes still pending raise (the harness serializes rounds).
+    Returns the launched bits (P, n) bool, the distinct fault vectors (K, n)
+    bool, the (H, P) index of each round's fault vector among them and the
+    (H, P) bool error flags, for P patterns, H clocks and n cells. Cells with
+    writes still pending raise (the harness serializes rounds).
     """
     n = crc.data_width + crc.check_width
     if len(array) != n:
@@ -165,9 +166,14 @@ def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockCo
     sample = np.array([c.sample_time for c in clocks]).reshape(-1, 1)
     # (H, n): cells that, once toggled, are still switching at the sample edge
     slow = sample < launch + delay
-    faults = (launched != state) & slow[:, None, :]
-    flags = syndromes(faults, crc).any(axis=-1)
-    return launched, faults, flags
+    faults = ((launched != state) & slow[:, None, :]).reshape(-1, n)
+    # one syndrome per distinct fault vector, of which the error flag is a function
+    packed = np.packbits(faults, axis=-1)
+    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    vectors = faults[first]
+    index = inverse.reshape(len(clocks), len(patterns))
+    return launched, vectors, index, syndromes(vectors, crc).any(axis=-1)[index]
 
 
 def run_bist(
@@ -182,12 +188,13 @@ def run_bist(
     The array is not mutated; cells with writes still pending at call time
     raise (the harness serializes rounds).
     """
-    launched, faults, flags = _bist_rounds(array, [pattern], [clock], crc, model)
+    launched, vectors, index, flags = _bist_rounds(array, [pattern], [clock], crc, model)
+    faults = vectors[index[0, 0]]
     return BistResult(
         pattern=pattern,
         error_flag=int(flags[0, 0]),
-        sensed_bits=tuple((launched[0] ^ faults[0, 0]).astype(np.int64).tolist()),
-        faulted_positions=frozenset(np.flatnonzero(faults[0, 0]).tolist()),
+        sensed_bits=tuple((launched[0] ^ faults).astype(np.int64).tolist()),
+        faulted_positions=frozenset(np.flatnonzero(faults).tolist()),
         launch_time=clock.launch_time,
         sample_time=clock.sample_time,
     )
@@ -226,17 +233,13 @@ def frequency_sweep(
     patterns = tuple(int(p) for p in patterns)
     half_periods = tuple(float(hp) for hp in half_periods)
     clocks = [replace(clock, half_period=hp) for hp in half_periods]
-    _, faults, flags = _bist_rounds(array, list(patterns), clocks, crc, model)
+    _, vectors, index, flags = _bist_rounds(array, list(patterns), clocks, crc, model)
     # one frozenset per distinct fault vector, shared by every round that has it
-    flat = faults.reshape(-1, faults.shape[-1])
-    packed = np.packbits(flat, axis=-1)
-    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    fault_sets = tuple(frozenset(np.flatnonzero(flat[i]).tolist()) for i in first.tolist())
+    fault_sets = tuple(frozenset(np.flatnonzero(v).tolist()) for v in vectors)
     # -inf marks a pattern that never fired: every half period is positive
     flagged_hp = np.where(flags, np.array(half_periods).reshape(-1, 1), -np.inf).max(axis=0, initial=-np.inf)
     worst = {p: (hp if hp > 0 else None) for p, hp in zip(patterns, flagged_hp.tolist())}
-    return SweepResult(half_periods, patterns, flags, inverse.reshape(flags.shape), fault_sets, worst)
+    return SweepResult(half_periods, patterns, flags, index, fault_sets, worst)
 
 
 @dataclass(frozen=True)
@@ -274,8 +277,8 @@ def detection_coverage(
         states = sum(int(array[i].state) << i for i in range(d))
         patterns = [states ^ ((1 << d) - 1)] + patterns
     infected = frozenset(i for i, c in enumerate(array) if is_malicious(c, model))
-    _, faults, flags = _bist_rounds(array, patterns, [clock], crc, model)
-    flagged = frozenset(np.flatnonzero(faults[0, flags[0]].any(axis=0)).tolist())
+    _, vectors, index, flags = _bist_rounds(array, patterns, [clock], crc, model)
+    flagged = frozenset(np.flatnonzero(vectors[index[0, flags[0]]].any(axis=0)).tolist())
     flagged_infected = flagged & infected
     coverage = len(flagged_infected) / len(infected) if infected else 1.0
     return CoverageReport(

@@ -346,7 +346,7 @@ def test_launched_words_match_scalar_encode(data):
                     data_width=data.draw(st.integers(1, 130)))
     d, n = crc.data_width, crc.data_width + g
     patterns = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=6))
-    launched, _, _ = _bist_rounds(nominal_array(n), patterns, [ClockConfig()], crc, MODEL)
+    launched = _bist_rounds(nominal_array(n), patterns, [ClockConfig()], crc, MODEL)[0]
     assert launched.astype(int).tolist() == [list(message_bits(encode(p, crc), crc)) for p in patterns]
     # a pattern that does not fit fails as the scalar encoder does
     bad = data.draw(st.one_of(st.integers(1 << d, 1 << (d + 8)), st.integers(-(1 << 8), -1)))
