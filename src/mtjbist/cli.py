@@ -7,6 +7,7 @@ Exit codes: 0 for a clean run, 2 when tampering or a Trojan was detected
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -49,13 +50,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _seed(text: str) -> int:
+def _arg_type(parse):
+    """argparse type= for parse: its ValueError becomes the option's usage error."""
+    def arg(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return arg
+
+
+_seed = _arg_type(CONFIG_KEYS["seed"][1])
+_key = _arg_type(functools.partial(parse_hex, width=80))
+_block = _arg_type(functools.partial(parse_hex, width=32))
+
+
+def _hex_option(option: str, text: str, width: int) -> int:
     try:
-        return CONFIG_KEYS["seed"][1](text)
+        return parse_hex(text, width)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise UsageError(f"{option}: {exc}") from None
 
 
+# one parser serves every main call in a process: parse_args fills a fresh
+# Namespace and --config/--seed/--out default to SUPPRESS
+@functools.cache
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="flat key = value config file")
@@ -128,13 +147,13 @@ def build_parser() -> _Parser:
     p_katan = sub.add_parser("katan", help="KATAN-32 block cipher", parents=[common])
     katan_sub = p_katan.add_subparsers(dest="katan_command", required=True)
     p_enc = katan_sub.add_parser("enc", parents=[common], help="encrypt one block")
-    p_enc.add_argument("--key", required=True, help="80-bit key, 20 hex digits")
-    p_enc.add_argument("--pt", required=True, help="32-bit plaintext, hex")
+    p_enc.add_argument("--key", type=_key, required=True, help="80-bit key, 20 hex digits")
+    p_enc.add_argument("--pt", type=_block, required=True, help="32-bit plaintext, hex")
     p_enc.add_argument("--trojan", action="store_true", help="run the infected cipher")
     p_enc.set_defaults(func=cmd_katan_enc)
     p_dec = katan_sub.add_parser("dec", parents=[common], help="decrypt one block")
-    p_dec.add_argument("--key", required=True, help="80-bit key, 20 hex digits")
-    p_dec.add_argument("--ct", required=True, help="32-bit ciphertext, hex")
+    p_dec.add_argument("--key", type=_key, required=True, help="80-bit key, 20 hex digits")
+    p_dec.add_argument("--ct", type=_block, required=True, help="32-bit ciphertext, hex")
     p_dec.set_defaults(func=cmd_katan_dec)
 
     p_exp1 = sub.add_parser("exp1", parents=[common], help="CRC receiver identification experiment")
@@ -181,7 +200,7 @@ def cmd_bist_run(args, config: ExperimentConfig) -> int:
     array = _load_array(config, args.array)
     clock = config.clock if args.half_period is None else replace(config.clock, half_period=args.half_period)
     pattern = (
-        parse_hex(args.pattern, crc.data_width)
+        _hex_option("bist run: --pattern", args.pattern, crc.data_width)
         if args.pattern
         else config.crc_reference_pattern
     )
@@ -204,11 +223,13 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
     crc = config.crc
     array = _load_array(config, args.array)
     if args.patterns is not None:
-        patterns = [parse_hex(p, crc.data_width) for p in split_list(args.patterns)]
+        patterns = [_hex_option("bist sweep: --patterns", p, crc.data_width) for p in split_list(args.patterns)]
         if not patterns:
             raise UsageError("bist sweep: --patterns needs at least one pattern")
     elif args.n_random < 1:
         raise UsageError(f"bist sweep: --n-random must be >= 1, got {args.n_random}")
+    elif crc.data_width > 63:
+        raise UsageError(f"crc.data_width = {crc.data_width}: random patterns take at most 63 bits")
     else:
         rng = np.random.default_rng(config.seed)
         patterns = [int(p) for p in rng.integers(0, 1 << crc.data_width, size=args.n_random)]
@@ -328,20 +349,16 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
 
 
 def cmd_katan_enc(args, config: ExperimentConfig) -> int:
-    key = parse_hex(args.key, 80)
-    pt = parse_hex(args.pt, 32)
     if args.trojan:
-        ct = trojan.encrypt32_trojan(pt, key, config.katan_trojan)
+        ct = trojan.encrypt32_trojan(args.pt, args.key, config.katan_trojan)
     else:
-        ct = katan.encrypt32(pt, key)
+        ct = katan.encrypt32(args.pt, args.key)
     print(to_hex(ct, 32))
     return 0
 
 
 def cmd_katan_dec(args, config: ExperimentConfig) -> int:
-    key = parse_hex(args.key, 80)
-    ct = parse_hex(args.ct, 32)
-    print(to_hex(katan.decrypt32(ct, key), 32))
+    print(to_hex(katan.decrypt32(args.ct, args.key), 32))
     return 0
 
 

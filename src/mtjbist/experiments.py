@@ -94,10 +94,13 @@ def device(config: ExperimentConfig, circuit: str, trojan: bool):
     """(circuit, pattern filter) of the configured CRC receiver or KATAN-32.
 
     The filter of an infected device keeps the patterns that fire its
-    trigger (None for a clean one); a KATAN Trojan that can never fire under
-    the configured key is rejected before any pattern is drawn.
+    trigger (None for a clean one). A CRC data word wider than a dataset's
+    63-bit patterns, and a KATAN Trojan that can never fire under the
+    configured key, are rejected before any pattern is drawn.
     """
     if circuit == "crc":
+        if config.crc.data_width > 63:
+            raise ValueError(f"crc.data_width = {config.crc.data_width}: random patterns take at most 63 bits")
         dut = TrojanCrcDecoderCircuit(config.crc) if trojan else CrcDecoderCircuit(config.crc)
     elif circuit == "katan":
         key = config.katan_key

@@ -154,6 +154,68 @@ def test_bist_sweep_bad_array_row_exits_1_with_location(tmp_path, capsys, row):
     assert f"{array}:2: " in capsys.readouterr().err
 
 
+# each used to exit 1 with numpy's "high is out of bounds for int64", naming no key
+@pytest.mark.parametrize("argv", [["bist", "sweep", "--n-random", "3"], ["trace", "gen", "--circuit", "crc"], ["exp1"]],
+                         ids=["bist-sweep", "trace-gen", "exp1"])
+def test_random_patterns_wider_than_63_bits_name_the_key(tmp_path, capsys, argv):
+    conf = tmp_path / "w64.conf"
+    conf.write_text("crc.data_width = 64\n")
+    assert main([*argv, "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+    assert "crc.data_width = 64: random patterns take at most 63 bits" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the given patterns of bist run and bist sweep still take all 64 bits
+    assert main(["bist", "run", "--pattern", "f" * 16, "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+    assert main(["bist", "sweep", "--patterns", "f" * 16, "--config", str(conf), "--out", str(tmp_path / "sweep")]) == 0
+
+
+# each used to print int()'s or parse_hex's message, which names no option
+@pytest.mark.parametrize("argv, message", [
+    (["katan", "enc", "--key", "zz", "--pt", "0"], "argument --key: invalid literal for int() with base 16: 'zz'"),
+    (["katan", "dec", "--key", "0", "--ct", "zz"], "argument --ct: invalid literal for int() with base 16: 'zz'"),
+    (["katan", "enc", "--key", "0", "--pt", "1ffffffff"], "argument --pt: '1ffffffff' does not fit in 32 bits"),
+    (["katan", "dec", "--key", "f" * 21, "--ct", "0"], f"argument --key: '{'f' * 21}' does not fit in 80 bits"),
+    (["bist", "run", "--pattern", "zz"], "bist run: --pattern: invalid literal for int() with base 16: 'zz'"),
+    (["bist", "sweep", "--patterns", "01,1ff"], "bist sweep: --patterns: '1ff' does not fit in 8 bits"),
+])
+def test_bad_hex_value_names_its_option(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0_on_every_call_in_one_process(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as root:
+            main(["--help"])
+        assert root.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mtjbist")
+        assert "{bist,attack,trace,detect,katan,exp1,exp2,report}" in out
+        with pytest.raises(SystemExit) as sweep:
+            main(["bist", "sweep", "--help"])
+        assert sweep.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mtjbist bist sweep")
+        assert "--n-random" in out and "--patterns" in out
+
+
+def test_options_of_one_call_do_not_carry_into_the_next(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = 7\n")
+    args = ["trace", "gen", "--n", "3", "--config", str(conf), "--name", "ds"]
+    assert main([*args, "--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+    # the usage error comes after --seed is parsed
+    assert main(["trace", "gen", "--seed", "6", "--n", "x", "--out", str(tmp_path / "bad")]) == 1
+    assert main([*args, "--out", str(tmp_path / "again")]) == 0
+    assert "seed = 7\n" in (tmp_path / "again" / "ds" / "manifest").read_text()
+    fresh = subprocess.run([sys.executable, "-m", "mtjbist.cli", *args, "--out", str(tmp_path / "fresh")],
+                           capture_output=True)
+    assert fresh.returncode == 0
+    assert tree_digest(tmp_path / "again" / "ds") == tree_digest(tmp_path / "fresh" / "ds")
+    assert tree_digest(tmp_path / "again" / "ds") != tree_digest(tmp_path / "seeded" / "ds")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_attack_inject_requires_target_choice(tmp_path, capsys):
     array = tmp_path / "cells.txt"
     mtj.save_array(array, mtj.nominal_array(16))
