@@ -36,6 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bits import random_patterns
+
 # perfbench's traced run hooks bist.run_bist, frequency_sweep, encode, verify,
 # apply_bit and sense by module attribute, so they stay importable here until
 # the next benchmark change re-hooks the kernel (ROADMAP 2)
@@ -271,8 +273,7 @@ def detection_coverage(
     if n_patterns < 1:
         raise ValueError("n_patterns must be >= 1")
     d = crc.data_width
-    rng = np.random.default_rng(rng_seed)
-    patterns = [int(p) for p in rng.integers(0, 1 << d, size=n_patterns)]
+    patterns = random_patterns(np.random.default_rng(rng_seed), d, n_patterns, "crc.data_width").tolist()
     if include_complement:
         states = sum(int(array[i].state) << i for i in range(d))
         patterns = [states ^ ((1 << d) - 1)] + patterns

@@ -60,7 +60,7 @@ class TrojanCrcDecoderCircuit(CrcDecoderCircuit):
         self.name = "crc_decoder_trojan"
 
     def fires(self, patterns) -> np.ndarray:
-        return crc_trigger(codewords(np.ravel(patterns).tolist(), self.config), self.config).reshape(np.shape(patterns))
+        return crc_trigger(codewords(patterns, self.config), self.config).reshape(np.shape(patterns))
 
     @property
     def trigger_toggles(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bist, experiments, katan, mtj, trojan
-from .bits import parse_hex, to_hex
+from .bits import parse_hex, random_patterns, to_hex
 from .config import CONFIG_KEYS, ExperimentConfig, load_config
 from .detector import (
     Decision,
@@ -228,11 +228,9 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
             raise UsageError("bist sweep: --patterns needs at least one pattern")
     elif args.n_random < 1:
         raise UsageError(f"bist sweep: --n-random must be >= 1, got {args.n_random}")
-    elif crc.data_width > 63:
-        raise UsageError(f"crc.data_width = {crc.data_width}: random patterns take at most 63 bits")
     else:
         rng = np.random.default_rng(config.seed)
-        patterns = [int(p) for p in rng.integers(0, 1 << crc.data_width, size=args.n_random)]
+        patterns = random_patterns(rng, crc.data_width, args.n_random, "crc.data_width").tolist()
     if args.half_periods is not None:
         half_periods = split_list(args.half_periods, float)
         if not half_periods:

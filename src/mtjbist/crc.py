@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bits import check, unpack
 
 @dataclass(frozen=True)
 class CrcConfig:
@@ -62,13 +63,6 @@ class Message:
         return (self.data << config.check_width) | self.check
 
 
-def _validate(value: int, nbits: int) -> None:
-    if nbits < 0:
-        raise ValueError("nbits must be >= 0")
-    if value < 0 or value >> nbits:
-        raise ValueError(f"value {value:#x} does not fit in {nbits} bits")
-
-
 def crc_remainder(value: int, nbits: int, config: CrcConfig) -> int:
     """Remainder of value(x) * x^g mod the generator, MSB-first division:
     the last state of the zero-initialized receiver register."""
@@ -76,15 +70,14 @@ def crc_remainder(value: int, nbits: int, config: CrcConfig) -> int:
 
 
 def encode(pattern: int, config: CrcConfig) -> Message:
-    """Attach the check value to a data pattern."""
-    _validate(pattern, config.data_width)
+    """Attach the check value to a data pattern, which crc_remainder checks for width."""
     return Message(data=pattern, check=crc_remainder(pattern, config.data_width, config))
 
 
 def verify(message: Message, config: CrcConfig) -> int:
     """Receiver check: 1 (error) iff the remainder over data||check is nonzero."""
-    _validate(message.data, config.data_width)
-    _validate(message.check, config.check_width)
+    check(message.data, config.data_width)
+    check(message.check, config.check_width)
     nbits = config.data_width + config.check_width
     return 1 if crc_remainder(message.packed(config), nbits, config) else 0
 
@@ -97,7 +90,7 @@ def decoder_register_states(message_bits: int, nbits: int, config: CrcConfig, in
     models switching activity; the error decision itself uses the zero-init
     register, through crc_remainder.
     """
-    _validate(message_bits, nbits)
+    check(message_bits, nbits)
     g = config.check_width
     mask = (1 << g) - 1
     reg = config.reset_state if init is None else init
@@ -111,14 +104,6 @@ def decoder_register_states(message_bits: int, nbits: int, config: CrcConfig, in
     return states
 
 
-def _bits(values, width: int) -> np.ndarray:
-    """(len(values), width) uint8: column k holds bit k of each value, for
-    values that fit in width bits, however wide."""
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(int(v).to_bytes(nbytes, "little") for v in values), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(-1, nbytes), axis=-1, count=width, bitorder="little")
-
-
 @lru_cache(maxsize=32)
 def _unit_timelines(config: CrcConfig) -> np.ndarray:
     """(n, n+1, g) read-only bits: row c is the zero-init register timeline of
@@ -126,7 +111,7 @@ def _unit_timelines(config: CrcConfig) -> np.ndarray:
     codewords (data cell i is bit g + i of data||check, check cell j bit j)."""
     d, g = config.data_width, config.check_width
     n = d + g
-    out = np.stack([_bits(decoder_register_states(1 << pos, n, config, init=0), g)
+    out = np.stack([unpack(decoder_register_states(1 << pos, n, config, init=0), g)
                     for pos in [*range(g, n), *range(g)]])
     out.setflags(write=False)
     return out
@@ -137,12 +122,10 @@ def codewords(patterns, config: CrcConfig) -> np.ndarray:
     0..d-1 carry data bits 0..d-1 (bit i is the 2^i coefficient), cells
     d..d+g-1 carry the check bits the same way."""
     d = config.data_width
-    for p in patterns:
-        _validate(p, d)
-    data = _bits(patterns, d)
+    data = unpack(patterns, d)
     # uint8 sums wrap modulo 256, which keeps their parity
-    check = (data @ _unit_timelines(config)[:d, d]) & 1
-    return np.hstack([data, check]).astype(bool)
+    checks = (data @ _unit_timelines(config)[:d, d]) & 1
+    return np.hstack([data, checks]).astype(bool)
 
 
 def syndromes(words: np.ndarray, config: CrcConfig) -> np.ndarray:
@@ -157,4 +140,4 @@ def register_timelines(patterns, config: CrcConfig) -> np.ndarray:
     packed codeword, for all patterns in one product."""
     n, g = config.data_width + config.check_width, config.check_width
     flat = (codewords(patterns, config).astype(np.uint8) @ _unit_timelines(config).reshape(n, -1)) & 1
-    return flat.reshape(-1, n + 1, g) ^ _bits(decoder_register_states(0, n, config), g)
+    return flat.reshape(-1, n + 1, g) ^ unpack(decoder_register_states(0, n, config), g)

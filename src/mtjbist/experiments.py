@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import random_space
 from .circuits import (
     CrcDecoderCircuit,
     KatanCircuit,
@@ -99,8 +100,7 @@ def device(config: ExperimentConfig, circuit: str, trojan: bool):
     configured key, are rejected before any pattern is drawn.
     """
     if circuit == "crc":
-        if config.crc.data_width > 63:
-            raise ValueError(f"crc.data_width = {config.crc.data_width}: random patterns take at most 63 bits")
+        random_space(config.crc.data_width, "crc.data_width")
         dut = TrojanCrcDecoderCircuit(config.crc) if trojan else CrcDecoderCircuit(config.crc)
     elif circuit == "katan":
         key = config.katan_key

@@ -39,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bits import check, unpack
 N_ROUNDS = 254
 KEY_BITS = 80
 BLOCK_BITS = 32
@@ -88,41 +89,9 @@ def key_stream(key: int, n_bits: int = 2 * N_ROUNDS) -> list[int]:
     return list(_key_schedule(key, max(n_bits, 2 * N_ROUNDS + KEY_BITS))[:n_bits])
 
 
-def _check_block(value: int, name: str) -> None:
-    if value < 0 or value >> BLOCK_BITS:
-        raise ValueError(f"{name} must fit in {BLOCK_BITS} bits")
-
-
-def _load(block: int) -> tuple[int, int]:
-    return (block >> L2_BITS) & _L1_MASK, block & _L2_MASK
-
-
-def _store(l1: int, l2: int) -> int:
-    return (l1 << L2_BITS) | l2
-
-
-def _lanes(blocks, name: str) -> np.ndarray:
-    try:
-        lanes = np.asarray(blocks, dtype=np.uint64)
-    except OverflowError:
-        # a negative or too-wide Python int
-        raise ValueError(f"{name} must fit in {BLOCK_BITS} bits") from None
-    if lanes.size and int(lanes.max()) >> BLOCK_BITS:
-        raise ValueError(f"{name} must fit in {BLOCK_BITS} bits")
-    return lanes
-
-
 def _slice(rows: np.ndarray) -> list[int]:
-    """One int per row of a (k, n) 0/1 array, its bit j taken from column j."""
+    """One int per row of a (k, n) 0/1 array, its bit j taken from column j: bits.unpack inverts it."""
     return [int.from_bytes(row, "little") for row in np.packbits(rows, axis=1, bitorder="little")]
-
-
-def _unslice(words: list[int], n: int) -> np.ndarray:
-    """The inverse of _slice: a (len(words), n) uint8 array of 0/1."""
-    size = (n + 7) // 8
-    data = b"".join(w.to_bytes(size, "little") for w in words)
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(words), size)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
 def core_states(plaintexts, key: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,11 +102,12 @@ def core_states(plaintexts, key: int) -> tuple[np.ndarray, np.ndarray]:
     stream followed by rows r..r+18 of the L2 stream; r = 254 gives the
     ciphertext.
     """
-    lanes = _lanes(plaintexts, "plaintexts")
+    shape = np.shape(plaintexts)
+    lanes = unpack(plaintexts, BLOCK_BITS, "plaintext")
     ks = key_stream(key)
-    msb_first = np.unpackbits(lanes.reshape(-1).astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
-    words = _slice(msb_first.T)
-    masks = (0, (1 << lanes.size) - 1)
+    # row i of the transposed lanes holds bit 31 - i of every lane
+    words = _slice(lanes[:, ::-1].T)
+    masks = (0, (1 << len(lanes)) - 1)
     l1, l2 = words[:L1_BITS], words[L1_BITS:]
     for r in range(N_ROUNDS):
         # L1[i] is l1[r + 12 - i] and L2[i] is l2[r + 18 - i]
@@ -145,7 +115,7 @@ def core_states(plaintexts, key: int) -> tuple[np.ndarray, np.ndarray]:
         fb = l2[r] ^ l2[r + 11] ^ (l2[r + 6] & l2[r + 8]) ^ (l2[r + 10] & l2[r + 15]) ^ masks[ks[2 * r + 1]]
         l1.append(fb)
         l2.append(fa)
-    return tuple(_unslice(s, lanes.size).reshape((len(s),) + lanes.shape) for s in (l1, l2))
+    return tuple(unpack(s, len(lanes)).reshape((len(s),) + shape) for s in (l1, l2))
 
 
 def window_flips(stream: np.ndarray, width: int, step: int = 1) -> np.ndarray:
@@ -163,7 +133,6 @@ def window_flips(stream: np.ndarray, width: int, step: int = 1) -> np.ndarray:
 
 
 def encrypt32(plaintext: int, key: int) -> int:
-    _check_block(plaintext, "plaintext")
     return int(encrypt32_batch(plaintext, key))
 
 
@@ -176,9 +145,9 @@ def encrypt32_batch(plaintexts, key: int) -> np.ndarray:
 
 
 def decrypt32(ciphertext: int, key: int) -> int:
-    _check_block(ciphertext, "ciphertext")
+    check(ciphertext, BLOCK_BITS, "ciphertext")
     ks = key_stream(key)
-    l1, l2 = _load(ciphertext)
+    l1, l2 = (ciphertext >> L2_BITS) & _L1_MASK, ciphertext & _L2_MASK
     for r in range(N_ROUNDS - 1, -1, -1):
         fa, fb = l2 & 1, l1 & 1
         l1 >>= 1
@@ -188,7 +157,7 @@ def decrypt32(ciphertext: int, key: int) -> int:
         b2 = (fb ^ (l2 >> 7) ^ ((l2 >> 12) & (l2 >> 10)) ^ ((l2 >> 8) & (l2 >> 3)) ^ ks[2 * r + 1]) & 1
         l1 |= b1 << 12
         l2 |= b2 << 18
-    return _store(l1, l2)
+    return (l1 << L2_BITS) | l2
 
 
 @lru_cache(maxsize=32)

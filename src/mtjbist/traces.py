@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import parse_hex, to_hex
+from .bits import check, parse_hex, pattern_array, random_patterns, random_space, to_hex
 from .textio import checked, finite_float, parse_at, read_kv, read_text
 
 MIN_TRACE_SAMPLES = 100
@@ -152,8 +152,8 @@ class Dataset:
         # patterns are int64, so a dataset's input is at most 63 bits wide
         if not 1 <= self.pattern_bits <= 63:
             raise ValueError(f"pattern_bits must lie in [1, 63], got {self.pattern_bits}")
-        patterns = np.asarray(self.patterns, dtype=np.int64)
-        if patterns.shape != (len(samples),) or np.any((patterns < 0) | (patterns >> self.pattern_bits != 0)):
+        patterns = pattern_array(self.patterns, self.pattern_bits, "pattern")
+        if patterns.shape != (len(samples),):
             raise ValueError(f"need one pattern of at most {self.pattern_bits} bits per trace row")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "patterns", patterns)
@@ -174,9 +174,7 @@ def _check_samples(samples: np.ndarray, dt: float) -> None:
 
 def toggle_profile(circuit, pattern: int) -> np.ndarray:
     """Per-step toggle counts of one circuit run, length circuit.n_steps."""
-    if pattern < 0 or pattern >> circuit.input_width:
-        raise ValueError(f"pattern {pattern:#x} does not fit in {circuit.input_width} bits")
-    return _toggle_rows(circuit, [pattern])[0]
+    return _toggle_rows(circuit, [check(pattern, circuit.input_width, "pattern")])[0]
 
 
 def _toggle_rows(circuit, patterns) -> np.ndarray:
@@ -232,7 +230,7 @@ def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_fi
     """
     if n_patterns < 1:
         raise ValueError("n_patterns must be >= 1")
-    space = 1 << circuit.input_width
+    space = random_space(circuit.input_width, "input_width")
     accept = pattern_filter or (lambda p: True)
     if space <= (1 << 16):
         candidates = np.flatnonzero(np.broadcast_to(accept(np.arange(space)), space))
@@ -245,7 +243,7 @@ def draw_patterns(circuit, n_patterns: int, rng: np.random.Generator, pattern_fi
     budget = 10_000 * n_patterns
     while len(chosen) < n_patterns and budget:
         budget -= 1
-        p = int(rng.integers(0, space))
+        p = int(random_patterns(rng, circuit.input_width))
         if p not in chosen and accept(p):
             chosen[p] = None
     if len(chosen) < n_patterns:

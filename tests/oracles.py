@@ -11,6 +11,14 @@ import math
 
 
 # ---------------------------------------------------------------------------
+# Bits of a pattern, one shift at a time
+
+def pattern_bits(values, width: int) -> list[list[int]]:
+    """Row i holds the width bits of values[i], bit k of it being (v >> k) & 1."""
+    return [[(int(v) >> k) & 1 for k in range(width)] for v in values]
+
+
+# ---------------------------------------------------------------------------
 # CRC: textbook long division over GF(2)
 
 def crc_long_division(value: int, nbits: int, poly_low: int, g: int) -> int:

@@ -392,6 +392,13 @@ def test_pending_cell_raises():
         detection_coverage(cells, ClockConfig(), CRC8, MODEL, rng_seed=0, n_patterns=2)
 
 
+# used to raise numpy's "high is out of bounds for int64", naming no width
+def test_coverage_of_a_64_bit_data_word_names_the_width():
+    wide = CrcConfig(data_width=64)
+    with pytest.raises(ValueError, match="^crc.data_width = 64: random patterns take at most 63 bits$"):
+        detection_coverage(nominal_array(72), ClockConfig(), wide, MODEL, 1, 4)
+
+
 def test_sample_exactly_at_completion_reads_new_state():
     # window 0..2 ns and tm at tm_max give a 2.0 ns switch; launching at
     # 2 * half_period and sampling at 4 * half_period leaves exactly 2.0 ns

@@ -196,8 +196,8 @@ def test_dataset_validation():
             dataset(np.zeros((2, 128)), dt=dt)
     with pytest.raises(ValueError, match="one pattern of at most 4 bits per trace row"):
         dataset(np.zeros((2, 128)), patterns=[0, 1, 2])
-    for bad in ([0, 16], [-1, 0]):
-        with pytest.raises(ValueError, match="one pattern of at most 4 bits per trace row"):
+    for bad, text in (([0, 16], "0x10"), ([-1, 0], "-0x1")):
+        with pytest.raises(ValueError, match=f"^pattern {text} does not fit in 4 bits$"):
             dataset(np.zeros((2, 128)), patterns=bad)
     for bits in (0, 64):
         with pytest.raises(ValueError, match="pattern_bits"):
@@ -228,6 +228,15 @@ def test_draw_patterns_small_space_falls_back_to_replacement():
 def test_draw_patterns_empty_filter_raises():
     with pytest.raises(ValueError):
         draw_patterns(CrcDecoderCircuit(), 5, np.random.default_rng(0), pattern_filter=lambda p: False)
+
+
+# used to raise numpy's "high is out of bounds for int64", naming no width
+def test_draw_patterns_from_a_64_bit_input_names_the_width():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^input_width = 64: random patterns take at most 63 bits$"):
+        draw_patterns(CrcDecoderCircuit(CrcConfig(data_width=64)), 3, rng)
+    assert rng.bit_generator.state == state
 
 
 def _draw_both(circuit, n, seed, oracle):
