@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bits import random_patterns
-
 # perfbench's traced run hooks bist.run_bist, frequency_sweep, encode, verify,
 # apply_bit and sense by module attribute, so they stay importable here until
 # the next benchmark change re-hooks the kernel (ROADMAP 2)

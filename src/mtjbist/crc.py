@@ -26,6 +26,7 @@ import numpy as np
 
 from .bits import check, unpack
 
+
 @dataclass(frozen=True)
 class CrcConfig:
     # generator polynomial low bits, implicit leading term x^check_width

@@ -75,8 +75,7 @@ def relational_detector(reference, test, normalized: bool = False) -> float:
     """
     a = np.asarray(reference, dtype=float)
     b = np.asarray(test, dtype=float)
-    # some OpenBLAS ddot kernels round a lag's two argument orders differently,
-    # so both orders run one call: the smaller bytes first
+    # one call for both argument orders, which some OpenBLAS ddot kernels round differently
     value = float(np.max(np.abs(cross_correlation(*sorted((a, b), key=np.ndarray.tobytes)))))
     if normalized:
         denom = float(np.linalg.norm(a) * np.linalg.norm(b))

@@ -40,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import check, unpack
+
 N_ROUNDS = 254
 KEY_BITS = 80
 BLOCK_BITS = 32

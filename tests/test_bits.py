@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from mtjbist.bits import random_patterns, unpack
 from oracles import pattern_bits
 
+
 @st.composite
-def patterns_of_width(draw, max_width=130):
-    width = draw(st.integers(1, max_width))
+def patterns_of_width(draw):
+    width = draw(st.integers(1, 130))
     return width, draw(st.lists(st.integers(0, (1 << width) - 1), max_size=8))
 
 
