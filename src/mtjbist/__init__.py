@@ -7,33 +7,25 @@ cells into transition-delay faults, toggle-count current traces for a CRC
 receiver and the KATAN-32 cipher, parametric Trojans for both, and a
 cross-correlation detector that separates infected devices from process and
 temperature variation.
+
+The package root re-exports what the command line, the demos and the README
+use; everything else stays importable from its module.
 """
 
 from .bist import (
     AttackSpec,
-    BistResult,
     ClockConfig,
-    CoverageReport,
     SweepResult,
     detection_coverage,
     frequency_sweep,
     inject_attack,
     run_bist,
 )
-from .bits import parity, parse_hex, to_hex
-from .circuits import (
-    CrcDecoderCircuit,
-    KatanCircuit,
-    TrojanCrcDecoderCircuit,
-    TrojanKatanCircuit,
-)
-from .config import ExperimentConfig, load_config, parse_config_text
-from .crc import CrcConfig, Message, crc_remainder, decoder_register_states, encode, verify
+from .bits import parse_hex, to_hex
+from .circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit
+from .config import ExperimentConfig, load_config
+from .crc import CrcConfig
 from .detector import (
-    DEFAULT_SENSITIVITY,
-    SENSITIVITY_LEVELS,
-    ConfusionCounts,
-    Decision,
     DetectorConfig,
     EvaluationSignal,
     classify,
@@ -45,23 +37,14 @@ from .detector import (
 )
 from .experiments import (
     ExperimentResult,
-    child_seeds,
     run_crc_identification,
     run_katan_identification,
     write_experiment,
 )
-from .katan import (
-    core_states,
-    decrypt32,
-    encrypt32,
-    encrypt32_batch,
-    key_stream,
-    key_window_toggles,
-)
+from .katan import core_states, decrypt32, encrypt32, encrypt32_batch
 from .mtj import (
     MtjCell,
     MtjDelayModel,
-    PendingTransition,
     apply_bit,
     is_malicious,
     load_array,
@@ -72,8 +55,6 @@ from .mtj import (
 )
 from .traces import (
     NORMAL,
-    PV_FRACTION_RANGE,
-    TEMPERATURE_RANGE_C,
     TROJAN,
     Condition,
     ConditionKind,
@@ -86,7 +67,6 @@ from .traces import (
     simulate_trace,
     toggle_profile,
     write_dataset,
-    write_trace_csv,
 )
 from .trojan import (
     PAYLOAD_MASK_32,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bits import check
 from .crc import CrcConfig, codewords, register_timelines
 from .katan import BLOCK_BITS, KEY_BITS, L1_BITS, L2_BITS, N_ROUNDS, core_states, key_window_toggles, window_flips
 from .trojan import TrojanSpec, crc_trigger, katan_trigger
@@ -79,9 +80,7 @@ class KatanCircuit:
     n_steps = N_ROUNDS
 
     def __init__(self, key: int):
-        if key < 0 or key >> KEY_BITS:
-            raise ValueError(f"key must fit in {KEY_BITS} bits")
-        self.key = key
+        self.key = check(key, KEY_BITS, "key")
         self.name = "katan32"
 
     def toggles(self, patterns) -> np.ndarray:

@@ -18,7 +18,6 @@ from . import bist, experiments, katan, mtj, trojan
 from .bits import parse_hex, random_patterns, to_hex
 from .config import CONFIG_KEYS, ExperimentConfig, load_config
 from .detector import (
-    Decision,
     DetectorConfig,
     EvaluationSignal,
     classify,
@@ -65,11 +64,16 @@ _key = _arg_type(functools.partial(parse_hex, width=80))
 _block = _arg_type(functools.partial(parse_hex, width=32))
 
 
-def _hex_option(option: str, text: str, width: int) -> int:
+def _option(option: str, parse, text: str):
+    """parse(text), its ValueError reworded as a usage error naming the option."""
     try:
-        return parse_hex(text, width)
+        return parse(text)
     except ValueError as exc:
         raise UsageError(f"{option}: {exc}") from None
+
+
+def _list_of(parse):
+    return functools.partial(split_list, parse=parse)
 
 
 # one parser serves every main call in a process: parse_args fills a fresh
@@ -170,13 +174,14 @@ def build_parser() -> _Parser:
 
 def _load_array(config: ExperimentConfig, path: str | None) -> list[mtj.MtjCell]:
     n = config.crc.data_width + config.crc.check_width
-    source = path or config.mtj_array_path
-    if source:
-        cells = mtj.load_array(source)
-        if len(cells) != n:
-            raise ValueError(f"array {source} has {len(cells)} cells, message needs {n}")
-        return cells
-    return mtj.nominal_array(n)
+    # an empty --array names a file like any other: one that cannot be read
+    source = path if path is not None else config.mtj_array_path or None
+    if source is None:
+        return mtj.nominal_array(n)
+    cells = mtj.load_array(source)
+    if len(cells) != n:
+        raise ValueError(f"array {source} has {len(cells)} cells, message needs {n}")
+    return cells
 
 
 def _write_bist_csv(path, sweep: bist.SweepResult, data_width: int) -> None:
@@ -199,11 +204,9 @@ def cmd_bist_run(args, config: ExperimentConfig) -> int:
     crc = config.crc
     array = _load_array(config, args.array)
     clock = config.clock if args.half_period is None else replace(config.clock, half_period=args.half_period)
-    pattern = (
-        _hex_option("bist run: --pattern", args.pattern, crc.data_width)
-        if args.pattern
-        else config.crc_reference_pattern
-    )
+    pattern = config.crc_reference_pattern
+    if args.pattern is not None:
+        pattern = _option("bist run: --pattern", functools.partial(parse_hex, width=crc.data_width), args.pattern)
     sweep = bist.frequency_sweep(array, [pattern], [clock.half_period], crc, config.mtj, clock)
     flagged = bool(sweep.flags[0, 0])
     os.makedirs(config.out, exist_ok=True)
@@ -223,7 +226,8 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
     crc = config.crc
     array = _load_array(config, args.array)
     if args.patterns is not None:
-        patterns = [_hex_option("bist sweep: --patterns", p, crc.data_width) for p in split_list(args.patterns)]
+        hex_list = _list_of(functools.partial(parse_hex, width=crc.data_width))
+        patterns = list(_option("bist sweep: --patterns", hex_list, args.patterns))
         if not patterns:
             raise UsageError("bist sweep: --patterns needs at least one pattern")
     elif args.n_random < 1:
@@ -232,7 +236,7 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
         rng = np.random.default_rng(config.seed)
         patterns = random_patterns(rng, crc.data_width, args.n_random, "crc.data_width").tolist()
     if args.half_periods is not None:
-        half_periods = split_list(args.half_periods, float)
+        half_periods = _option("bist sweep: --half-periods", _list_of(float), args.half_periods)
         if not half_periods:
             raise UsageError("bist sweep: --half-periods needs at least one half period")
     else:
@@ -252,9 +256,10 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
 def cmd_attack_inject(args, config: ExperimentConfig) -> int:
     cells = mtj.load_array(args.array)
     if args.random is not None:
-        spec = bist.AttackSpec.random(len(cells), args.random, split_list(args.multiplier_range, float), config.seed)
+        multipliers = _option("attack inject: --multiplier-range", _list_of(float), args.multiplier_range)
+        spec = bist.AttackSpec.random(len(cells), args.random, multipliers, config.seed)
     elif args.targets:
-        spec = bist.AttackSpec.uniform(split_list(args.targets, int), args.multiplier)
+        spec = bist.AttackSpec.uniform(_option("attack inject: --targets", _list_of(int), args.targets), args.multiplier)
     else:
         raise UsageError("attack inject: need --targets or --random")
     tampered = bist.inject_attack(cells, spec)
@@ -297,22 +302,23 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     return 0
 
 
+def _tally(rejected: np.ndarray) -> str:
+    n_rej = np.count_nonzero(rejected)
+    return f"{len(rejected) - n_rej} accepted, {n_rej} rejected"
+
+
 def cmd_detect_eval(args, config: ExperimentConfig) -> int:
     dataset = read_dataset(args.dataset)
     reference = read_trace_csv(args.reference, dataset.dt, dataset.samples.shape[1])
     signal = evaluation_signal(reference, dataset, config.detector_normalized)
     threshold = args.threshold if args.threshold is not None else threshold_from_reference(signal)
     sensitivity = args.sensitivity if args.sensitivity is not None else config.detector_sensitivity
-    decisions = classify(signal, DetectorConfig(threshold, sensitivity))
+    rejected = classify(signal, DetectorConfig(threshold, sensitivity))
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "evaluation.csv")
-    experiments.write_evaluation_csv(out_csv, signal, decisions)
-    n_rej = sum(1 for d in decisions if d is Decision.REJECT)
-    print(
-        f"threshold {threshold:.10g}, sensitivity {sensitivity:g}: "
-        f"{len(decisions) - n_rej} accepted, {n_rej} rejected; wrote {out_csv}"
-    )
-    return 2 if n_rej else 0
+    experiments.write_evaluation_csv(out_csv, signal, rejected)
+    print(f"threshold {threshold:.10g}, sensitivity {sensitivity:g}: {_tally(rejected)}; wrote {out_csv}")
+    return 2 if rejected.any() else 0
 
 
 def cmd_detect_score(args, config: ExperimentConfig) -> int:
@@ -335,7 +341,11 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
         raise ValueError(f"{path}: {exc}") from None
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
-    levels = config.detector_sensitivities if args.sensitivities is None else split_list(args.sensitivities, float)
+    levels = (
+        config.detector_sensitivities
+        if args.sensitivities is None
+        else _option("detect score: --sensitivities", _list_of(float), args.sensitivities)
+    )
     if not levels:
         raise UsageError("detect score: --sensitivities needs at least one level")
     counts = [(s, score(classify(signal, DetectorConfig(args.threshold, s)), condition)) for s in levels]
@@ -365,11 +375,10 @@ def _run_experiment(config: ExperimentConfig, name: str, run) -> int:
     out_dir = os.path.join(config.out, name)
     experiments.write_experiment(result, config, out_dir)
     print(f"{name}: threshold {result.threshold:.10g}")
-    for ds_name, decisions in result.decisions.items():
-        n_rej = sum(1 for d in decisions if d is Decision.REJECT)
-        print(f"  {ds_name}: {len(decisions) - n_rej} accepted, {n_rej} rejected")
+    for ds_name, rejected in result.decisions.items():
+        print(f"  {ds_name}: {_tally(rejected)}")
     print(f"wrote {out_dir}")
-    return 2 if experiments.any_rejection(result) else 0
+    return 2 if any(rejected.any() for rejected in result.decisions.values()) else 0
 
 
 def cmd_exp1(args, config: ExperimentConfig) -> int:

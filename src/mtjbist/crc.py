@@ -94,9 +94,7 @@ def decoder_register_states(message_bits: int, nbits: int, config: CrcConfig, in
     check(message_bits, nbits)
     g = config.check_width
     mask = (1 << g) - 1
-    reg = config.reset_state if init is None else init
-    if not 0 <= reg <= mask:
-        raise ValueError("init must fit in check_width bits")
+    reg = check(config.reset_state if init is None else init, g, "init")
     states = [reg]
     for i in range(nbits - 1, -1, -1):
         fb = ((reg >> (g - 1)) ^ (message_bits >> i)) & 1

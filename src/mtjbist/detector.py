@@ -11,7 +11,6 @@ threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -19,11 +18,6 @@ from .traces import Condition, CurrentTrace, Dataset
 
 DEFAULT_SENSITIVITY = 0.10
 SENSITIVITY_LEVELS = (0.05, 0.10, 0.20)
-
-
-class Decision(Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
 
 
 @dataclass(frozen=True)
@@ -45,10 +39,6 @@ class ConfusionCounts:
     fp: int = 0
     tn: int = 0
     fn: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 def cross_correlation(a, b) -> np.ndarray:
@@ -115,27 +105,21 @@ def threshold_from_reference(signal: EvaluationSignal) -> float:
     return float(np.mean(signal.values))
 
 
-def classify(signal: EvaluationSignal, config: DetectorConfig) -> list[Decision]:
-    """Accept iff |value - threshold| <= sensitivity * threshold (band edges accept)."""
-    band = config.sensitivity * config.threshold
-    return [
-        Decision.ACCEPT if abs(v - config.threshold) <= band else Decision.REJECT
-        for v in signal.values
-    ]
+def classify(signal: EvaluationSignal, config: DetectorConfig) -> np.ndarray:
+    """Bool per value, True where it is rejected: outside
+    |value - threshold| <= sensitivity * threshold (band edges accept)."""
+    return ~(np.abs(signal.values - config.threshold) <= config.sensitivity * config.threshold)
 
 
-def score(decisions, condition: Condition) -> ConfusionCounts:
-    """Confusion counts for one dataset of known provenance.
+def score(rejected, condition: Condition) -> ConfusionCounts:
+    """Confusion counts of one dataset of known provenance, from classify's array.
 
     Positive = Trojan present. A rejection of a Trojan dataset's trace is a
     true positive; a rejection of any original-device trace (Normal, process
     variation, temperature) is a false positive.
     """
-    decisions = list(decisions)
-    n_reject = sum(1 for d in decisions if d is Decision.REJECT)
-    n_accept = sum(1 for d in decisions if d is Decision.ACCEPT)
-    if n_reject + n_accept != len(decisions):
-        raise ValueError("decisions must be Decision values")
+    n_reject = int(np.count_nonzero(rejected))
+    n_accept = len(rejected) - n_reject
     if condition.original:
         return ConfusionCounts(tp=0, fp=n_reject, tn=n_accept, fn=0)
     return ConfusionCounts(tp=n_reject, fp=0, tn=0, fn=n_accept)

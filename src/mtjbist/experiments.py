@@ -37,7 +37,6 @@ from .circuits import (
 from .config import ExperimentConfig
 from .detector import (
     ConfusionCounts,
-    Decision,
     DetectorConfig,
     EvaluationSignal,
     classify,
@@ -70,7 +69,8 @@ class ExperimentResult:
     reference: CurrentTrace
     datasets: dict[str, Dataset]
     signals: dict[str, EvaluationSignal]
-    decisions: dict[str, list[Decision]]
+    # dataset name -> bool per trace, True where it was rejected
+    decisions: dict[str, np.ndarray]
     # dataset name -> sensitivity -> counts
     confusion: dict[str, dict[float, ConfusionCounts]]
 
@@ -141,7 +141,7 @@ def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
         evaluation_signal(reference, datasets["reference"], config.detector_normalized)
     )
     signals: dict[str, EvaluationSignal] = {}
-    decisions: dict[str, list[Decision]] = {}
+    decisions: dict[str, np.ndarray] = {}
     confusion: dict[str, dict[float, ConfusionCounts]] = {}
     for name, dataset in datasets.items():
         if name == "reference":
@@ -178,15 +178,17 @@ def run_katan_identification(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # output directory layout
 
-def evaluation_rows(signal: EvaluationSignal, decisions) -> list[str]:
-    """``index,value,decision`` lines of one evaluation signal."""
-    return [f"{i},{v:.10g},{d.value}\n" for i, (v, d) in enumerate(zip(signal.values, decisions))]
+def evaluation_rows(signal: EvaluationSignal, rejected) -> list[str]:
+    """``index,value,decision`` lines of one evaluation signal, the decision
+    spelled ``accept`` or ``reject``."""
+    return [f"{i},{v:.10g},{'reject' if r else 'accept'}\n"
+            for i, (v, r) in enumerate(zip(signal.values, rejected))]
 
 
-def write_evaluation_csv(path, signal: EvaluationSignal, decisions) -> None:
+def write_evaluation_csv(path, signal: EvaluationSignal, rejected) -> None:
     with open(path, "w") as fh:
         fh.write("index,value,decision\n")
-        fh.writelines(evaluation_rows(signal, decisions))
+        fh.writelines(evaluation_rows(signal, rejected))
 
 
 def write_confusion_csv(path, counts) -> None:
@@ -242,9 +244,3 @@ def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir
     write_traces(files, write_tables)
     for name, dataset in result.datasets.items():
         remove_unlisted_traces(dataset, dirs[name])
-
-
-def any_rejection(result: ExperimentResult) -> bool:
-    return any(
-        d is Decision.REJECT for decs in result.decisions.values() for d in decs
-    )

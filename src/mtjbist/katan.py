@@ -82,8 +82,7 @@ def _key_schedule(key: int, n_bits: int) -> tuple[int, ...]:
 
 def key_stream(key: int, n_bits: int = 2 * N_ROUNDS) -> list[int]:
     """First n_bits of the key LFSR output, k[0..79] being the key itself."""
-    if key < 0 or key >> KEY_BITS:
-        raise ValueError(f"key must fit in {KEY_BITS} bits")
+    check(key, KEY_BITS, "key")
     if n_bits < 0:
         raise ValueError(f"n_bits must be >= 0, got {n_bits}")
     # every n_bits up to 2 * N_ROUNDS + KEY_BITS shares one cached schedule

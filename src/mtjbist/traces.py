@@ -294,10 +294,6 @@ def _write_samples_csv(path, dt: float, samples: np.ndarray) -> None:
         fh.write(f"{TRACE_HEADER}\n{text}")
 
 
-def write_trace_csv(trace: CurrentTrace, path) -> None:
-    _write_samples_csv(path, trace.dt, trace.samples)
-
-
 # str.splitlines() breaks a line at these as well as at "\n", and float()
 # strips most of them from the ends of a field
 _OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"

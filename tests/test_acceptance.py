@@ -19,7 +19,7 @@ from mtjbist.circuits import (
 )
 from mtjbist.config import ExperimentConfig
 from mtjbist.crc import CrcConfig, Message, crc_remainder, encode, verify
-from mtjbist.detector import Decision, relational_detector
+from mtjbist.detector import relational_detector
 from mtjbist.experiments import (
     run_crc_identification,
     run_katan_identification,
@@ -251,9 +251,9 @@ def test_criterion_06_crc_receiver_identification(exp1_result):
 def test_criterion_07_katan_identification_and_dormancy(exp2_result):
     t0 = time.perf_counter()
     problems = []
-    if not all(d is Decision.ACCEPT for d in exp2_result.decisions["normal"]):
+    if exp2_result.decisions["normal"].any():
         problems.append("a clean KATAN trace was rejected")
-    if not all(d is Decision.REJECT for d in exp2_result.decisions["trojan"]):
+    if not exp2_result.decisions["trojan"].all():
         problems.append("an active KATAN Trojan trace was accepted")
     key = ExperimentConfig().katan_key
     spec = TrojanSpec()

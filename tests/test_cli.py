@@ -183,6 +183,40 @@ def test_bad_hex_value_names_its_option(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+# each used to print float()'s or int()'s message alone, naming no option;
+# {array} and {eval} name files the test writes
+@pytest.mark.parametrize("argv, message", [
+    (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--targets", "1,a"],
+     "attack inject: --targets: invalid literal for int() with base 10: 'a'"),
+    (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--random", "2",
+      "--multiplier-range", "a,b"], "attack inject: --multiplier-range: could not convert string to float: 'a'"),
+    (["bist", "sweep", "--half-periods", "3,x"], "bist sweep: --half-periods: could not convert string to float: 'x'"),
+    (["detect", "score", "{eval}", "--threshold", "1", "--condition", "normal", "--sensitivities", "x"],
+     "detect score: --sensitivities: could not convert string to float: 'x'"),
+], ids=["targets", "multiplier-range", "half-periods", "sensitivities"])
+def test_bad_list_item_names_its_option(tmp_path, capsys, argv, message):
+    mtj.save_array(tmp_path / "cells.txt", mtj.nominal_array(16))
+    (tmp_path / "evaluation.csv").write_text("index,value,decision\n0,1,accept\n")
+    files = {"array": tmp_path / "cells.txt", "eval": tmp_path / "evaluation.csv"}
+    argv = [arg.format(**files) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cells.txt.out").exists()
+
+
+# each used to fall back to the default, the config's reference pattern or
+# a nominal array, and exit 0
+@pytest.mark.parametrize("argv", [
+    ["bist", "run", "--pattern", ""],
+    ["bist", "run", "--array", ""],
+    ["bist", "sweep", "--array", ""],
+], ids=["run-pattern", "run-array", "sweep-array"])
+def test_empty_option_value_is_an_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_0_on_every_call_in_one_process(capsys):
     for _ in range(2):
         with pytest.raises(SystemExit) as root:

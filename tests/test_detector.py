@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mtjbist.detector import (
     ConfusionCounts,
-    Decision,
     DetectorConfig,
     EvaluationSignal,
     classify,
@@ -113,13 +112,9 @@ def test_normalized_detector_scale_invariant():
 def test_classify_band_edges_accept():
     config = DetectorConfig(threshold=100.0, sensitivity=0.10)
     signal = EvaluationSignal(np.array([110.0, 90.0, 100.0, 110.0001, 89.9999]))
-    assert classify(signal, config) == [
-        Decision.ACCEPT,
-        Decision.ACCEPT,
-        Decision.ACCEPT,
-        Decision.REJECT,
-        Decision.REJECT,
-    ]
+    rejected = classify(signal, config)
+    assert rejected.dtype == bool
+    assert rejected.tolist() == [False, False, False, True, True]
 
 
 def test_wider_sensitivity_never_rejects_more():
@@ -128,7 +123,7 @@ def test_wider_sensitivity_never_rejects_more():
     rejects = []
     for s in (0.05, 0.10, 0.20):
         decisions = classify(values, DetectorConfig(threshold=100.0, sensitivity=s))
-        rejects.append(sum(d is Decision.REJECT for d in decisions))
+        rejects.append(np.count_nonzero(decisions))
     assert rejects[0] >= rejects[1] >= rejects[2]
 
 
@@ -137,7 +132,7 @@ def test_joint_power_of_two_scaling_preserves_decisions():
     values = np.array([88.0, 91.0, 109.0, 113.0, 100.0])
     base = classify(EvaluationSignal(values), DetectorConfig(100.0, 0.10))
     scaled = classify(EvaluationSignal(values * 4), DetectorConfig(400.0, 0.10))
-    assert base == scaled
+    assert np.array_equal(base, scaled)
 
 
 def test_threshold_is_mean():
@@ -157,17 +152,11 @@ def test_evaluation_signal_over_dataset():
 
 
 def test_score_maps_rejections_by_provenance():
-    decisions = [Decision.ACCEPT, Decision.REJECT, Decision.REJECT]
-    clean = score(decisions, NORMAL)
+    rejected = np.array([False, True, True])
+    clean = score(rejected, NORMAL)
     assert (clean.tp, clean.fp, clean.tn, clean.fn) == (0, 2, 1, 0)
-    infected = score(iter(decisions), TROJAN)
+    infected = score(rejected, TROJAN)
     assert (infected.tp, infected.fp, infected.tn, infected.fn) == (2, 0, 0, 1)
-    assert infected.total == 3
-
-
-def test_score_rejects_foreign_values():
-    with pytest.raises(ValueError):
-        score(["reject"], NORMAL)
 
 
 def test_validation():
@@ -187,4 +176,5 @@ def test_validation():
         EvaluationSignal(np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         EvaluationSignal(np.array([np.inf]))
-    assert ConfusionCounts().total == 0
+    empty = ConfusionCounts()
+    assert empty.tp + empty.fp + empty.tn + empty.fn == 0

@@ -30,11 +30,16 @@ from mtjbist.traces import (
     simulate_trace,
     toggle_profile,
     write_dataset,
-    write_trace_csv,
     write_traces,
 )
 from mtjbist.trojan import TrojanSpec
 from oracles import crc_trojan_fires, read_trace_rows, scan_draw, write_trace_rows
+
+
+def write_trace(trace: CurrentTrace, path) -> None:
+    """One trace file, written by the writer behind every command."""
+    traces_module._write_samples_csv(path, trace.dt, trace.samples)
+
 
 KATAN_KEY = 0x9E3779B97F4A7C15F39D
 CRC_TROJAN = TrojanCrcDecoderCircuit()
@@ -350,7 +355,7 @@ def test_build_dataset_honours_pattern_filter():
 def test_trace_csv_round_trip_is_exact(tmp_path):
     trace = simulate_trace(StubCircuit(), 3, NORMAL, seed=7, params=TraceParams(n_samples=100))
     path = tmp_path / "t.csv"
-    write_trace_csv(trace, path)
+    write_trace(trace, path)
     back = read_trace_csv(path)
     assert back.dt == trace.dt
     assert np.array_equal(back.samples, trace.samples)
@@ -359,8 +364,8 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
 def test_a_numpy_step_is_written_as_a_float_step(tmp_path):
     samples = np.full(MIN_TRACE_SAMPLES, 4.0)
     # the numpy step first: a float step of the same value must not reuse its text
-    write_trace_csv(CurrentTrace(np.float64(0.1), samples), tmp_path / "numpy.csv")
-    write_trace_csv(CurrentTrace(0.1, samples), tmp_path / "float.csv")
+    write_trace(CurrentTrace(np.float64(0.1), samples), tmp_path / "numpy.csv")
+    write_trace(CurrentTrace(0.1, samples), tmp_path / "float.csv")
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
     assert read_trace_csv(tmp_path / "numpy.csv").dt == 0.1
 
@@ -619,7 +624,7 @@ def test_trace_files_are_written_as_the_row_loop_writes_them(dt, rows):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         write_dataset(ds, tmp / "ds")
-        write_trace_csv(CurrentTrace(dt, rows[0]), tmp / "trace.csv")
+        write_trace(CurrentTrace(dt, rows[0]), tmp / "trace.csv")
         for i, row in enumerate(rows):
             write_trace_rows(tmp / "oracle.csv", dt, row)
             assert (tmp / "ds" / f"trace_{i:03d}.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
@@ -697,14 +702,14 @@ _LINE_BREAKS_BUT_NEWLINE = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 @st.composite
 def _written_trace_off_by_one_edit(draw):
-    """Text of a trace as write_trace_csv writes it, taken off the writer's
+    """Text of a trace as the trace writer writes it, taken off the writer's
     form by one edit, and a geometry (dt, n_samples) to read it against."""
     n = MIN_TRACE_SAMPLES + draw(st.sampled_from([0, 1, 27]))
     dt = draw(st.sampled_from([0.1, 0.25, 1e-3, 3.0, 0.123456789012]))
     samples = draw(st.lists(_SAMPLES, min_size=n, max_size=n))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        write_trace_csv(CurrentTrace(dt, samples), path)
+        write_trace(CurrentTrace(dt, samples), path)
         text = path.read_text()
     header, *rows = text.splitlines()
     k = draw(st.integers(0, n - 2))
@@ -758,7 +763,7 @@ def test_written_traces_are_read_back_exactly(tmp_path):
     ds = build_dataset(KATAN_TROJAN, TROJAN, n_patterns=3, seed=5, pattern_filter=KATAN_TROJAN.fires)
     write_dataset(ds, tmp_path / "ds")
     reference = simulate_trace(KatanCircuit(KATAN_KEY), 7, NORMAL, params=TraceParams(dt=0.3, n_samples=300))
-    write_trace_csv(reference, tmp_path / "reference.csv")
+    write_trace(reference, tmp_path / "reference.csv")
     back = read_dataset(tmp_path / "ds")
     assert (back.dt, back.samples.tobytes()) == (ds.dt, ds.samples.tobytes())
     trace = read_trace_csv(tmp_path / "reference.csv")
