@@ -258,8 +258,11 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
     if args.random is not None:
         multipliers = _option("attack inject: --multiplier-range", _list_of(float), args.multiplier_range)
         spec = bist.AttackSpec.random(len(cells), args.random, multipliers, config.seed)
-    elif args.targets:
-        spec = bist.AttackSpec.uniform(_option("attack inject: --targets", _list_of(int), args.targets), args.multiplier)
+    elif args.targets is not None:
+        targets = _option("attack inject: --targets", _list_of(int), args.targets)
+        if not targets:
+            raise UsageError("attack inject: --targets needs at least one cell index")
+        spec = bist.AttackSpec.uniform(targets, args.multiplier)
     else:
         raise UsageError("attack inject: need --targets or --random")
     tampered = bist.inject_attack(cells, spec)
@@ -275,6 +278,8 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
 def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     if args.n is not None and args.n < 1:
         raise UsageError(f"trace gen: --n must be >= 1, got {args.n}")
+    if args.name == "":
+        raise UsageError("trace gen: --name must not be empty")
     kind = ConditionKind(args.condition)
     if kind is ConditionKind.PROCESS_VARIATION and args.pv_fraction is None:
         raise UsageError("trace gen: --pv-fraction required for process_variation")
@@ -295,7 +300,7 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
         params=config.trace,
         pattern_filter=pattern_filter,
     )
-    name = args.name or f"{circuit.name}_{kind.value}"
+    name = args.name if args.name is not None else f"{circuit.name}_{kind.value}"
     out_dir = os.path.join(config.out, name)
     write_dataset(dataset, out_dir)
     print(f"wrote {len(dataset)} traces under {out_dir}")

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .traces import Condition, CurrentTrace, Dataset
+from .traces import DT_RTOL, Condition, CurrentTrace, Dataset
 
 DEFAULT_SENSITIVITY = 0.10
 SENSITIVITY_LEVELS = (0.05, 0.10, 0.20)
@@ -41,6 +42,16 @@ class ConfusionCounts:
     fn: int = 0
 
 
+def _signals(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1 or len(a) != len(b):
+        raise ValueError("inputs must be equal-length one-dimensional signals")
+    if len(a) == 0:
+        raise ValueError("inputs must not be empty")
+    return a, b
+
+
 def cross_correlation(a, b) -> np.ndarray:
     """Full linear cross correlation of two equal-length sample arrays.
 
@@ -48,13 +59,31 @@ def cross_correlation(a, b) -> np.ndarray:
     out[k] = sum_n a[n] * b[n + (N - 1) - k]; out[N - 1] is the zero-lag dot
     product. Matches np.correlate(a, b, mode="full").
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or len(a) != len(b):
-        raise ValueError("inputs must be equal-length one-dimensional signals")
-    if len(a) == 0:
-        raise ValueError("inputs must not be empty")
-    return np.correlate(a, b, mode="full")
+    return np.correlate(*_signals(a, b), mode="full")
+
+
+# bytes of one block of lags of the Toeplitz matrix: 64 lags at N = 256
+_BLOCK_BYTES = 128 * 1024
+
+
+def _peak_correlation(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """max |cross_correlation(row, reference)| of each row of a (k, N) matrix.
+
+    Lag k of every row is one column of rows @ W.T, W the (2N - 1, N)
+    Toeplitz matrix of the zero-padded reference: W[k, n] =
+    reference[n + (N - 1) - k]. The lags are taken in blocks of W of at most
+    _BLOCK_BYTES, and the peak is kept as a running maximum.
+    """
+    n = len(reference)
+    padded = np.concatenate((np.zeros(n - 1), reference, np.zeros(n - 1)))
+    # window j starts at padded[j], so W[k] is window 2N - 2 - k
+    toeplitz = sliding_window_view(padded, n)[::-1]
+    lags = max(1, _BLOCK_BYTES // (n * padded.itemsize))
+    peak = np.zeros(len(rows))
+    for k in range(0, 2 * n - 1, lags):
+        block = np.ascontiguousarray(toeplitz[k:k + lags])
+        np.maximum(peak, np.abs(rows @ block.T).max(axis=1), out=peak)
+    return peak
 
 
 def relational_detector(reference, test, normalized: bool = False) -> float:
@@ -63,10 +92,10 @@ def relational_detector(reference, test, normalized: bool = False) -> float:
     normalized=True divides by the product of the signal 2-norms (energy
     normalization), making the value scale-invariant.
     """
-    a = np.asarray(reference, dtype=float)
-    b = np.asarray(test, dtype=float)
-    # one call for both argument orders, which some OpenBLAS ddot kernels round differently
-    value = float(np.max(np.abs(cross_correlation(*sorted((a, b), key=np.ndarray.tobytes)))))
+    a, b = _signals(reference, test)
+    # the same product for both argument orders, which some BLAS kernels round differently
+    first, second = sorted((a, b), key=np.ndarray.tobytes)
+    value = float(_peak_correlation(first[None, :], second)[0])
     if normalized:
         denom = float(np.linalg.norm(a) * np.linalg.norm(b))
         if denom == 0.0:
@@ -94,10 +123,22 @@ class EvaluationSignal:
 
 
 def evaluation_signal(reference: CurrentTrace, dataset: Dataset, normalized: bool = False) -> EvaluationSignal:
-    """Detector value of every dataset row, one np.correlate per row (a
-    batched FFT correlation would change the last bits of the values)."""
-    values = [relational_detector(reference.samples, row, normalized) for row in dataset.samples]
-    return EvaluationSignal(np.array(values))
+    """Detector value of every dataset row, from one blocked Toeplitz product.
+
+    The reference must step by the dataset's dt, to DT_RTOL, and hold as
+    many samples as a row. normalized=True divides each value by the product
+    of the two 2-norms; a row of norm 0 gets 0.
+    """
+    ref, rows = reference.samples, dataset.samples
+    if not abs(reference.dt - dataset.dt) <= DT_RTOL * dataset.dt:
+        raise ValueError(f"reference dt {reference.dt!r} ns, the dataset's is {dataset.dt!r} ns")
+    if len(ref) != rows.shape[1]:
+        raise ValueError(f"reference holds {len(ref)} samples, a dataset row {rows.shape[1]}")
+    values = _peak_correlation(rows, ref)
+    if normalized:
+        denom = np.linalg.norm(ref) * np.linalg.norm(rows, axis=1)
+        values = np.divide(values, denom, out=np.zeros_like(values), where=denom != 0)
+    return EvaluationSignal(values)
 
 
 def threshold_from_reference(signal: EvaluationSignal) -> float:

@@ -332,9 +332,16 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
 
     A given dt or n_samples is the geometry the trace must have: its step
     must equal dt to DT_RTOL, and it must hold n_samples rows. Every error
-    names the file and the line. The currents are parsed in one call, the
-    times only where they are not the writer's text for the file's own step.
+    names the file and the line.
     """
+    step, samples = _read_samples(path, dt, n_samples)
+    return CurrentTrace(dt=step, samples=samples)
+
+
+def _read_samples(path, dt: float | None, n_samples: int | None) -> tuple[float, np.ndarray]:
+    """(step, samples) of a trace CSV, checked as read_trace_csv says. The
+    currents are parsed in one call, the times only where they are not the
+    writer's text for the file's own step."""
     header, _, body = read_text(path).partition("\n")
     if header.strip() != TRACE_HEADER:
         raise ValueError(f"{path}:1: unexpected header {header.strip()!r}")
@@ -377,7 +384,7 @@ def read_trace_csv(path, dt: float | None = None, n_samples: int | None = None) 
     if not ok[k]:
         t = k * step if times is None else float(times[k])  # the writer's times are k * step
         raise error(k, f"expected time {k} * {step!r} ns and a finite current, got {t!r},{float(samples[k])!r}")
-    return CurrentTrace(dt=step, samples=samples)
+    return step, samples
 
 
 def _write_kv(fh, key: str, value) -> None:
@@ -521,5 +528,5 @@ def read_dataset(dirpath) -> Dataset:
         raise ValueError(f"{path}:{kind_line}: {exc}") from None
     rows: list[np.ndarray] = []
     for _, fname in files:
-        rows.append(read_trace_csv(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None).samples)
+        rows.append(_read_samples(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None)[1])
     return Dataset(condition, seed, circuit, bits, dt, patterns, np.array(rows))

@@ -217,6 +217,24 @@ def test_empty_option_value_is_an_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+# each used to exit 0: "," wrote an untampered copy of the array, and ""
+# claimed that --targets was not given
+@pytest.mark.parametrize("targets", [",", ""], ids=["comma", "empty"])
+def test_attack_inject_without_a_target_names_targets(tmp_path, capsys, targets):
+    mtj.save_array(tmp_path / "cells.txt", mtj.nominal_array(16))
+    argv = ["attack", "inject", "--array", str(tmp_path / "cells.txt"), "--out-array", str(tmp_path / "out.txt")]
+    assert main([*argv, "--targets", targets]) == 1
+    assert "attack inject: --targets needs at least one cell index" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+# it used to write <out>/crc_decoder_normal and exit 0
+def test_trace_gen_with_an_empty_name_names_name(tmp_path, capsys):
+    assert main(["trace", "gen", "--n", "2", "--name", "", "--out", str(tmp_path / "out")]) == 1
+    assert "trace gen: --name must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_0_on_every_call_in_one_process(capsys):
     for _ in range(2):
         with pytest.raises(SystemExit) as root:

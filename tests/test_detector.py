@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from mtjbist.detector import (
     ConfusionCounts,
     DetectorConfig,
     EvaluationSignal,
+    _peak_correlation,
     classify,
     cross_correlation,
     evaluation_signal,
@@ -140,15 +144,74 @@ def test_threshold_is_mean():
     assert threshold_from_reference(sig) == 3.0
 
 
+def dataset_of(rows, dt=0.1) -> Dataset:
+    return Dataset(condition=NORMAL, seed=0, circuit="stub", pattern_bits=8, dt=dt,
+                   patterns=list(range(len(rows))), samples=rows)
+
+
+# the product sums in another order than np.correlate, and which order
+# depends on the BLAS kernel, so the values agree to a stated tolerance
 def test_evaluation_signal_over_dataset():
     ref = CurrentTrace(dt=0.1, samples=np.linspace(0, 1, 128))
     rows = np.array([np.linspace(0, 1, 128) + i for i in range(3)])
-    ds = Dataset(condition=NORMAL, seed=0, circuit="stub", pattern_bits=4, dt=0.1,
-                 patterns=[0, 1, 2], samples=rows)
-    sig = evaluation_signal(ref, ds)
+    sig = evaluation_signal(ref, dataset_of(rows))
     assert len(sig) == 3
-    expect = [relational_detector(ref.samples, row) for row in rows]
-    assert sig.values.tolist() == expect
+    expect = [detector_double_loop(ref.samples.tolist(), row.tolist()) for row in rows]
+    assert sig.values.tolist() == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+# at N = 129, 130, 200 and 256 the lags of one call fall into 3, 3, 5 and 8 blocks
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([1, 2, 5, 31, 64, 129, 130, 200, 256]),
+       st.floats(-4, 4), st.integers(0, 2**32 - 1))
+def test_peak_correlation_matches_the_double_loop_row_by_row(n_rows, n, offset, seed):
+    rng = np.random.default_rng(seed)
+    rows = offset + rng.normal(size=(n_rows, n))
+    ref = offset + rng.normal(size=n)
+    values = _peak_correlation(rows, ref)
+    assert values.shape == (n_rows,)
+    for row, value in zip(rows, values):
+        assert value == pytest.approx(detector_double_loop(row.tolist(), ref.tolist()), rel=1e-12, abs=0)
+        assert value == pytest.approx(_peak_correlation(row[None, :], ref)[0], rel=1e-12, abs=0)
+
+
+def test_peak_correlation_memory_is_bounded_by_its_lag_blocks():
+    # an unblocked Toeplitz matrix of 20 000 samples would take 6.4 GB
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(2, 20_000))
+    ref = rng.normal(size=20_000)
+    tracemalloc.start()
+    try:
+        values = _peak_correlation(rows, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    expect = [np.abs(np.correlate(row, ref, "full")).max() for row in rows]
+    assert values.tolist() == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_evaluation_signal_rejects_a_reference_of_another_dt():
+    rows = np.ones((2, 128))
+    with pytest.raises(ValueError, match=r"reference dt 0\.2 ns, the dataset's is 0\.1 ns"):
+        evaluation_signal(CurrentTrace(dt=0.2, samples=np.ones(128)), dataset_of(rows, dt=0.1))
+    # within DT_RTOL, as the trace reader allows
+    evaluation_signal(CurrentTrace(dt=0.1 * (1 + 1e-7), samples=np.ones(128)), dataset_of(rows, dt=0.1))
+
+
+def test_evaluation_signal_rejects_a_reference_of_another_length():
+    with pytest.raises(ValueError, match="reference holds 129 samples, a dataset row 128"):
+        evaluation_signal(CurrentTrace(dt=0.1, samples=np.ones(129)), dataset_of(np.ones((2, 128))))
+
+
+def test_normalized_evaluation_gives_a_zero_row_zero():
+    rows = np.array([np.zeros(128), np.arange(128.0)])
+    ref = CurrentTrace(dt=0.1, samples=np.linspace(1, 2, 128))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = evaluation_signal(ref, dataset_of(rows), normalized=True)
+    assert sig.values[0] == 0.0
+    assert sig.values[1] == pytest.approx(relational_detector(ref.samples, rows[1], normalized=True), rel=1e-12)
 
 
 def test_score_maps_rejections_by_provenance():
