@@ -54,8 +54,7 @@ config = DetectorConfig(threshold=threshold, sensitivity=0.10)
 print(f"accept while |value - threshold| <= {config.sensitivity:.0%} of the threshold\n")
 print(f"{'device':>18} {'mean value':>12} {'vs threshold':>12} {'rejected':>9}")
 for label, (circuit, condition) in conditions.items():
-    flt = circuit.fires if condition is TROJAN else None
-    ds = build_dataset(circuit, condition, n_patterns=20, seed=3, pattern_filter=flt)
+    ds = build_dataset(circuit, condition, n_patterns=20, seed=3)
     signal = evaluation_signal(reference, ds)
     decisions = classify(signal, config)
     counts = score(decisions, condition)

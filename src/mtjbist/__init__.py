@@ -66,7 +66,7 @@ from .traces import (
     read_trace_csv,
     simulate_trace,
     toggle_profile,
-    write_dataset,
+    write_datasets,
 )
 from .trojan import (
     PAYLOAD_MASK_32,

@@ -34,7 +34,7 @@ from .traces import (
     build_dataset,
     read_dataset,
     read_trace_csv,
-    write_dataset,
+    write_datasets,
 )
 
 
@@ -290,19 +290,12 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     except ValueError as exc:
         raise UsageError(f"trace gen: --condition {kind.value}: {exc}") from None
 
-    circuit, pattern_filter = experiments.device(config, args.circuit, kind is ConditionKind.TROJAN)
+    circuit = experiments.device(config, args.circuit, kind is ConditionKind.TROJAN)
     n = args.n if args.n is not None else config.detector_n_patterns
-    dataset = build_dataset(
-        circuit,
-        condition,
-        n_patterns=n,
-        seed=config.seed,
-        params=config.trace,
-        pattern_filter=pattern_filter,
-    )
+    dataset = build_dataset(circuit, condition, n_patterns=n, seed=config.seed, params=config.trace)
     name = args.name if args.name is not None else f"{circuit.name}_{kind.value}"
     out_dir = os.path.join(config.out, name)
-    write_dataset(dataset, out_dir)
+    write_datasets({out_dir: dataset})
     print(f"wrote {len(dataset)} traces under {out_dir}")
     return 0
 
@@ -332,8 +325,8 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
     rows = records(read_text(path).split("\n"))
     ln, header = next(rows, (1, ""))
     columns = header.split(",")
-    if "value" not in columns:
-        raise ValueError(f"{path}:{ln}: no 'value' column")
+    if columns.count("value") != 1:
+        raise ValueError(f"{path}:{ln}: expected one 'value' column, got {columns.count('value')}")
     parse_value = checked(finite_float, lambda v: v >= 0, "must be >= 0")
     for ln, text in rows:
         row = text.split(",")

@@ -11,10 +11,7 @@ Both experiments follow the same recipe around one device under test:
 One driver runs the recipe from tables: ``DATASETS`` names each circuit's
 datasets (the CRC receiver under Normal, process variation, temperature, and
 Trojan conditions, KATAN-32 under Normal and Trojan), ``SEED_INDEX`` their
-seeds, and ``device``, which ``trace gen`` shares, picks the circuit. Trojan
-datasets draw stimulus patterns conditioned on the trigger firing, since a
-dormant Trojan is electrically identical to the clean circuit and there is
-nothing to observe.
+seeds, and ``device``, which ``trace gen`` shares, picks the circuit.
 
 Every random draw is derived from the single run seed, so a repeated run
 writes byte-identical outputs.
@@ -54,11 +51,8 @@ from .traces import (
     PV_FRACTION_RANGE,
     TEMPERATURE_RANGE_C,
     build_dataset,
-    dataset_files,
-    remove_unlisted_traces,
     simulate_trace,
-    write_manifest,
-    write_traces,
+    write_datasets,
 )
 from .trojan import check_katan_trigger_reachable
 
@@ -92,12 +86,12 @@ SEED_INDEX = {"reference": 1, "normal": 2, "process_variation": 3, "temperature"
 
 
 def device(config: ExperimentConfig, circuit: str, trojan: bool):
-    """(circuit, pattern filter) of the configured CRC receiver or KATAN-32.
+    """The configured CRC receiver or KATAN-32, infected or clean.
 
-    The filter of an infected device keeps the patterns that fire its
-    trigger (None for a clean one). A CRC data word wider than a dataset's
-    63-bit patterns, and a KATAN Trojan that can never fire under the
-    configured key, are rejected before any pattern is drawn.
+    A CRC data word wider than a dataset's 63-bit patterns, a KATAN Trojan
+    that can never fire under the configured key, and a circuit that takes
+    more steps than a trace holds samples are rejected before any pattern is
+    drawn.
     """
     if circuit == "crc":
         random_space(config.crc.data_width, "crc.data_width")
@@ -111,7 +105,10 @@ def device(config: ExperimentConfig, circuit: str, trojan: bool):
             dut = KatanCircuit(key)
     else:
         raise ValueError(f"unknown circuit {circuit!r}")
-    return dut, dut.fires if trojan else None
+    if dut.n_steps > config.trace.n_samples:
+        n = config.trace.n_samples
+        raise ValueError(f"trace.n_samples = {n}: a trace must hold the {dut.n_steps} steps of {dut.name}")
+    return dut
 
 
 def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
@@ -126,16 +123,15 @@ def _identify(config: ExperimentConfig, circuit: str) -> ExperimentResult:
         "temperature": Condition(ConditionKind.TEMPERATURE, temperature_c=temperature),
         "trojan": TROJAN,
     }
-    clean, _ = device(config, circuit, trojan=False)
-    infected, trigger = device(config, circuit, trojan=True)
+    clean = device(config, circuit, trojan=False)
+    infected = device(config, circuit, trojan=True)
     ref_pattern = config.crc_reference_pattern if circuit == "crc" else config.katan_reference_pattern
     reference = simulate_trace(clean, ref_pattern, NORMAL, seed=seeds[0], params=params)
     datasets = {}
     for name in DATASETS[circuit]:
         condition = conditions[name]
-        dut, pattern_filter = (clean, None) if condition.original else (infected, trigger)
-        datasets[name] = build_dataset(dut, condition, config.detector_n_patterns, seed=seeds[SEED_INDEX[name]],
-                                       params=params, pattern_filter=pattern_filter)
+        datasets[name] = build_dataset(clean if condition.original else infected, condition,
+                                       config.detector_n_patterns, seed=seeds[SEED_INDEX[name]], params=params)
 
     theta = threshold_from_reference(
         evaluation_signal(reference, datasets["reference"], config.detector_normalized)
@@ -202,18 +198,11 @@ def write_confusion_csv(path, counts) -> None:
 def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir) -> None:
     """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest.
 
-    One write_traces call writes the reference and every dataset's traces, so
-    exp1 and exp2 fork at most once, from 60 trace files on: from n = 20 on two
+    One write_datasets call writes the reference and every dataset, so exp1
+    and exp2 fork at most once, from 60 trace files on: from n = 20 on two
     CPUs. This process writes the manifests and tables meanwhile.
     """
-    dirs = {name: os.path.join(out_dir, "datasets", name) for name in result.datasets}
-    files = [(os.path.join(out_dir, "reference.csv"), result.reference.dt, result.reference.samples)]
-    for name, dataset in result.datasets.items():
-        files += dataset_files(dataset, dirs[name])
-
     def write_tables():
-        for name, dataset in result.datasets.items():
-            write_manifest(dataset, dirs[name])
         with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:
             fh.write("dataset,index,value,decision\n")
             for name, signal in result.signals.items():
@@ -234,13 +223,10 @@ def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir
             fh.write(f"normalized = {str(config.detector_normalized).lower()}\n")
             for name, dataset in result.datasets.items():
                 fh.write(f"dataset.{name}.circuit = {dataset.circuit}\n")
-                cond = dataset.condition
-                fh.write(f"dataset.{name}.condition = {cond.kind.value}\n")
-                if cond.pv_length_fraction is not None:
-                    fh.write(f"dataset.{name}.pv_length_fraction = {cond.pv_length_fraction:.10g}\n")
-                if cond.temperature_c is not None:
-                    fh.write(f"dataset.{name}.temperature_c = {cond.temperature_c:.10g}\n")
+                fh.write(f"dataset.{name}.condition = {dataset.condition.kind.value}\n")
+                for key, text in dataset.condition.parameters().items():
+                    fh.write(f"dataset.{name}.{key} = {text}\n")
 
-    write_traces(files, write_tables)
-    for name, dataset in result.datasets.items():
-        remove_unlisted_traces(dataset, dirs[name])
+    write_datasets({os.path.join(out_dir, "datasets", name): dataset for name, dataset in result.datasets.items()},
+                   [(os.path.join(out_dir, "reference.csv"), result.reference.dt, result.reference.samples)],
+                   write_tables)

@@ -70,6 +70,11 @@ class Condition:
             if self.pv_length_fraction is not None or self.temperature_c is not None:
                 raise ValueError(f"{self.kind.value} takes no parameters")
 
+    def parameters(self) -> dict[str, str]:
+        """Manifest text of each parameter the condition takes, by name."""
+        return {name: f"{value:.10g}" for name in ("pv_length_fraction", "temperature_c")
+                if (value := getattr(self, name)) is not None}
+
     @property
     def original(self) -> bool:
         """True for every condition except an inserted Trojan."""
@@ -257,16 +262,17 @@ def build_dataset(
     n_patterns: int = 20,
     seed: int = 0,
     params: TraceParams = DEFAULT_PARAMS,
-    pattern_filter=None,
 ) -> Dataset:
     """A dataset of traces under one condition, reproducible from the seed.
 
-    Patterns come from a generator seeded with ``seed``; the noise of trace i
-    is seeded with ``seed ^ i`` so traces are independently reproducible.
+    Patterns come from a generator seeded with ``seed``, and under a Trojan
+    only patterns that fire the circuit's trigger are drawn, since a dormant
+    Trojan is electrically identical to the clean circuit. The noise of trace
+    i is seeded with ``seed ^ i`` so traces are independently reproducible.
     The circuit computes the toggle rows of all patterns in one call.
     """
     rng = np.random.default_rng(seed)
-    patterns = draw_patterns(circuit, n_patterns, rng, pattern_filter)
+    patterns = draw_patterns(circuit, n_patterns, rng, None if condition.original else circuit.fires)
     rows = _toggle_rows(circuit, patterns)
     samples = _synthesize(circuit, patterns, rows, condition, seed, params)
     return Dataset(condition, seed, circuit.name, circuit.input_width, params.dt, patterns, samples)
@@ -400,9 +406,12 @@ def write_traces(files, write_rest) -> None:
 
     files splits into k contiguous shares, k = min(CPUs this process may use,
     len(files) // MIN_TRACES_PER_PROCESS) and at least 1, or 1 where ``os``
-    cannot fork. This process writes share 0 and calls write_rest(), a forked
-    child writes each other share. The bytes are those of a one-process write,
-    and so is the error raised: that of the first file in order that fails.
+    cannot fork. This process writes share 0 and calls write_rest() while a
+    forked child writes each other share and exits 0 once it has. The share
+    of a child that exited otherwise, from an error or a signal, this process
+    then writes again. So the bytes are those of a one-process write, and so
+    is the error raised: that of the first file in order that fails, and only
+    then write_rest()'s.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(cpus, len(files) // MIN_TRACES_PER_PROCESS))
@@ -410,47 +419,33 @@ def write_traces(files, write_rest) -> None:
     children, shared = [], False
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            r, w = os.pipe()
             if (pid := os.fork()) == 0:  # the child leaves by os._exit: no atexit, no flush, no return
                 try:
                     for file in files[lo:hi]:
                         _write_samples_csv(*file)
                     os._exit(0)
-                except BaseException as exc:
-                    os.write(w, str(exc).encode())
                 finally:
                     os._exit(1)
-            os.close(w)
-            children.append((pid, r))
+            children.append((pid, files[lo:hi]))
         for file in files[:bounds[1]]:
             _write_samples_csv(*file)
         shared = True
         write_rest()
     finally:
-        errors = []
-        for pid, r in children:
-            with os.fdopen(r, "rb") as fh:
-                text = fh.read().decode()
-            if os.waitpid(pid, 0)[1]:  # a child that fails exits non-zero
-                errors.append(text or f"trace writer process {pid} failed")
+        unwritten = [file for pid, share in children if os.waitpid(pid, 0)[1] for file in share]
         # a trace file that fails comes before write_rest(), and after share 0
-        if shared and errors:
-            raise OSError(errors[0])
+        for file in unwritten if shared else ():
+            _write_samples_csv(*file)
 
 
-def dataset_files(dataset: Dataset, dirpath) -> list[tuple]:
-    """(path, dt, samples) of each trace CSV of a dataset directory, made if missing."""
-    os.makedirs(dirpath, exist_ok=True)
-    return [(os.path.join(dirpath, f"trace_{i:03d}.csv"), dataset.dt, row) for i, row in enumerate(dataset.samples)]
+_trace_name = "trace_{:03d}.csv".format
 
 
-def write_manifest(dataset: Dataset, dirpath) -> None:
+def _write_manifest(dataset: Dataset, dirpath) -> None:
     with open(os.path.join(dirpath, "manifest"), "w") as fh:
         _write_kv(fh, "condition.kind", dataset.condition.kind.value)
-        if dataset.condition.pv_length_fraction is not None:
-            _write_kv(fh, "condition.pv_length_fraction", f"{dataset.condition.pv_length_fraction:.10g}")
-        if dataset.condition.temperature_c is not None:
-            _write_kv(fh, "condition.temperature_c", f"{dataset.condition.temperature_c:.10g}")
+        for name, text in dataset.condition.parameters().items():
+            _write_kv(fh, f"condition.{name}", text)
         _write_kv(fh, "seed", dataset.seed)
         _write_kv(fh, "n_traces", len(dataset))
         _write_kv(fh, "dt_ns", f"{dataset.dt:.10g}")
@@ -458,25 +453,36 @@ def write_manifest(dataset: Dataset, dirpath) -> None:
         if dataset.circuit:
             _write_kv(fh, "circuit", dataset.circuit)
         for i, pattern in enumerate(dataset.patterns):
-            _write_kv(fh, f"trace.{i}.file", f"trace_{i:03d}.csv")
+            _write_kv(fh, f"trace.{i}.file", _trace_name(i))
             _write_kv(fh, f"trace.{i}.pattern", to_hex(int(pattern), dataset.pattern_bits))
 
 
-def remove_unlisted_traces(dataset: Dataset, dirpath) -> None:
-    """Remove each trace_<digits>.csv of dirpath that the dataset's manifest does not list."""
-    for name in set(os.listdir(dirpath)) - {f"trace_{i:03d}.csv" for i in range(len(dataset))}:
-        if re.fullmatch(r"trace_[0-9]+\.csv", name):
-            os.remove(os.path.join(dirpath, name))
+def write_datasets(dirs, files=(), write_rest=lambda: None) -> None:
+    """Persist each dataset of dirs, a directory -> Dataset map, as that
+    directory, made if missing: a ``manifest`` plus one CSV per trace.
 
-
-def write_dataset(dataset: Dataset, dirpath) -> None:
-    """Persist a dataset as a directory: a ``manifest`` plus one CSV per trace.
-
-    write_traces writes the CSVs, split across processes from 2 *
-    MIN_TRACES_PER_PROCESS traces on, with the bytes and error of one process.
+    One write_traces call writes the (path, dt, samples) trace CSVs of files
+    and then every dataset's, split across processes from 2 *
+    MIN_TRACES_PER_PROCESS files on; this process writes the manifests and
+    calls write_rest() meanwhile. Each trace_<digits>.csv of a directory that
+    its manifest does not list is removed afterwards.
     """
-    write_traces(dataset_files(dataset, dirpath), lambda: write_manifest(dataset, dirpath))
-    remove_unlisted_traces(dataset, dirpath)
+    files = list(files)
+    for dirpath, dataset in dirs.items():
+        os.makedirs(dirpath, exist_ok=True)
+        files += [(os.path.join(dirpath, _trace_name(i)), dataset.dt, row)
+                  for i, row in enumerate(dataset.samples)]
+
+    def manifests_and_rest():
+        for dirpath, dataset in dirs.items():
+            _write_manifest(dataset, dirpath)
+        write_rest()
+
+    write_traces(files, manifests_and_rest)
+    for dirpath, dataset in dirs.items():
+        for name in set(os.listdir(dirpath)) - {_trace_name(i) for i in range(len(dataset))}:
+            if re.fullmatch(r"trace_[0-9]+\.csv", name):
+                os.remove(os.path.join(dirpath, name))
 
 
 # manifest key -> parser; the per-trace keys trace.<i>.file and

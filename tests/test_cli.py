@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtjbist import mtj
+from mtjbist import mtj, traces
 from mtjbist.cli import main
 from mtjbist.config import CONFIG_KEYS
 from mtjbist.detector import DetectorConfig, EvaluationSignal, classify, score
@@ -166,6 +166,27 @@ def test_random_patterns_wider_than_63_bits_name_the_key(tmp_path, capsys, argv)
     # the given patterns of bist run and bist sweep still take all 64 bits
     assert main(["bist", "run", "--pattern", "f" * 16, "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
     assert main(["bist", "sweep", "--patterns", "f" * 16, "--config", str(conf), "--out", str(tmp_path / "sweep")]) == 0
+
+
+# each used to exit 1 only after drawing its patterns, with a message that named no key
+@pytest.mark.parametrize("conf, argv, message", [
+    ("trace.n_samples = 253\n", ["trace", "gen", "--circuit", "katan", "--condition", "trojan"],
+     "trace.n_samples = 253: a trace must hold the 254 steps of katan32_trojan"),
+    ("trace.n_samples = 100\n", ["exp2"], "trace.n_samples = 100: a trace must hold the 254 steps of katan32"),
+    # data plus check bits longer than the trace
+    ("trace.n_samples = 107\ncrc.data_width = 60\ncrc.check_width = 48\n", ["trace", "gen", "--circuit", "crc"],
+     "trace.n_samples = 107: a trace must hold the 108 steps of crc_decoder"),
+    ("trace.n_samples = 100\ncrc.data_width = 63\ncrc.check_width = 40\n", ["exp1"],
+     "trace.n_samples = 100: a trace must hold the 103 steps of crc_decoder"),
+], ids=["katan-trace-gen", "exp2", "crc-trace-gen", "exp1"])
+def test_a_trace_shorter_than_its_circuit_names_the_key(tmp_path, capsys, monkeypatch, conf, argv, message):
+    def no_draw(*args):
+        raise AssertionError("patterns drawn")
+    monkeypatch.setattr(traces, "draw_patterns", no_draw)
+    (tmp_path / "short.conf").write_text(conf)
+    assert main([*argv, "--config", str(tmp_path / "short.conf"), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # each used to print int()'s or parse_hex's message, which names no option
@@ -424,6 +445,19 @@ def test_detect_score_bad_row_names_path_and_line(tmp_path, capsys, rows, line, 
                "--out", str(tmp_path)])
     assert rc == 1
     assert f"error: {evaluation}:{line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "confusion.csv").exists()
+
+
+# a header naming value twice used to score its first value column and exit 0
+@pytest.mark.parametrize("header, count", [("index,value,value,decision", 2), ("index,current,decision", 0)],
+                         ids=["twice", "none"])
+def test_detect_score_needs_one_value_column(tmp_path, capsys, header, count):
+    evaluation = tmp_path / "evaluation.csv"
+    evaluation.write_text(f"{header}\n0,1.5,2.5,accept\n")
+    rc = main(["detect", "score", str(evaluation), "--threshold", "1", "--condition", "normal",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {evaluation}:1: expected one 'value' column, got {count}" in capsys.readouterr().err
     assert not (tmp_path / "confusion.csv").exists()
 
 

@@ -50,3 +50,27 @@ def test_every_export_is_used_by_the_cli_a_demo_or_the_readme():
     used |= set(re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", readme))
     assert exported, "no re-exports found"
     assert sorted(exported - used) == []
+
+
+def test_every_import_of_a_module_is_used():
+    # the project runs no linter, so an import that a simplification leaves
+    # behind fails this instead; __init__.py only re-exports, and a statement
+    # marked noqa: F401 keeps its names on purpose
+    unused = []
+    for path in sorted((ROOT / "src" / "mtjbist").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []

@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import tempfile
 import warnings
 from pathlib import Path
@@ -29,7 +30,7 @@ from mtjbist.traces import (
     read_trace_csv,
     simulate_trace,
     toggle_profile,
-    write_dataset,
+    write_datasets,
     write_traces,
 )
 from mtjbist.trojan import TrojanSpec
@@ -302,22 +303,22 @@ def test_build_dataset_per_trace_noise_seeds():
     # every path of the synthesis: switching term, condition scale, trigger
     # toggles and payload spike of a firing Trojan, for CRC and KATAN rows
     cases = [
-        (CrcDecoderCircuit(), NORMAL, None),
-        (CrcDecoderCircuit(), Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=-0.15), None),
-        (CrcDecoderCircuit(), Condition(ConditionKind.TEMPERATURE, temperature_c=87.5), None),
-        (CRC_TROJAN, TROJAN, CRC_TROJAN.fires),
-        (KatanCircuit(KATAN_KEY), Condition(ConditionKind.TEMPERATURE, temperature_c=33.0), None),
-        (KATAN_TROJAN, TROJAN, KATAN_TROJAN.fires),
+        (CrcDecoderCircuit(), NORMAL),
+        (CrcDecoderCircuit(), Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=-0.15)),
+        (CrcDecoderCircuit(), Condition(ConditionKind.TEMPERATURE, temperature_c=87.5)),
+        (CRC_TROJAN, TROJAN),
+        (KatanCircuit(KATAN_KEY), Condition(ConditionKind.TEMPERATURE, temperature_c=33.0)),
+        (KATAN_TROJAN, TROJAN),
     ]
-    for circ, condition, pattern_filter in cases:
-        ds = build_dataset(circ, condition, n_patterns=4, seed=9, pattern_filter=pattern_filter)
+    for circ, condition in cases:
+        ds = build_dataset(circ, condition, n_patterns=4, seed=9)
         assert ds.circuit == circ.name
         assert ds.pattern_bits == circ.input_width
         assert ds.dt == DEFAULT_PARAMS.dt
         for i, (pattern, row) in enumerate(zip(ds.patterns, ds.samples)):
             again = simulate_trace(circ, int(pattern), condition, seed=9 ^ i)
             assert np.array_equal(row, again.samples)
-            if pattern_filter is not None:
+            if not condition.original:
                 assert circ.fires(int(pattern))
                 assert row[circ.n_steps - 1] > DEFAULT_PARAMS.spike_gain
 
@@ -346,10 +347,12 @@ def test_toggle_rows_of_wrong_shape_rejected():
         build_dataset(ShortStub(), NORMAL, n_patterns=2)
 
 
-def test_build_dataset_honours_pattern_filter():
+def test_a_trojan_dataset_draws_patterns_that_fire():
     circ = TrojanCrcDecoderCircuit()
-    ds = build_dataset(circ, TROJAN, n_patterns=10, seed=5, pattern_filter=circ.fires)
+    ds = build_dataset(circ, TROJAN, n_patterns=10, seed=5)
     assert all(circ.fires(int(p)) for p in ds.patterns)
+    # an original condition draws from the whole space, fired or not
+    assert not all(circ.fires(int(p)) for p in build_dataset(circ, NORMAL, n_patterns=10, seed=5).patterns)
 
 
 def test_trace_csv_round_trip_is_exact(tmp_path):
@@ -381,7 +384,7 @@ def test_dataset_directory_round_trip(tmp_path):
     circ = CrcDecoderCircuit()
     pv = Condition(ConditionKind.PROCESS_VARIATION, pv_length_fraction=-0.125)
     ds = build_dataset(circ, pv, n_patterns=5, seed=21)
-    write_dataset(ds, tmp_path / "pv")
+    write_datasets({tmp_path / "pv": ds})
     back = read_dataset(tmp_path / "pv")
     assert back.condition == ds.condition
     assert back.seed == ds.seed
@@ -393,7 +396,7 @@ def test_dataset_directory_round_trip(tmp_path):
 
 def test_read_dataset_missing_key_names_it(tmp_path):
     ds = build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=2, seed=4)
-    write_dataset(ds, tmp_path / "ds")
+    write_datasets({tmp_path / "ds": ds})
     manifest = tmp_path / "ds" / "manifest"
     lines = manifest.read_text().splitlines(keepends=True)
     for key in ("n_traces", "dt_ns", "trace.1.pattern"):
@@ -406,7 +409,7 @@ def _manifest_2_traces(tmp_path):
     """A written 2-trace dataset whose manifest has the lines
     1 condition.kind, 2 seed, 3 n_traces, 4 dt_ns, 5 pattern_bits, 6 circuit,
     7/8 trace.0.file/pattern and 9/10 trace.1.file/pattern."""
-    write_dataset(build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=2, seed=4), tmp_path / "ds")
+    write_datasets({tmp_path / "ds": build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=2, seed=4)})
     return tmp_path / "ds" / "manifest"
 
 
@@ -501,7 +504,7 @@ def test_dataset_directory_round_trip_property(data):
         dt=data.draw(st.integers(1, 1000)) / 100, patterns=patterns, samples=samples,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        write_dataset(ds, Path(tmp) / "ds")
+        write_datasets({Path(tmp) / "ds": ds})
         back = read_dataset(Path(tmp) / "ds")
     assert (back.condition, back.seed, back.circuit, back.pattern_bits, back.dt) == \
         (ds.condition, ds.seed, ds.circuit, ds.pattern_bits, ds.dt)
@@ -623,7 +626,7 @@ def test_trace_files_are_written_as_the_row_loop_writes_them(dt, rows):
     ds = Dataset(NORMAL, 0, "", 4, dt, [0] * len(rows), rows)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        write_dataset(ds, tmp / "ds")
+        write_datasets({tmp / "ds": ds})
         write_trace(CurrentTrace(dt, rows[0]), tmp / "trace.csv")
         for i, row in enumerate(rows):
             write_trace_rows(tmp / "oracle.csv", dt, row)
@@ -751,7 +754,7 @@ def test_read_trace_csv_reads_a_written_trace_with_one_edit_as_the_row_loop(case
 def test_read_dataset_of_a_dt_whose_manifest_form_drops_digits(tmp_path):
     # the manifest keeps dt_ns = 0.123456789, the files step by 0.123456789012
     ds = build_dataset(CrcDecoderCircuit(), NORMAL, n_patterns=3, seed=2, params=TraceParams(dt=0.123456789012))
-    write_dataset(ds, tmp_path / "ds")
+    write_datasets({tmp_path / "ds": ds})
     back = read_dataset(tmp_path / "ds")
     assert back.dt == 0.123456789
     assert back.samples.tobytes() == ds.samples.tobytes()
@@ -760,8 +763,8 @@ def test_read_dataset_of_a_dt_whose_manifest_form_drops_digits(tmp_path):
 
 
 def test_written_traces_are_read_back_exactly(tmp_path):
-    ds = build_dataset(KATAN_TROJAN, TROJAN, n_patterns=3, seed=5, pattern_filter=KATAN_TROJAN.fires)
-    write_dataset(ds, tmp_path / "ds")
+    ds = build_dataset(KATAN_TROJAN, TROJAN, n_patterns=3, seed=5)
+    write_datasets({tmp_path / "ds": ds})
     reference = simulate_trace(KatanCircuit(KATAN_KEY), 7, NORMAL, params=TraceParams(dt=0.3, n_samples=300))
     write_trace(reference, tmp_path / "reference.csv")
     back = read_dataset(tmp_path / "ds")
@@ -771,8 +774,8 @@ def test_written_traces_are_read_back_exactly(tmp_path):
 
 
 def _split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest):
-    """str of the error that write_traces raises, or None, when it writes three
-    shares' worth of files, with a directory at each index in bad, on cpus."""
+    """(class, str) of the error that write_traces raises, or None, when it writes
+    three shares' worth of files, with a directory at each index in bad, on cpus."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / str(len(cpus))
     out.mkdir()
@@ -782,7 +785,7 @@ def _split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest):
     try:
         write_traces(files, lambda: open(out, "w") if fail_rest else None)
     except OSError as exc:
-        return str(exc).replace(str(out), "<out>")
+        return type(exc), str(exc).replace(str(out), "<out>")
     finally:
         with pytest.raises(ChildProcessError):  # every child reaped
             os.waitpid(-1, os.WNOHANG)
@@ -800,17 +803,34 @@ def _split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest):
 ], ids=["children", "parent-and-child", "child-and-rest", "rest", "none"])
 def test_write_traces_raises_the_one_process_error(tmp_path, monkeypatch, bad, fail_rest, error):
     one, split = (_split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest) for cpus in ({0}, {0, 1, 2}))
-    assert one == split == (error and f"[Errno 21] {error}")
+    assert one == split == (error and (IsADirectoryError, f"[Errno 21] {error}"))
 
 
-def test_write_traces_reports_a_child_that_dies(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    write, parent = traces_module._write_samples_csv, os.getpid()
-    monkeypatch.setattr(traces_module, "_write_samples_csv",
-                        lambda path, dt, samples: write(path, dt, samples) if os.getpid() == parent else os._exit(3))
-    files = [(str(tmp_path / f"t{i:03d}.csv"), 0.1, np.zeros(MIN_TRACE_SAMPLES)) for i in range(2 * MIN_TRACES_PER_PROCESS)]
-    with pytest.raises(OSError, match=r"^trace writer process \d+ failed$"):
-        write_traces(files, lambda: None)
-    assert len(list(tmp_path.iterdir())) == MIN_TRACES_PER_PROCESS
+def test_write_traces_writes_the_share_of_a_child_that_dies(tmp_path, monkeypatch):
+    # the child writes half of its share, then a signal kills it
+    rows = np.random.default_rng(2).normal(size=(2 * MIN_TRACES_PER_PROCESS, MIN_TRACE_SAMPLES))
+    write, parent, waitpid, statuses = traces_module._write_samples_csv, os.getpid(), os.waitpid, []
+
+    def write_or_die(path, dt, samples):
+        if os.getpid() != parent and path.endswith("t045.csv"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        write(path, dt, samples)
+
+    def recording_waitpid(pid, options):
+        pid, status = waitpid(pid, options)
+        statuses.append(status)
+        return pid, status
+
+    monkeypatch.setattr(traces_module, "_write_samples_csv", write_or_die)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    trees = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / str(len(cpus))
+        out.mkdir()
+        write_traces([(str(out / f"t{i:03d}.csv"), 0.1, row) for i, row in enumerate(rows)], lambda: None)
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
+    assert len(trees[1]) == 2 * MIN_TRACES_PER_PROCESS and trees[1] == trees[0]
     with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        waitpid(-1, os.WNOHANG)
