@@ -324,7 +324,8 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
     values = []
     rows = records(read_text(path).split("\n"))
     ln, header = next(rows, (1, ""))
-    columns = header.split(",")
+    # stripped as float() strips the data fields
+    columns = [column.strip() for column in header.split(",")]
     if columns.count("value") != 1:
         raise ValueError(f"{path}:{ln}: expected one 'value' column, got {columns.count('value')}")
     parse_value = checked(finite_float, lambda v: v >= 0, "must be >= 0")

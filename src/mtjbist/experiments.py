@@ -198,9 +198,9 @@ def write_confusion_csv(path, counts) -> None:
 def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir) -> None:
     """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest.
 
-    One write_datasets call writes the reference and every dataset, so exp1
-    and exp2 fork at most once, from 60 trace files on: from n = 20 on two
-    CPUs. This process writes the manifests and tables meanwhile.
+    One write_datasets call writes the reference and every dataset, split
+    across threads from 60 trace files on: from n = 20 on two CPUs. The
+    calling thread writes the manifests and tables meanwhile.
     """
     def write_tables():
         with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:

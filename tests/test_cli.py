@@ -461,6 +461,18 @@ def test_detect_score_needs_one_value_column(tmp_path, capsys, header, count):
     assert not (tmp_path / "confusion.csv").exists()
 
 
+# a spaced header field used to exit 1 with "expected one 'value' column, got 0"
+def test_detect_score_strips_header_fields_as_data_fields(tmp_path, capsys):
+    results = []
+    for header in ("index,value,decision", "index, value ,decision"):
+        evaluation = tmp_path / "evaluation.csv"
+        evaluation.write_text(f"{header}\n0, 1.5 ,accept\n1,0.5,accept\n")
+        rc = main(["detect", "score", str(evaluation), "--threshold", "1", "--condition", "normal",
+                   "--out", str(tmp_path)])
+        results.append((rc, (tmp_path / "confusion.csv").read_text()))
+    assert results[1] == results[0] and results[0][0] in (0, 2)
+
+
 # argv ({...} names a file the test writes), config text, message; each
 # case used to exit 0 or 2 with a wrong result
 NON_FINITE_CASES = {

@@ -1,4 +1,6 @@
 import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -170,30 +172,43 @@ def test_circuit_name_maps():
     assert all(ds.pattern_bits == 8 for ds in crc_result.datasets.values())
 
 
+@pytest.mark.parametrize("exp", ["exp1", "exp2"])
+def test_manifest_threshold_is_the_reference_datasets(tmp_path, capsys, exp):
+    # detect eval without --threshold prints the mean threshold of the dataset it evaluates
+    assert main([exp, "--seed", "1", "--out", str(tmp_path)]) == 2
+    tree = tmp_path / exp
+    manifest = dict(line.split(" = ", 1) for line in (tree / "manifest").read_text().splitlines())
+    printed = {}
+    for name in ("reference", "normal"):
+        capsys.readouterr()
+        rc = main(["detect", "eval", str(tree / "datasets" / name), str(tree / "reference.csv"),
+                   "--out", str(tmp_path / name)])
+        assert rc in (0, 2)
+        printed[name] = re.match(r"threshold (\S+), ", capsys.readouterr().out).group(1)
+    assert printed["reference"] == manifest["threshold"] != printed["normal"]
+
+
 def _tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
-def counted_forks(monkeypatch):
-    """The pids that os.fork returns to this process."""
-    pids, fork = [], os.fork
+def started_threads(monkeypatch):
+    """The threads started while the test runs."""
+    threads, start = [], threading.Thread.start
 
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
+    def counting_start(self):
+        start(self)
+        threads.append(self)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return threads
 
 
-def test_split_write_gives_the_one_process_tree(tmp_path, monkeypatch, capsys, counted_forks):
+def _no_thread_left(threads):
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_split_write_gives_the_one_process_tree(tmp_path, monkeypatch, capsys, started_threads):
     commands = {"exp1": ["exp1"], "exp2": ["exp2"], "ds": ["trace", "gen", "--n", "60", "--name", "ds"]}
     trees = {}
     for cpus in ({0}, {0, 1, 2}):
@@ -202,21 +217,21 @@ def test_split_write_gives_the_one_process_tree(tmp_path, monkeypatch, capsys, c
             out = tmp_path / str(len(cpus))
             assert main([*argv, "--seed", "1", "--out", str(out)]) in (0, 2)
             trees[len(cpus), name] = _tree(out / name)
-            _no_child_left()
+            _no_thread_left(started_threads)
     # at n = 20 exp1 writes 101 trace files, three shares, and exp2 61, two
     # shares; trace gen writes 60, two shares
-    assert len(counted_forks) == 2 + 1 + 1
+    assert len(started_threads) == 2 + 1 + 1
     for name in commands:
         assert trees[1, name] == trees[3, name]
 
 
 @pytest.mark.parametrize("rel", ["datasets/trojan/trace_019.csv", "reference.csv"], ids=["child", "parent"])
-def test_split_write_error_names_the_file(tmp_path, monkeypatch, capsys, counted_forks, rel):
-    # the last trace file falls in the third process's share, the first in this one's
+def test_split_write_error_names_the_file(tmp_path, monkeypatch, capsys, started_threads, rel):
+    # the last trace file falls in the third thread's share, the first in the calling thread's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     (tmp_path / "exp1" / rel).mkdir(parents=True)
     assert main(["exp1", "--seed", "1", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"Is a directory: '{tmp_path / 'exp1' / rel}'" in err
-    assert len(counted_forks) == 2
-    _no_child_left()
+    assert len(started_threads) == 2
+    _no_thread_left(started_threads)

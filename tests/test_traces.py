@@ -1,7 +1,7 @@
 import os
 import re
-import signal
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from mtjbist.traces import (
     Dataset,
     DEFAULT_PARAMS,
     MIN_TRACE_SAMPLES,
-    MIN_TRACES_PER_PROCESS,
+    MIN_TRACES_PER_THREAD,
     TraceParams,
     build_dataset,
     draw_patterns,
@@ -779,16 +779,16 @@ def _split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / str(len(cpus))
     out.mkdir()
-    files = [(str(out / f"t{i:03d}.csv"), 0.1, np.full(MIN_TRACE_SAMPLES, 0.5)) for i in range(3 * MIN_TRACES_PER_PROCESS)]
+    files = [(str(out / f"t{i:03d}.csv"), 0.1, np.full(MIN_TRACE_SAMPLES, 0.5)) for i in range(3 * MIN_TRACES_PER_THREAD)]
     for i in bad:
         os.mkdir(files[i][0])
+    threads = set(threading.enumerate())
     try:
         write_traces(files, lambda: open(out, "w") if fail_rest else None)
     except OSError as exc:
         return type(exc), str(exc).replace(str(out), "<out>")
     finally:
-        with pytest.raises(ChildProcessError):  # every child reaped
-            os.waitpid(-1, os.WNOHANG)
+        assert set(threading.enumerate()) <= threads  # every writer thread joined
 
 
 @pytest.mark.parametrize("bad, fail_rest, error", [
@@ -806,31 +806,42 @@ def test_write_traces_raises_the_one_process_error(tmp_path, monkeypatch, bad, f
     assert one == split == (error and (IsADirectoryError, f"[Errno 21] {error}"))
 
 
-def test_write_traces_writes_the_share_of_a_child_that_dies(tmp_path, monkeypatch):
-    # the child writes half of its share, then a signal kills it
-    rows = np.random.default_rng(2).normal(size=(2 * MIN_TRACES_PER_PROCESS, MIN_TRACE_SAMPLES))
-    write, parent, waitpid, statuses = traces_module._write_samples_csv, os.getpid(), os.waitpid, []
+class WriterFault(Exception):
+    pass
 
-    def write_or_die(path, dt, samples):
-        if os.getpid() != parent and path.endswith("t045.csv"):
-            os.kill(os.getpid(), signal.SIGKILL)
+
+def test_write_traces_reraises_what_a_thread_raised(tmp_path, monkeypatch):
+    # the third share's writer thread fails with an exception that is no OSError
+    write, caller, raised = traces_module._write_samples_csv, threading.current_thread(), []
+
+    def write_or_fail(path, dt, samples):
+        if threading.current_thread() is not caller and path.endswith("t070.csv"):
+            raised.append(WriterFault(path))
+            raise raised[0]
         write(path, dt, samples)
 
-    def recording_waitpid(pid, options):
-        pid, status = waitpid(pid, options)
-        statuses.append(status)
-        return pid, status
+    monkeypatch.setattr(traces_module, "_write_samples_csv", write_or_fail)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    files = [(str(tmp_path / f"t{i:03d}.csv"), 0.1, np.full(MIN_TRACE_SAMPLES, 0.5))
+             for i in range(3 * MIN_TRACES_PER_THREAD)]
+    threads = set(threading.enumerate())
+    with pytest.raises(WriterFault) as info:
+        write_traces(files, lambda: None)
+    assert len(raised) == 1 and info.value is raised[0]
+    assert set(threading.enumerate()) <= threads
 
-    monkeypatch.setattr(traces_module, "_write_samples_csv", write_or_die)
-    monkeypatch.setattr(os, "waitpid", recording_waitpid)
-    trees = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        out = tmp_path / str(len(cpus))
-        out.mkdir()
-        write_traces([(str(out / f"t{i:03d}.csv"), 0.1, row) for i, row in enumerate(rows)], lambda: None)
-        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
-    assert len(trees[1]) == 2 * MIN_TRACES_PER_PROCESS and trees[1] == trees[0]
-    with pytest.raises(ChildProcessError):
-        waitpid(-1, os.WNOHANG)
+
+def test_write_traces_forks_no_process(tmp_path, monkeypatch):
+    # from Python 3.12 on, a fork of a process that runs threads, as numpy's
+    # BLAS may, warns that the child may deadlock
+    def fork():
+        raise AssertionError("write_traces forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    rows = np.random.default_rng(2).normal(size=(3 * MIN_TRACES_PER_THREAD, MIN_TRACE_SAMPLES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_traces([(str(tmp_path / f"t{i:03d}.csv"), 0.1, row) for i, row in enumerate(rows)], lambda: None)
+    for i, row in enumerate(rows):
+        assert read_trace_csv(tmp_path / f"t{i:03d}.csv").samples.tobytes() == row.tobytes()
