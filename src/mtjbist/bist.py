@@ -42,6 +42,7 @@ from .bits import random_patterns
 # the next benchmark change re-hooks the kernel (ROADMAP 2)
 from .crc import CrcConfig, codewords, encode, syndromes, verify  # noqa: F401
 from .mtj import MtjCell, MtjDelayModel, apply_bit, is_malicious, sense, switching_delay  # noqa: F401
+from .textio import positive_finite
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,8 @@ class ClockConfig:
     sample_edge: int = 3
 
     def __post_init__(self):
-        # the chained comparisons are False for nan
-        if not 0 < self.half_period < float("inf"):
-            raise ValueError(f"half_period must be positive and finite, got {self.half_period!r}")
-        if not 0 < self.launch_offset_cycles < float("inf"):
-            raise ValueError(
-                f"launch_offset_cycles must be positive and finite, got {self.launch_offset_cycles!r}"
-            )
+        positive_finite("half_period", self.half_period)
+        positive_finite("launch_offset_cycles", self.launch_offset_cycles)
         if self.sample_edge < 1:
             raise ValueError("sample_edge must be >= 1")
         if self.launch_time >= self.sample_time:
@@ -86,6 +82,16 @@ class BistResult:
     sample_time: float
 
 
+def check_multiplier_range(values) -> tuple[float, float]:
+    """(lo, hi) of a random attack's multipliers: finite, 0 < lo <= hi, so every draw is positive."""
+    if len(values) != 2:
+        raise ValueError(f"multiplier range must be two values lo,hi, got {len(values)}")
+    lo, hi = values
+    if not 0 < lo <= hi < float("inf"):
+        raise ValueError(f"multiplier range must be finite with 0 < lo <= hi, got {lo!r},{hi!r}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """Fabrication-time thickness tampering on selected cells."""
@@ -98,9 +104,8 @@ class AttackSpec:
             raise ValueError("one multiplier per target index")
         if len(set(self.target_indices)) != len(self.target_indices):
             raise ValueError("duplicate target index")
-        # the chained comparison is False for nan
-        if not all(0 < m < float("inf") for m in self.thickness_multipliers):
-            raise ValueError("multipliers must be positive and finite")
+        for m in self.thickness_multipliers:
+            positive_finite("multipliers", m)
 
     @classmethod
     def uniform(cls, target_indices, multiplier: float) -> "AttackSpec":
@@ -112,11 +117,7 @@ class AttackSpec:
         """Randomized variant: seeded choice of targets and multipliers."""
         if not 0 < n_targets <= n_cells:
             raise ValueError("need 0 < n_targets <= n_cells")
-        if len(multiplier_range) != 2:
-            raise ValueError(f"multiplier range must be two values lo,hi, got {len(multiplier_range)}")
-        lo, hi = multiplier_range
-        if not -float("inf") < lo <= hi < float("inf"):
-            raise ValueError(f"multiplier range must be finite with lo <= hi, got {lo!r},{hi!r}")
+        lo, hi = check_multiplier_range(multiplier_range)
         rng = np.random.default_rng(rng_seed)
         targets = tuple(int(i) for i in rng.choice(n_cells, size=n_targets, replace=False))
         mults = tuple(float(m) for m in rng.uniform(lo, hi, size=n_targets))

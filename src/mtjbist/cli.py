@@ -25,7 +25,7 @@ from .detector import (
     score,
     threshold_from_reference,
 )
-from .textio import checked, finite_float, parse_at, read_text, records, split_list
+from .textio import checked, finite_float, parse_at, positive_finite, read_text, records, split_list, write_text
 from .traces import (
     NORMAL,
     TROJAN,
@@ -76,6 +76,11 @@ def _list_of(parse):
     return functools.partial(split_list, parse=parse)
 
 
+def _positive(name: str):
+    """A parser of one positive, finite float, its error naming name."""
+    return lambda text: positive_finite(name, float(text))
+
+
 # one parser serves every main call in a process: parse_args fills a fresh
 # Namespace and --config/--seed/--out default to SUPPRESS
 @functools.cache
@@ -93,7 +98,7 @@ def build_parser() -> _Parser:
     p_run = bist_sub.add_parser("run", parents=[common], help="single launch/sample round")
     p_run.add_argument("--pattern", help="data pattern, hex (default: config reference pattern)")
     p_run.add_argument("--array", help="MTJ array table (default: config mtj.array or nominal)")
-    p_run.add_argument("--half-period", type=float, help="clock half period in ns")
+    p_run.add_argument("--half-period", help="clock half period in ns")
     p_run.set_defaults(func=cmd_bist_run)
     p_sweep = bist_sub.add_parser("sweep", parents=[common], help="pattern x frequency grid")
     p_sweep.add_argument("--patterns", help="comma-separated hex patterns")
@@ -108,7 +113,7 @@ def build_parser() -> _Parser:
     p_inject.add_argument("--array", required=True, help="input array table")
     p_inject.add_argument("--out-array", required=True, help="where to write the tampered table")
     p_inject.add_argument("--targets", help="comma-separated cell indices")
-    p_inject.add_argument("--multiplier", type=float, default=1.3, help="thickness multiplier for --targets")
+    p_inject.add_argument("--multiplier", default="1.3", help="thickness multiplier for --targets")
     p_inject.add_argument("--random", type=int, metavar="N", help="instead tamper N random cells")
     p_inject.add_argument("--multiplier-range", default="1.2,1.5", help="lo,hi for --random")
     p_inject.set_defaults(func=cmd_attack_inject)
@@ -133,12 +138,12 @@ def build_parser() -> _Parser:
     p_eval = detect_sub.add_parser("eval", parents=[common], help="evaluate a dataset against a reference trace")
     p_eval.add_argument("dataset", help="dataset directory (manifest + trace CSVs)")
     p_eval.add_argument("reference", help="reference trace CSV")
-    p_eval.add_argument("--threshold", type=float, help="acceptance threshold (default: mean of this evaluation signal)")
-    p_eval.add_argument("--sensitivity", type=float, help="relative band half-width (default: config)")
+    p_eval.add_argument("--threshold", help="acceptance threshold (default: mean of this evaluation signal)")
+    p_eval.add_argument("--sensitivity", help="relative band half-width (default: config)")
     p_eval.set_defaults(func=cmd_detect_eval)
     p_score = detect_sub.add_parser("score", parents=[common], help="confusion counts from an evaluation CSV")
     p_score.add_argument("evaluation", help="evaluation.csv written by detect eval")
-    p_score.add_argument("--threshold", type=float, required=True)
+    p_score.add_argument("--threshold", required=True)
     p_score.add_argument(
         "--condition",
         choices=[k.value for k in ConditionKind],
@@ -196,17 +201,17 @@ def _write_bist_csv(path, sweep: bist.SweepResult, data_width: int) -> None:
                 for flag, cells in zip(flag_of.tolist(), sweep.fault_sets)]
     body = "".join([hp + p + suffixes[k]
                     for hp, row in zip(half_periods, sweep.fault_index.tolist()) for p, k in zip(patterns, row)])
-    with open(path, "w") as fh:
-        fh.write("half_period_ns,pattern_hex,error_flag,faulted_indices\n" + body)
+    write_text(path, "half_period_ns,pattern_hex,error_flag,faulted_indices\n" + body)
 
 
 def cmd_bist_run(args, config: ExperimentConfig) -> int:
     crc = config.crc
-    array = _load_array(config, args.array)
-    clock = config.clock if args.half_period is None else replace(config.clock, half_period=args.half_period)
+    clock = config.clock if args.half_period is None else replace(
+        config.clock, half_period=_option("bist run: --half-period", _positive("half_period"), args.half_period))
     pattern = config.crc_reference_pattern
     if args.pattern is not None:
         pattern = _option("bist run: --pattern", functools.partial(parse_hex, width=crc.data_width), args.pattern)
+    array = _load_array(config, args.array)
     sweep = bist.frequency_sweep(array, [pattern], [clock.half_period], crc, config.mtj, clock)
     flagged = bool(sweep.flags[0, 0])
     os.makedirs(config.out, exist_ok=True)
@@ -224,7 +229,6 @@ def cmd_bist_run(args, config: ExperimentConfig) -> int:
 
 def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
     crc = config.crc
-    array = _load_array(config, args.array)
     if args.patterns is not None:
         hex_list = _list_of(functools.partial(parse_hex, width=crc.data_width))
         patterns = list(_option("bist sweep: --patterns", hex_list, args.patterns))
@@ -236,11 +240,12 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
         rng = np.random.default_rng(config.seed)
         patterns = random_patterns(rng, crc.data_width, args.n_random, "crc.data_width").tolist()
     if args.half_periods is not None:
-        half_periods = _option("bist sweep: --half-periods", _list_of(float), args.half_periods)
+        half_periods = _option("bist sweep: --half-periods", _list_of(_positive("half_period")), args.half_periods)
         if not half_periods:
             raise UsageError("bist sweep: --half-periods needs at least one half period")
     else:
         half_periods = [float(h) for h in np.linspace(3.0, 0.75, 10)]
+    array = _load_array(config, args.array)
     sweep = bist.frequency_sweep(array, patterns, half_periods, crc, config.mtj, config.clock)
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "bist_results.csv")
@@ -254,17 +259,20 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
 
 
 def cmd_attack_inject(args, config: ExperimentConfig) -> int:
-    cells = mtj.load_array(args.array)
+    spec = None
     if args.random is not None:
-        multipliers = _option("attack inject: --multiplier-range", _list_of(float), args.multiplier_range)
-        spec = bist.AttackSpec.random(len(cells), args.random, multipliers, config.seed)
+        multipliers = _option("attack inject: --multiplier-range",
+                              lambda text: bist.check_multiplier_range(split_list(text, float)), args.multiplier_range)
     elif args.targets is not None:
         targets = _option("attack inject: --targets", _list_of(int), args.targets)
         if not targets:
             raise UsageError("attack inject: --targets needs at least one cell index")
-        spec = bist.AttackSpec.uniform(targets, args.multiplier)
+        spec = bist.AttackSpec.uniform(targets, _option("attack inject: --multiplier", _positive("multipliers"),
+                                                        args.multiplier))
     else:
         raise UsageError("attack inject: need --targets or --random")
+    cells = mtj.load_array(args.array)
+    spec = spec or bist.AttackSpec.random(len(cells), args.random, multipliers, config.seed)
     tampered = bist.inject_attack(cells, spec)
     mtj.save_array(args.out_array, tampered)
     bad = [i for i, c in enumerate(tampered) if mtj.is_malicious(c, config.mtj)]
@@ -306,20 +314,30 @@ def _tally(rejected: np.ndarray) -> str:
 
 
 def cmd_detect_eval(args, config: ExperimentConfig) -> int:
+    threshold, sensitivity = (None if text is None else _option(f"detect eval: --{name}", _positive(name), text)
+                              for name, text in (("threshold", args.threshold), ("sensitivity", args.sensitivity)))
     dataset = read_dataset(args.dataset)
     reference = read_trace_csv(args.reference, dataset.dt, dataset.samples.shape[1])
     signal = evaluation_signal(reference, dataset, config.detector_normalized)
-    threshold = args.threshold if args.threshold is not None else threshold_from_reference(signal)
-    sensitivity = args.sensitivity if args.sensitivity is not None else config.detector_sensitivity
+    threshold = threshold if threshold is not None else threshold_from_reference(signal)
+    sensitivity = sensitivity if sensitivity is not None else config.detector_sensitivity
     rejected = classify(signal, DetectorConfig(threshold, sensitivity))
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "evaluation.csv")
-    experiments.write_evaluation_csv(out_csv, signal, rejected)
+    write_text(out_csv, experiments.evaluation_text(signal, rejected))
     print(f"threshold {threshold:.10g}, sensitivity {sensitivity:g}: {_tally(rejected)}; wrote {out_csv}")
     return 2 if rejected.any() else 0
 
 
 def cmd_detect_score(args, config: ExperimentConfig) -> int:
+    threshold = _option("detect score: --threshold", _positive("threshold"), args.threshold)
+    levels = (
+        config.detector_sensitivities
+        if args.sensitivities is None
+        else _option("detect score: --sensitivities", _list_of(_positive("sensitivity")), args.sensitivities)
+    )
+    if not levels:
+        raise UsageError("detect score: --sensitivities needs at least one level")
     path = args.evaluation
     values = []
     rows = records(read_text(path).split("\n"))
@@ -340,17 +358,10 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
         raise ValueError(f"{path}: {exc}") from None
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
-    levels = (
-        config.detector_sensitivities
-        if args.sensitivities is None
-        else _option("detect score: --sensitivities", _list_of(float), args.sensitivities)
-    )
-    if not levels:
-        raise UsageError("detect score: --sensitivities needs at least one level")
-    counts = [(s, score(classify(signal, DetectorConfig(args.threshold, s)), condition)) for s in levels]
+    counts = [(s, score(classify(signal, DetectorConfig(threshold, s)), condition)) for s in levels]
     os.makedirs(config.out, exist_ok=True)
     out_csv = os.path.join(config.out, "confusion.csv")
-    experiments.write_confusion_csv(out_csv, counts)
+    write_text(out_csv, experiments.confusion_text(counts))
     print(f"wrote {out_csv}")
     return 2 if any(c.tp or c.fp for _, c in counts) else 0
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .textio import positive_finite
 from .traces import DT_RTOL, Condition, CurrentTrace, Dataset
 
 DEFAULT_SENSITIVITY = 0.10
@@ -27,11 +28,8 @@ class DetectorConfig:
     sensitivity: float = DEFAULT_SENSITIVITY
 
     def __post_init__(self):
-        # the chained comparisons are False for nan
-        if not 0 < self.threshold < float("inf"):
-            raise ValueError(f"threshold must be positive and finite, got {self.threshold!r}")
-        if not 0 < self.sensitivity < float("inf"):
-            raise ValueError(f"sensitivity must be positive and finite, got {self.sensitivity!r}")
+        positive_finite("threshold", self.threshold)
+        positive_finite("sensitivity", self.sensitivity)
 
 
 @dataclass(frozen=True)

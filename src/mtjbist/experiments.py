@@ -19,6 +19,7 @@ writes byte-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ from .traces import (
     TEMPERATURE_RANGE_C,
     build_dataset,
     simulate_trace,
+    trace_text,
     write_datasets,
 )
 from .trojan import check_katan_trigger_reachable
@@ -174,59 +176,55 @@ def run_katan_identification(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # output directory layout
 
-def evaluation_rows(signal: EvaluationSignal, rejected) -> list[str]:
-    """``index,value,decision`` lines of one evaluation signal, the decision
-    spelled ``accept`` or ``reject``."""
-    return [f"{i},{v:.10g},{'reject' if r else 'accept'}\n"
-            for i, (v, r) in enumerate(zip(signal.values, rejected))]
+def evaluation_rows(signal: EvaluationSignal, rejected, prefix: str = "") -> str:
+    """``index,value,decision`` lines of one evaluation signal, each after
+    prefix, the decision spelled ``accept`` or ``reject``."""
+    return "".join([f"{prefix}{i},{v:.10g},{'reject' if r else 'accept'}\n"
+                    for i, (v, r) in enumerate(zip(signal.values, rejected))])
 
 
-def write_evaluation_csv(path, signal: EvaluationSignal, rejected) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,value,decision\n")
-        fh.writelines(evaluation_rows(signal, rejected))
+def evaluation_text(signal: EvaluationSignal, rejected) -> str:
+    return "index,value,decision\n" + evaluation_rows(signal, rejected)
 
 
-def write_confusion_csv(path, counts) -> None:
+def confusion_text(counts) -> str:
     """One ``sensitivity,tp,fp,tn,fn`` row per (sensitivity, ConfusionCounts) pair."""
-    with open(path, "w") as fh:
-        fh.write("sensitivity,tp,fp,tn,fn\n")
-        for s, c in counts:
-            fh.write(f"{s:.10g},{c.tp},{c.fp},{c.tn},{c.fn}\n")
+    return "sensitivity,tp,fp,tn,fn\n" + "".join(f"{s:.10g},{c.tp},{c.fp},{c.tn},{c.fn}\n" for s, c in counts)
+
+
+def _run_manifest(result: ExperimentResult, config: ExperimentConfig) -> str:
+    lines = [f"seed = {config.seed}", f"threshold = {result.threshold:.10g}",
+             f"sensitivity = {config.detector_sensitivity:.10g}",
+             "sensitivities = " + ", ".join(f"{s:.10g}" for s in config.detector_sensitivities),
+             f"n_patterns = {config.detector_n_patterns}",
+             f"normalized = {str(config.detector_normalized).lower()}"]
+    for name, dataset in result.datasets.items():
+        condition = dataset.condition
+        lines += [f"dataset.{name}.circuit = {dataset.circuit}", f"dataset.{name}.condition = {condition.kind.value}",
+                  *(f"dataset.{name}.{key} = {text}" for key, text in condition.parameters().items())]
+    return "".join(f"{line}\n" for line in lines)
 
 
 def write_experiment(result: ExperimentResult, config: ExperimentConfig, out_dir) -> None:
     """Persist an experiment: datasets, evaluation CSVs, confusion CSVs, manifest.
 
-    One write_datasets call writes the reference and every dataset, split
-    across threads from 60 trace files on: from n = 20 on two CPUs. The
-    calling thread writes the manifests and tables meanwhile.
+    One write_datasets call writes the trace files, reference.csv, the
+    tables, the run manifest and the dataset manifests in that order, split
+    across threads from 60 files on. A file's text is built where it is written.
     """
-    def write_tables():
-        with open(os.path.join(out_dir, "evaluation.csv"), "w") as fh:
-            fh.write("dataset,index,value,decision\n")
-            for name, signal in result.signals.items():
-                fh.writelines(f"{name},{row}" for row in evaluation_rows(signal, result.decisions[name]))
-                write_evaluation_csv(os.path.join(out_dir, f"evaluation_{name}.csv"), signal, result.decisions[name])
-                write_confusion_csv(
-                    os.path.join(out_dir, f"confusion_{name}.csv"),
-                    [(s, result.confusion[name][s]) for s in config.detector_sensitivities],
-                )
+    def table(name, render, *args):
+        return os.path.join(out_dir, name), functools.partial(render, *args)
 
-        with open(os.path.join(out_dir, "manifest"), "w") as fh:
-            fh.write(f"seed = {config.seed}\n")
-            fh.write(f"threshold = {result.threshold:.10g}\n")
-            fh.write(f"sensitivity = {config.detector_sensitivity:.10g}\n")
-            levels = ", ".join(f"{s:.10g}" for s in config.detector_sensitivities)
-            fh.write(f"sensitivities = {levels}\n")
-            fh.write(f"n_patterns = {config.detector_n_patterns}\n")
-            fh.write(f"normalized = {str(config.detector_normalized).lower()}\n")
-            for name, dataset in result.datasets.items():
-                fh.write(f"dataset.{name}.circuit = {dataset.circuit}\n")
-                fh.write(f"dataset.{name}.condition = {dataset.condition.kind.value}\n")
-                for key, text in dataset.condition.parameters().items():
-                    fh.write(f"dataset.{name}.{key} = {text}\n")
+    def evaluation_table():
+        return "dataset,index,value,decision\n" + "".join(
+            evaluation_rows(signal, result.decisions[name], f"{name},") for name, signal in result.signals.items())
 
+    items = [table("reference.csv", trace_text, result.reference.dt, result.reference.samples),
+             table("evaluation.csv", evaluation_table)]
+    for name, signal in result.signals.items():
+        counts = [(s, result.confusion[name][s]) for s in config.detector_sensitivities]
+        items += [table(f"evaluation_{name}.csv", evaluation_text, signal, result.decisions[name]),
+                  table(f"confusion_{name}.csv", confusion_text, counts)]
+    items.append(table("manifest", _run_manifest, result, config))
     write_datasets({os.path.join(out_dir, "datasets", name): dataset for name, dataset in result.datasets.items()},
-                   [(os.path.join(out_dir, "reference.csv"), result.reference.dt, result.reference.samples)],
-                   write_tables)
+                   items)

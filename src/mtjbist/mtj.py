@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .textio import read_text, records, split_list
+from .textio import positive_finite, read_text, records, split_list, write_text
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,8 @@ class MtjCell:
     pending: PendingTransition | None = None
 
     def __post_init__(self):
-        # the chained comparisons are False for nan
-        if not (0 < self.tm_nominal < float("inf") and 0 < self.tm_actual < float("inf")):
-            raise ValueError("thicknesses must be positive and finite")
+        positive_finite("tm_nominal", self.tm_nominal)
+        positive_finite("tm_actual", self.tm_actual)
         if self.state not in (0, 1):
             raise ValueError(f"state must be 0 or 1, got {self.state!r}")
 
@@ -184,7 +183,4 @@ def load_array(path) -> list[MtjCell]:
 
 def save_array(path, cells: list[MtjCell]) -> None:
     """Write the table format read by load_array."""
-    with open(path, "w") as fh:
-        fh.write("# index tm_actual\n")
-        for i, cell in enumerate(cells):
-            fh.write(f"{i} {cell.tm_actual:.10g}\n")
+    write_text(path, "# index tm_actual\n" + "".join(f"{i} {cell.tm_actual:.10g}\n" for i, cell in enumerate(cells)))

@@ -2,12 +2,15 @@
 manifest, the array table and the evaluation CSV. ``#`` starts a comment,
 blank lines are skipped but counted, list items are separated by commas
 and/or whitespace, and every error reads ``source:line: ...``. Every input
-file, trace CSVs included, is read through read_text.
+file, trace CSVs included, is read through read_text, and every output file
+is written through write_text.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 
 def read_text(path) -> str:
@@ -27,6 +30,48 @@ def read_text(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def write_text(path, text: str) -> None:
+    """The inverse of read_text: text as the whole of the file, UTF-8, newlines kept."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+MIN_FILES_PER_THREAD = 30  # a file takes 0.3-0.8 ms, a thread's start 0.05 ms
+
+
+def write_files(items) -> None:
+    """write_text(path, render()) for each (path, render) item of the list
+    items: the calling thread takes the first of k contiguous shares and a
+    thread each other, k = min(CPUs this process may use, len(items) //
+    MIN_FILES_PER_THREAD) and at least 1. A share stops at its first failing
+    item. All threads are joined before the error of a one-thread write is
+    raised: the first failing item's in order, whatever it raised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(cpus, len(items) // MIN_FILES_PER_THREAD))
+    bounds = [len(items) * j // k for j in range(k + 1)]
+    errors = [None] * k
+
+    def write_share(j):
+        try:
+            for path, render in items[bounds[j]:bounds[j + 1]]:
+                write_text(path, render())
+        except BaseException as exc:
+            errors[j] = exc
+
+    threads = []
+    try:
+        for j in range(1, k):
+            thread = threading.Thread(target=write_share, args=(j,))
+            thread.start()
+            threads.append(thread)
+        write_share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+        for exc in filter(None, errors):
+            raise exc
+
+
 def records(lines):
     """(line number, text) of each line that holds data, comment stripped."""
     for ln, raw in enumerate(lines, start=1):
@@ -43,6 +88,13 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
+def positive_finite(name: str, value: float) -> float:
+    # the chained comparison is False for nan
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 

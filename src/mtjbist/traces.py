@@ -23,14 +23,13 @@ from __future__ import annotations
 import functools
 import os
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .bits import check, parse_hex, pattern_array, random_patterns, random_space, to_hex
-from .textio import checked, finite_float, parse_at, read_kv, read_text
+from .textio import checked, finite_float, parse_at, positive_finite, read_kv, read_text, write_files
 
 MIN_TRACE_SAMPLES = 100
 
@@ -173,9 +172,7 @@ def _check_samples(samples: np.ndarray, dt: float) -> None:
         raise ValueError(f"trace needs >= {MIN_TRACE_SAMPLES} samples, got {samples.shape[-1]}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    # the chained comparison is False for nan
-    if not 0 < dt < float("inf"):
-        raise ValueError("dt must be positive and finite")
+    positive_finite("dt", dt)
 
 
 def toggle_profile(circuit, pattern: int) -> np.ndarray:
@@ -295,10 +292,10 @@ def _time_strings(dt: float, n: int) -> list[str]:
     return [repr(i * float(dt)) for i in range(n)]
 
 
-def _write_samples_csv(path, dt: float, samples: np.ndarray) -> None:
-    text = "".join([f"{t},{v!r}\n" for t, v in zip(_time_strings(dt, len(samples)), samples.tolist())])
-    with open(path, "w") as fh:
-        fh.write(f"{TRACE_HEADER}\n{text}")
+def trace_text(dt: float, samples: np.ndarray) -> str:
+    """The trace CSV of samples at time step dt."""
+    rows = "".join([f"{t},{v!r}\n" for t, v in zip(_time_strings(dt, len(samples)), samples.tolist())])
+    return f"{TRACE_HEADER}\n{rows}"
 
 
 # str.splitlines() breaks a line at these as well as at "\n", and float()
@@ -394,90 +391,36 @@ def _read_samples(path, dt: float | None, n_samples: int | None) -> tuple[float,
     return step, samples
 
 
-def _write_kv(fh, key: str, value) -> None:
-    fh.write(f"{key} = {value}\n")
-
-
-MIN_TRACES_PER_THREAD = 30  # a file takes 0.3-0.8 ms, a thread's start 0.05 ms
-
-
-def write_traces(files, write_rest) -> None:
-    """Write the (path, dt, samples) trace CSVs of files, then call write_rest().
-
-    The calling thread writes the first of k contiguous shares of files and
-    calls write_rest() while a thread writes each other share, k = min(CPUs
-    this process may use, len(files) // MIN_TRACES_PER_THREAD) and at least 1.
-    All are joined before the error of a one-thread write is raised: the first
-    failing file's in order, whatever it raised, and only then write_rest()'s.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = max(1, min(cpus, len(files) // MIN_TRACES_PER_THREAD))
-    bounds = [len(files) * j // k for j in range(k + 1)]
-    errors = [None] * k
-
-    def write_share(j):
-        try:
-            for file in files[bounds[j]:bounds[j + 1]]:
-                _write_samples_csv(*file)
-        except BaseException as exc:
-            errors[j] = exc
-
-    threads = []
-    try:
-        for j in range(1, k):
-            thread = threading.Thread(target=write_share, args=(j,))
-            thread.start()
-            threads.append(thread)
-        write_share(0)
-        if errors[0] is None:
-            write_rest()
-    finally:
-        for thread in threads:
-            thread.join()
-        for exc in filter(None, errors):
-            raise exc
-
-
 _trace_name = "trace_{:03d}.csv".format
 
 
-def _write_manifest(dataset: Dataset, dirpath) -> None:
-    with open(os.path.join(dirpath, "manifest"), "w") as fh:
-        _write_kv(fh, "condition.kind", dataset.condition.kind.value)
-        for name, text in dataset.condition.parameters().items():
-            _write_kv(fh, f"condition.{name}", text)
-        _write_kv(fh, "seed", dataset.seed)
-        _write_kv(fh, "n_traces", len(dataset))
-        _write_kv(fh, "dt_ns", f"{dataset.dt:.10g}")
-        _write_kv(fh, "pattern_bits", dataset.pattern_bits)
-        if dataset.circuit:
-            _write_kv(fh, "circuit", dataset.circuit)
-        for i, pattern in enumerate(dataset.patterns):
-            _write_kv(fh, f"trace.{i}.file", _trace_name(i))
-            _write_kv(fh, f"trace.{i}.pattern", to_hex(int(pattern), dataset.pattern_bits))
+def _manifest_text(dataset: Dataset) -> str:
+    condition, bits = dataset.condition, dataset.pattern_bits
+    lines = [f"condition.kind = {condition.kind.value}",
+             *(f"condition.{name} = {text}" for name, text in condition.parameters().items()),
+             f"seed = {dataset.seed}", f"n_traces = {len(dataset)}", f"dt_ns = {dataset.dt:.10g}",
+             f"pattern_bits = {bits}", *([f"circuit = {dataset.circuit}"] if dataset.circuit else [])]
+    for i, pattern in enumerate(dataset.patterns):
+        lines += [f"trace.{i}.file = {_trace_name(i)}", f"trace.{i}.pattern = {to_hex(int(pattern), bits)}"]
+    return "".join(f"{line}\n" for line in lines)
 
 
-def write_datasets(dirs, files=(), write_rest=lambda: None) -> None:
+def write_datasets(dirs, extra=()) -> None:
     """Persist each dataset of dirs, a directory -> Dataset map, as that
     directory, made if missing: a ``manifest`` plus one CSV per trace.
 
-    One write_traces call writes the (path, dt, samples) trace CSVs of files
-    and then every dataset's while the calling thread writes the manifests and
-    calls write_rest(). Each trace_<digits>.csv of a directory that its
-    manifest does not list is removed afterwards.
+    One write_files call writes every dataset's trace files, then the
+    (path, render) items of extra, then the manifests, so a trace file's
+    error comes before a manifest's. Each trace_<digits>.csv of a directory
+    that its manifest does not list is removed afterwards.
     """
-    files = list(files)
+    traces, manifests = [], []
     for dirpath, dataset in dirs.items():
         os.makedirs(dirpath, exist_ok=True)
-        files += [(os.path.join(dirpath, _trace_name(i)), dataset.dt, row)
-                  for i, row in enumerate(dataset.samples)]
-
-    def manifests_and_rest():
-        for dirpath, dataset in dirs.items():
-            _write_manifest(dataset, dirpath)
-        write_rest()
-
-    write_traces(files, manifests_and_rest)
+        traces += [(os.path.join(dirpath, _trace_name(i)), functools.partial(trace_text, dataset.dt, row))
+                   for i, row in enumerate(dataset.samples)]
+        manifests.append((os.path.join(dirpath, "manifest"), functools.partial(_manifest_text, dataset)))
+    write_files([*traces, *extra, *manifests])
     for dirpath, dataset in dirs.items():
         for name in set(os.listdir(dirpath)) - {_trace_name(i) for i in range(len(dataset))}:
             if re.fullmatch(r"trace_[0-9]+\.csv", name):

@@ -1,3 +1,6 @@
+import builtins
+import io
+import os
 import re
 import subprocess
 import sys
@@ -7,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtjbist import mtj, traces
+from mtjbist import mtj, textio, traces
 from mtjbist.cli import main
 from mtjbist.config import CONFIG_KEYS
 from mtjbist.detector import DetectorConfig, EvaluationSignal, classify, score
-from mtjbist.experiments import write_confusion_csv, write_evaluation_csv
+from mtjbist.experiments import confusion_text, evaluation_text
+from mtjbist.textio import write_text
 from mtjbist.traces import MANIFEST_KEYS, NORMAL, TROJAN
 from test_golden import tree_digest
 
@@ -700,12 +704,12 @@ def test_module_entry_point_runs():
 def test_evaluation_csv_round_trip_through_detect_score(tmp_path, capsys, values, threshold, trojan):
     signal = EvaluationSignal(values)
     evaluation = tmp_path / "evaluation.csv"
-    write_evaluation_csv(evaluation, signal, classify(signal, DetectorConfig(threshold)))
+    write_text(evaluation, evaluation_text(signal, classify(signal, DetectorConfig(threshold))))
     # the file keeps 10 significant digits of each value
     back = EvaluationSignal([float(f"{v:.10g}") for v in values])
     condition = TROJAN if trojan else NORMAL
     counts = [(s, score(classify(back, DetectorConfig(threshold, s)), condition)) for s in (0.05, 0.1, 0.2)]
-    write_confusion_csv(tmp_path / "expected.csv", counts)
+    write_text(tmp_path / "expected.csv", confusion_text(counts))
     rc = main(["detect", "score", str(evaluation), "--threshold", repr(threshold),
                "--condition", condition.kind.value, "--out", str(tmp_path)])
     assert rc == (2 if any(c.tp or c.fp for _, c in counts) else 0)
@@ -786,3 +790,71 @@ def test_trace_gen_rerun_removes_only_unlisted_trace_files(tmp_path, capsys):
         (again / "ds" / name).unlink()
     (again / "ds" / "sub").rmdir()
     assert tree_digest(again / "ds") == tree_digest(fresh / "ds")
+
+
+# each used to exit 1 with the message of the object that rejected the
+# value, naming no option, and detect eval read the whole dataset first;
+# every input file named here is missing, so the option is checked before
+# any file is read
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "eval", "{missing}", "{missing}", "--threshold", "-1"],
+     "detect eval: --threshold: threshold must be positive and finite, got -1.0"),
+    (["detect", "eval", "{missing}", "{missing}", "--sensitivity", "0"],
+     "detect eval: --sensitivity: sensitivity must be positive and finite, got 0.0"),
+    (["detect", "score", "{missing}", "--threshold", "nan", "--condition", "normal"],
+     "detect score: --threshold: threshold must be positive and finite, got nan"),
+    (["detect", "score", "{missing}", "--threshold", "1", "--condition", "normal", "--sensitivities", "0.1,-0.2"],
+     "detect score: --sensitivities: sensitivity must be positive and finite, got -0.2"),
+    (["bist", "run", "--array", "{missing}", "--half-period", "-1"],
+     "bist run: --half-period: half_period must be positive and finite, got -1.0"),
+    (["bist", "sweep", "--array", "{missing}", "--half-periods", "3,0"],
+     "bist sweep: --half-periods: half_period must be positive and finite, got 0.0"),
+    (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--targets", "0",
+      "--multiplier", "inf"], "attack inject: --multiplier: multipliers must be positive and finite, got inf"),
+    (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--random", "2",
+      "--multiplier-range", "1.5,1.2"],
+     "attack inject: --multiplier-range: multiplier range must be finite with 0 < lo <= hi, got 1.5,1.2"),
+    # used to pass the range and fail on the first multiplier drawn below 0,
+    # after reading the array, at some seeds and not at others
+    (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--random", "2",
+      "--multiplier-range=-1,2"],
+     "attack inject: --multiplier-range: multiplier range must be finite with 0 < lo <= hi, got -1.0,2.0"),
+], ids=["eval-threshold", "eval-sensitivity", "score-threshold", "score-sensitivities", "half-period",
+        "half-periods", "multiplier", "multiplier-range", "multiplier-range-sign"])
+def test_bad_number_names_its_option_before_any_file_is_read(tmp_path, capsys, argv, message):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_every_command_writes_through_write_text(tmp_path, monkeypatch, capsys):
+    # a write-mode open anywhere but in textio.write_text fails, in every thread
+    array = tmp_path / "cells.txt"
+    array.write_text("".join(f"{i} 1\n" for i in range(16)))
+    out = tmp_path / "out"
+    opened, bypassed, write_text_code = builtins.open, [], textio.write_text.__code__
+
+    def open_for_write_text_only(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+") and sys._getframe(1).f_code is not write_text_code:
+            bypassed.append(str(file))
+            raise PermissionError(f"write-mode open outside textio.write_text: {file}")
+        return opened(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_for_write_text_only)
+    monkeypatch.setattr(io, "open", open_for_write_text_only)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    commands = [
+        ["exp1"], ["exp2"], ["trace", "gen", "--n", "60", "--name", "ds"],
+        ["detect", "eval", str(out / "ds"), str(out / "ds" / "trace_000.csv")],
+        ["detect", "score", str(out / "evaluation.csv"), "--threshold", "1", "--condition", "normal"],
+        ["attack", "inject", "--array", str(array), "--out-array", str(out / "tampered.txt"), "--targets", "2,11"],
+        ["bist", "run", "--array", str(out / "tampered.txt")],
+        ["bist", "sweep", "--array", str(out / "tampered.txt"), "--n-random", "4"],
+    ]
+    for argv in commands:
+        assert main([*argv, "--seed", "1", "--out", str(out)]) in (0, 2), (argv, capsys.readouterr().err)
+    assert bypassed == []
+    for name in ("exp1/manifest", "exp2/confusion_trojan.csv", "ds/manifest", "evaluation.csv", "confusion.csv",
+                 "tampered.txt", "bist_results.csv"):
+        assert (out / name).is_file(), name

@@ -218,20 +218,43 @@ def test_split_write_gives_the_one_process_tree(tmp_path, monkeypatch, capsys, s
             assert main([*argv, "--seed", "1", "--out", str(out)]) in (0, 2)
             trees[len(cpus), name] = _tree(out / name)
             _no_thread_left(started_threads)
-    # at n = 20 exp1 writes 101 trace files, three shares, and exp2 61, two
-    # shares; trace gen writes 60, two shares
+    # at n = 20 exp1 writes 116 files (101 traces, 9 tables, the run manifest
+    # and 5 dataset manifests), three shares, and exp2 70, two shares; trace
+    # gen writes 61, two shares
     assert len(started_threads) == 2 + 1 + 1
     for name in commands:
         assert trees[1, name] == trees[3, name]
 
 
-@pytest.mark.parametrize("rel", ["datasets/trojan/trace_019.csv", "reference.csv"], ids=["child", "parent"])
-def test_split_write_error_names_the_file(tmp_path, monkeypatch, capsys, started_threads, rel):
-    # the last trace file falls in the third thread's share, the first in the calling thread's
+# every file of a tree is an item of one threaded write: at n = 20 on three
+# CPUs, exp1's 116 items split 38, 39, 39 and exp2's 70 split 35, 35. The
+# last dataset's last trace file (item 99) and exp1's reference.csv (100) and
+# normal dataset manifest (112) fall in the third thread's share, the first
+# dataset's first trace file in the calling thread's, and exp2's
+# evaluation_trojan.csv (64) in the second thread's
+@pytest.mark.parametrize("exp, rel, threads", [
+    ("exp1", "datasets/trojan/trace_019.csv", 2),
+    ("exp1", "datasets/reference/trace_000.csv", 2),
+    ("exp2", "evaluation_trojan.csv", 1),
+    ("exp1", "datasets/normal/manifest", 2),
+    ("exp1", "reference.csv", 2),
+], ids=["child", "parent", "table", "manifest", "reference"])
+def test_split_write_error_names_the_file(tmp_path, monkeypatch, capsys, started_threads, exp, rel, threads):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    (tmp_path / "exp1" / rel).mkdir(parents=True)
-    assert main(["exp1", "--seed", "1", "--out", str(tmp_path)]) == 1
+    (tmp_path / exp / rel).mkdir(parents=True)
+    assert main([exp, "--seed", "1", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"Is a directory: '{tmp_path / 'exp1' / rel}'" in err
-    assert len(started_threads) == 2
+    assert err.startswith("error: ") and f"Is a directory: '{tmp_path / exp / rel}'" in err
+    assert len(started_threads) == threads
+    _no_thread_left(started_threads)
+
+
+def test_a_trace_error_comes_before_a_table_or_manifest_error(tmp_path, monkeypatch, capsys, started_threads):
+    # every trace file is an earlier item than every table and manifest, and
+    # the first failing item in order names the error
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for rel in ("evaluation_trojan.csv", "datasets/normal/manifest", "datasets/trojan/trace_019.csv"):
+        (tmp_path / "exp2" / rel).mkdir(parents=True)
+    assert main(["exp2", "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert f"Is a directory: '{tmp_path / 'exp2' / 'datasets/trojan/trace_019.csv'}'" in capsys.readouterr().err
     _no_thread_left(started_threads)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mtjbist import traces as traces_module
 from mtjbist.circuits import CrcDecoderCircuit, KatanCircuit, TrojanCrcDecoderCircuit, TrojanKatanCircuit
 from mtjbist.crc import CrcConfig
 from mtjbist.traces import (
@@ -22,7 +21,6 @@ from mtjbist.traces import (
     Dataset,
     DEFAULT_PARAMS,
     MIN_TRACE_SAMPLES,
-    MIN_TRACES_PER_THREAD,
     TraceParams,
     build_dataset,
     draw_patterns,
@@ -30,16 +28,17 @@ from mtjbist.traces import (
     read_trace_csv,
     simulate_trace,
     toggle_profile,
+    trace_text,
     write_datasets,
-    write_traces,
 )
+from mtjbist.textio import MIN_FILES_PER_THREAD, write_files, write_text
 from mtjbist.trojan import TrojanSpec
 from oracles import crc_trojan_fires, read_trace_rows, scan_draw, write_trace_rows
 
 
 def write_trace(trace: CurrentTrace, path) -> None:
     """One trace file, written by the writer behind every command."""
-    traces_module._write_samples_csv(path, trace.dt, trace.samples)
+    write_text(path, trace_text(trace.dt, trace.samples))
 
 
 KATAN_KEY = 0x9E3779B97F4A7C15F39D
@@ -773,36 +772,43 @@ def test_written_traces_are_read_back_exactly(tmp_path):
     assert (trace.dt, trace.samples.tobytes()) == (0.3, reference.samples.tobytes())
 
 
-def _split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest):
-    """(class, str) of the error that write_traces raises, or None, when it writes
-    three shares' worth of files, with a directory at each index in bad, on cpus."""
+def _trace_item(path, samples):
+    return str(path), lambda: trace_text(0.1, samples)
+
+
+def _split_write_error(monkeypatch, tmp_path, cpus, bad, fail_last):
+    """(class, str) of the error that write_files raises, or None, when it writes
+    three shares' worth of trace files and then one more item, with a directory
+    at each trace index in bad and, if fail_last, at the last item's path, on cpus."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / str(len(cpus))
     out.mkdir()
-    files = [(str(out / f"t{i:03d}.csv"), 0.1, np.full(MIN_TRACE_SAMPLES, 0.5)) for i in range(3 * MIN_TRACES_PER_THREAD)]
+    items = [_trace_item(out / f"t{i:03d}.csv", np.full(MIN_TRACE_SAMPLES, 0.5))
+             for i in range(3 * MIN_FILES_PER_THREAD - 1)]
+    items.append((str(out) if fail_last else str(out / "last"), lambda: "last\n"))
     for i in bad:
-        os.mkdir(files[i][0])
+        os.mkdir(items[i][0])
     threads = set(threading.enumerate())
     try:
-        write_traces(files, lambda: open(out, "w") if fail_rest else None)
+        write_files(items)
     except OSError as exc:
         return type(exc), str(exc).replace(str(out), "<out>")
     finally:
         assert set(threading.enumerate()) <= threads  # every writer thread joined
 
 
-@pytest.mark.parametrize("bad, fail_rest, error", [
+@pytest.mark.parametrize("bad, fail_last, error", [
     # in the second and the third share
-    ((89, 40, 70), False, "Is a directory: '<out>/t040.csv'"),
+    ((88, 40, 70), False, "Is a directory: '<out>/t040.csv'"),
     # this process's share comes first
-    ((89, 5), False, "Is a directory: '<out>/t005.csv'"),
-    # every trace file comes before the rest
+    ((88, 5), False, "Is a directory: '<out>/t005.csv'"),
+    # an earlier item of the last share comes first
     ((70,), True, "Is a directory: '<out>/t070.csv'"),
     ((), True, "Is a directory: '<out>'"),
     ((), False, None),
 ], ids=["children", "parent-and-child", "child-and-rest", "rest", "none"])
-def test_write_traces_raises_the_one_process_error(tmp_path, monkeypatch, bad, fail_rest, error):
-    one, split = (_split_write_error(monkeypatch, tmp_path, cpus, bad, fail_rest) for cpus in ({0}, {0, 1, 2}))
+def test_write_traces_raises_the_one_process_error(tmp_path, monkeypatch, bad, fail_last, error):
+    one, split = (_split_write_error(monkeypatch, tmp_path, cpus, bad, fail_last) for cpus in ({0}, {0, 1, 2}))
     assert one == split == (error and (IsADirectoryError, f"[Errno 21] {error}"))
 
 
@@ -812,21 +818,21 @@ class WriterFault(Exception):
 
 def test_write_traces_reraises_what_a_thread_raised(tmp_path, monkeypatch):
     # the third share's writer thread fails with an exception that is no OSError
-    write, caller, raised = traces_module._write_samples_csv, threading.current_thread(), []
+    caller, raised = threading.current_thread(), []
 
-    def write_or_fail(path, dt, samples):
-        if threading.current_thread() is not caller and path.endswith("t070.csv"):
-            raised.append(WriterFault(path))
+    def render_or_fail():
+        if threading.current_thread() is not caller:
+            raised.append(WriterFault("t070.csv"))
             raise raised[0]
-        write(path, dt, samples)
+        return "never written\n"
 
-    monkeypatch.setattr(traces_module, "_write_samples_csv", write_or_fail)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    files = [(str(tmp_path / f"t{i:03d}.csv"), 0.1, np.full(MIN_TRACE_SAMPLES, 0.5))
-             for i in range(3 * MIN_TRACES_PER_THREAD)]
+    items = [_trace_item(tmp_path / f"t{i:03d}.csv", np.full(MIN_TRACE_SAMPLES, 0.5))
+             for i in range(3 * MIN_FILES_PER_THREAD)]
+    items[70] = (str(tmp_path / "t070.csv"), render_or_fail)
     threads = set(threading.enumerate())
     with pytest.raises(WriterFault) as info:
-        write_traces(files, lambda: None)
+        write_files(items)
     assert len(raised) == 1 and info.value is raised[0]
     assert set(threading.enumerate()) <= threads
 
@@ -835,13 +841,13 @@ def test_write_traces_forks_no_process(tmp_path, monkeypatch):
     # from Python 3.12 on, a fork of a process that runs threads, as numpy's
     # BLAS may, warns that the child may deadlock
     def fork():
-        raise AssertionError("write_traces forked")
+        raise AssertionError("write_files forked")
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    rows = np.random.default_rng(2).normal(size=(3 * MIN_TRACES_PER_THREAD, MIN_TRACE_SAMPLES))
+    rows = np.random.default_rng(2).normal(size=(3 * MIN_FILES_PER_THREAD, MIN_TRACE_SAMPLES))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_traces([(str(tmp_path / f"t{i:03d}.csv"), 0.1, row) for i, row in enumerate(rows)], lambda: None)
+        write_files([_trace_item(tmp_path / f"t{i:03d}.csv", row) for i, row in enumerate(rows)])
     for i, row in enumerate(rows):
         assert read_trace_csv(tmp_path / f"t{i:03d}.csv").samples.tobytes() == row.tobytes()
