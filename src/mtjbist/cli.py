@@ -25,7 +25,8 @@ from .detector import (
     score,
     threshold_from_reference,
 )
-from .textio import checked, finite_float, parse_at, positive_finite, read_text, records, split_list, write_text
+from .textio import (checked, finite_float, list_of, parse_at, positive_finite, read_text, records, reworded,
+                     split_list, write_text)
 from .traces import (
     NORMAL,
     TROJAN,
@@ -38,15 +39,15 @@ from .traces import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # exit code 2 means a detection here, but argparse exits 2 on bad
-    # usage, so route parse errors through our own exception instead
+    # usage, so a parse error is a ValueError, which main reports with exit 1
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        option = message.removeprefix("argument ").partition(":")[0]
+        if message.endswith("expected one argument") and option.startswith("--"):
+            # argparse takes a value such as -1,2 for an option
+            message += f"; a value that starts with '-' is written {option}=VALUE"
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _arg_type(parse):
@@ -62,18 +63,6 @@ def _arg_type(parse):
 _seed = _arg_type(CONFIG_KEYS["seed"][1])
 _key = _arg_type(functools.partial(parse_hex, width=80))
 _block = _arg_type(functools.partial(parse_hex, width=32))
-
-
-def _option(option: str, parse, text: str):
-    """parse(text), its ValueError reworded as a usage error naming the option."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise UsageError(f"{option}: {exc}") from None
-
-
-def _list_of(parse):
-    return functools.partial(split_list, parse=parse)
 
 
 def _positive(name: str):
@@ -207,10 +196,10 @@ def _write_bist_csv(path, sweep: bist.SweepResult, data_width: int) -> None:
 def cmd_bist_run(args, config: ExperimentConfig) -> int:
     crc = config.crc
     clock = config.clock if args.half_period is None else replace(
-        config.clock, half_period=_option("bist run: --half-period", _positive("half_period"), args.half_period))
+        config.clock, half_period=reworded("bist run: --half-period", _positive("half_period"), args.half_period))
     pattern = config.crc_reference_pattern
     if args.pattern is not None:
-        pattern = _option("bist run: --pattern", functools.partial(parse_hex, width=crc.data_width), args.pattern)
+        pattern = reworded("bist run: --pattern", functools.partial(parse_hex, width=crc.data_width), args.pattern)
     array = _load_array(config, args.array)
     sweep = bist.frequency_sweep(array, [pattern], [clock.half_period], crc, config.mtj, clock)
     flagged = bool(sweep.flags[0, 0])
@@ -230,19 +219,19 @@ def cmd_bist_run(args, config: ExperimentConfig) -> int:
 def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
     crc = config.crc
     if args.patterns is not None:
-        hex_list = _list_of(functools.partial(parse_hex, width=crc.data_width))
-        patterns = list(_option("bist sweep: --patterns", hex_list, args.patterns))
+        hex_list = list_of(functools.partial(parse_hex, width=crc.data_width))
+        patterns = list(reworded("bist sweep: --patterns", hex_list, args.patterns))
         if not patterns:
-            raise UsageError("bist sweep: --patterns needs at least one pattern")
+            raise ValueError("bist sweep: --patterns needs at least one pattern")
     elif args.n_random < 1:
-        raise UsageError(f"bist sweep: --n-random must be >= 1, got {args.n_random}")
+        raise ValueError(f"bist sweep: --n-random must be >= 1, got {args.n_random}")
     else:
         rng = np.random.default_rng(config.seed)
         patterns = random_patterns(rng, crc.data_width, args.n_random, "crc.data_width").tolist()
     if args.half_periods is not None:
-        half_periods = _option("bist sweep: --half-periods", _list_of(_positive("half_period")), args.half_periods)
+        half_periods = reworded("bist sweep: --half-periods", list_of(_positive("half_period")), args.half_periods)
         if not half_periods:
-            raise UsageError("bist sweep: --half-periods needs at least one half period")
+            raise ValueError("bist sweep: --half-periods needs at least one half period")
     else:
         half_periods = [float(h) for h in np.linspace(3.0, 0.75, 10)]
     array = _load_array(config, args.array)
@@ -259,21 +248,25 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
 
 
 def cmd_attack_inject(args, config: ExperimentConfig) -> int:
-    spec = None
     if args.random is not None:
-        multipliers = _option("attack inject: --multiplier-range",
-                              lambda text: bist.check_multiplier_range(split_list(text, float)), args.multiplier_range)
+        if args.random < 1:
+            raise ValueError(f"attack inject: --random must be >= 1, got {args.random}")
+        multipliers = reworded("attack inject: --multiplier-range",
+                               lambda text: bist.check_multiplier_range(split_list(text, float)), args.multiplier_range)
     elif args.targets is not None:
-        targets = _option("attack inject: --targets", _list_of(int), args.targets)
+        targets = reworded("attack inject: --targets", list_of(int), args.targets)
         if not targets:
-            raise UsageError("attack inject: --targets needs at least one cell index")
-        spec = bist.AttackSpec.uniform(targets, _option("attack inject: --multiplier", _positive("multipliers"),
-                                                        args.multiplier))
+            raise ValueError("attack inject: --targets needs at least one cell index")
+        multiplier = reworded("attack inject: --multiplier", _positive("multipliers"), args.multiplier)
+        spec = reworded("attack inject: --targets", bist.AttackSpec.uniform, targets, multiplier)
     else:
-        raise UsageError("attack inject: need --targets or --random")
+        raise ValueError("attack inject: need --targets or --random")
     cells = mtj.load_array(args.array)
-    spec = spec or bist.AttackSpec.random(len(cells), args.random, multipliers, config.seed)
-    tampered = bist.inject_attack(cells, spec)
+    if args.random is not None:
+        spec = reworded("attack inject: --random", bist.AttackSpec.random, len(cells), args.random, multipliers,
+                        config.seed)
+    # only --targets can name a cell outside the array
+    tampered = reworded("attack inject: --targets", bist.inject_attack, cells, spec)
     mtj.save_array(args.out_array, tampered)
     bad = [i for i, c in enumerate(tampered) if mtj.is_malicious(c, config.mtj)]
     print(
@@ -285,18 +278,16 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
 
 def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     if args.n is not None and args.n < 1:
-        raise UsageError(f"trace gen: --n must be >= 1, got {args.n}")
+        raise ValueError(f"trace gen: --n must be >= 1, got {args.n}")
     if args.name == "":
-        raise UsageError("trace gen: --name must not be empty")
+        raise ValueError("trace gen: --name must not be empty")
     kind = ConditionKind(args.condition)
     if kind is ConditionKind.PROCESS_VARIATION and args.pv_fraction is None:
-        raise UsageError("trace gen: --pv-fraction required for process_variation")
+        raise ValueError("trace gen: --pv-fraction required for process_variation")
     if kind is ConditionKind.TEMPERATURE and args.temperature is None:
-        raise UsageError("trace gen: --temperature required for temperature")
-    try:
-        condition = Condition(kind, pv_length_fraction=args.pv_fraction, temperature_c=args.temperature)
-    except ValueError as exc:
-        raise UsageError(f"trace gen: --condition {kind.value}: {exc}") from None
+        raise ValueError("trace gen: --temperature required for temperature")
+    condition = reworded(f"trace gen: --condition {kind.value}", Condition, kind, pv_length_fraction=args.pv_fraction,
+                         temperature_c=args.temperature)
 
     circuit = experiments.device(config, args.circuit, kind is ConditionKind.TROJAN)
     n = args.n if args.n is not None else config.detector_n_patterns
@@ -314,7 +305,7 @@ def _tally(rejected: np.ndarray) -> str:
 
 
 def cmd_detect_eval(args, config: ExperimentConfig) -> int:
-    threshold, sensitivity = (None if text is None else _option(f"detect eval: --{name}", _positive(name), text)
+    threshold, sensitivity = (None if text is None else reworded(f"detect eval: --{name}", _positive(name), text)
                               for name, text in (("threshold", args.threshold), ("sensitivity", args.sensitivity)))
     dataset = read_dataset(args.dataset)
     reference = read_trace_csv(args.reference, dataset.dt, dataset.samples.shape[1])
@@ -330,14 +321,14 @@ def cmd_detect_eval(args, config: ExperimentConfig) -> int:
 
 
 def cmd_detect_score(args, config: ExperimentConfig) -> int:
-    threshold = _option("detect score: --threshold", _positive("threshold"), args.threshold)
+    threshold = reworded("detect score: --threshold", _positive("threshold"), args.threshold)
     levels = (
         config.detector_sensitivities
         if args.sensitivities is None
-        else _option("detect score: --sensitivities", _list_of(_positive("sensitivity")), args.sensitivities)
+        else reworded("detect score: --sensitivities", list_of(_positive("sensitivity")), args.sensitivities)
     )
     if not levels:
-        raise UsageError("detect score: --sensitivities needs at least one level")
+        raise ValueError("detect score: --sensitivities needs at least one level")
     path = args.evaluation
     values = []
     rows = records(read_text(path).split("\n"))
@@ -352,10 +343,7 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
         if len(row) != len(columns):
             raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
         values.append(parse_at(path, ln, "value", parse_value, row[columns.index("value")]))
-    try:
-        signal = EvaluationSignal(np.array(values))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    signal = reworded(path, EvaluationSignal, np.array(values))
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
     counts = [(s, score(classify(signal, DetectorConfig(threshold, s)), condition)) for s in levels]
@@ -448,7 +436,7 @@ def main(argv=None) -> int:
         if hasattr(args, "out"):
             config.out = args.out
         return args.func(args, config)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

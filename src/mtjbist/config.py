@@ -26,7 +26,7 @@ from .bits import parse_hex
 from .crc import CrcConfig
 from .detector import DEFAULT_SENSITIVITY, SENSITIVITY_LEVELS
 from .mtj import MtjDelayModel
-from .textio import checked, finite_float, read_kv, read_text, split_list
+from .textio import checked, finite_float, list_of, read_kv, read_text, reworded
 from .traces import TraceParams
 from .trojan import TrojanSpec
 
@@ -42,10 +42,6 @@ def _parse_bool(text: str) -> bool:
 
 _hex = partial(int, base=16)
 _positive = checked(finite_float, lambda s: s > 0, "expected a positive number")
-
-
-def _bit_positions(text: str) -> tuple[int, ...]:
-    return split_list(text, int)
 
 
 @dataclass
@@ -102,24 +98,16 @@ CONFIG_KEYS = {
     "trace.k_pv": ("trace.k_pv", finite_float),
     "trace.k_temp": ("trace.k_temp", finite_float),
     "detector.sensitivity": ("detector_sensitivity", _positive),
-    "detector.sensitivities": ("detector_sensitivities", checked(lambda text: split_list(text, _positive), bool,
+    "detector.sensitivities": ("detector_sensitivities", checked(list_of(_positive), bool,
                                                                  "expected at least one level")),
     "detector.normalized": ("detector_normalized", _parse_bool),
     "detector.n_patterns": ("detector_n_patterns", checked(int, lambda n: n >= 1, "expected at least 1")),
     "katan.key": ("katan_key", partial(parse_hex, width=80)),
     "katan.reference_pattern": ("katan_reference_pattern", partial(parse_hex, width=32)),
-    "trojan.key_bits": ("katan_trojan.trigger_key_bits", _bit_positions),
-    "trojan.pt_bits": ("katan_trojan.trigger_pt_bits", _bit_positions),
+    "trojan.key_bits": ("katan_trojan.trigger_key_bits", list_of(int)),
+    "trojan.pt_bits": ("katan_trojan.trigger_pt_bits", list_of(int)),
 }
 _CONFIG_PARSERS = {key: parser for key, (_, parser) in CONFIG_KEYS.items()}
-
-
-def _built(source, ln: int, make, *args, **kwargs):
-    """make(*args, **kwargs), its ValueError reworded as ``source:ln: ...``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{source}:{ln}: {exc}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -134,9 +122,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             flat[attr] = value
     defaults = ExperimentConfig()
     for attr, changes in held.items():
-        flat[attr] = _built(source, last_line[attr], replace, getattr(defaults, attr), **changes)
+        flat[attr] = reworded(f"{source}:{last_line[attr]}", replace, getattr(defaults, attr), **changes)
     pattern_line = max((values[k][0] for k in ("crc.data_width", "crc.reference_pattern") if k in values), default=0)
-    return _built(source, pattern_line, ExperimentConfig, **flat)
+    return reworded(f"{source}:{pattern_line}", ExperimentConfig, **flat)
 
 
 def load_config(path) -> ExperimentConfig:

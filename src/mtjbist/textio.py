@@ -1,13 +1,15 @@
 """The line syntax of every hand-editable input: the run config, the dataset
 manifest, the array table and the evaluation CSV. ``#`` starts a comment,
-blank lines are skipped but counted, list items are separated by commas
-and/or whitespace, and every error reads ``source:line: ...``. Every input
-file, trace CSVs included, is read through read_text, and every output file
-is written through write_text.
+blank lines are skipped but counted, and list items are separated by commas
+and/or whitespace. Every input file, trace CSVs included, is read through
+read_text, and every output file is written through write_text. An error is
+a ValueError whose message reworded prefixes with its source: ``path:line``
+for a line of a file, ``<command>: --<option>`` for a command-line option.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -84,6 +86,11 @@ def split_list(text: str, parse=str) -> tuple:
     return tuple(parse(item) for item in text.replace(",", " ").split())
 
 
+def list_of(parse):
+    """A parser of a list whose items parse parses."""
+    return functools.partial(split_list, parse=parse)
+
+
 def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -108,12 +115,17 @@ def checked(parse, ok, what: str):
     return check
 
 
-def parse_at(source, ln: int, key: str, parse, text: str):
-    """parse(text), its ValueError reworded as ``source:ln: bad value for key: ...``."""
+def reworded(prefix: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reworded as ``prefix: ...``
+    without the chain; any other exception passes through."""
     try:
-        return parse(text)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"{source}:{ln}: bad value for {key}: {exc}") from None
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
+def parse_at(source, ln: int, key: str, parse, text: str):
+    return reworded(f"{source}:{ln}: bad value for {key}", parse, text)
 
 
 def read_kv(lines, source, schema) -> dict[str, tuple[int, object]]:

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .bits import check, parse_hex, pattern_array, random_patterns, random_space, to_hex
-from .textio import checked, finite_float, parse_at, positive_finite, read_kv, read_text, write_files
+from .textio import checked, finite_float, parse_at, positive_finite, read_kv, read_text, reworded, write_files
 
 MIN_TRACE_SAMPLES = 100
 
@@ -470,10 +470,7 @@ def read_dataset(dirpath) -> Dataset:
         if name in first_use:
             raise ValueError(f"{path}:{ln}: bad value for trace.{i}.file: {name!r} is also trace.{first_use[name]}.file")
         first_use[name] = i
-    try:
-        condition = Condition(kind, pv_length_fraction=pv, temperature_c=temperature)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{kind_line}: {exc}") from None
+    condition = reworded(f"{path}:{kind_line}", Condition, kind, pv_length_fraction=pv, temperature_c=temperature)
     rows: list[np.ndarray] = []
     for _, fname in files:
         rows.append(_read_samples(os.path.join(dirpath, fname), dt, len(rows[0]) if rows else None)[1])
