@@ -43,9 +43,8 @@ class _Parser(argparse.ArgumentParser):
     # exit code 2 means a detection here, but argparse exits 2 on bad
     # usage, so a parse error is a ValueError, which main reports with exit 1
     def error(self, message):
-        option = message.removeprefix("argument ").partition(":")[0]
-        if message.endswith("expected one argument") and option.startswith("--"):
-            # argparse takes a value such as -1,2 for an option
+        if message.endswith("expected one argument"):  # argparse takes a value such as -1,2 for an option
+            option = message.removeprefix("argument ").partition(":")[0]
             message += f"; a value that starts with '-' is written {option}=VALUE"
         raise ValueError(f"{self.prog}: {message}")
 
@@ -265,8 +264,9 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
     if args.random is not None:
         spec = reworded("attack inject: --random", bist.AttackSpec.random, len(cells), args.random, multipliers,
                         config.seed)
-    # only --targets can name a cell outside the array
-    tampered = reworded("attack inject: --targets", bist.inject_attack, cells, spec)
+    elif outside := [i for i in spec.target_indices if not 0 <= i < len(cells)]:
+        raise ValueError(f"attack inject: --targets: target index {outside[0]} outside array of {len(cells)} cells")
+    tampered = bist.inject_attack(cells, spec)
     mtj.save_array(args.out_array, tampered)
     bad = [i for i, c in enumerate(tampered) if mtj.is_malicious(c, config.mtj)]
     print(

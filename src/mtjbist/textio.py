@@ -87,7 +87,7 @@ def split_list(text: str, parse=str) -> tuple:
 
 
 def list_of(parse):
-    """A parser of a list whose items parse parses."""
+    """split_list with its item parser fixed: a parser of a list of parse's items."""
     return functools.partial(split_list, parse=parse)
 
 

@@ -208,17 +208,25 @@ def test_bad_hex_value_names_its_option(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
-# each used to print float()'s or int()'s message alone, naming no option;
-# {array} and {eval} name files the test writes
+# each used to print float()'s or int()'s message alone, or the message of
+# the attack spec or of the array that rejected the value, naming no option;
+# {array} and {eval} name files the test writes, {array} a 16-cell array
 @pytest.mark.parametrize("argv, message", [
     (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--targets", "1,a"],
      "attack inject: --targets: invalid literal for int() with base 10: 'a'"),
+    (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--targets", "1,1"],
+     "attack inject: --targets: duplicate target index"),
+    (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--targets", "99"],
+     "attack inject: --targets: target index 99 outside array of 16 cells"),
+    (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--random", "17"],
+     "attack inject: --random: need 0 < n_targets <= n_cells"),
     (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--random", "2",
       "--multiplier-range", "a,b"], "attack inject: --multiplier-range: could not convert string to float: 'a'"),
     (["bist", "sweep", "--half-periods", "3,x"], "bist sweep: --half-periods: could not convert string to float: 'x'"),
     (["detect", "score", "{eval}", "--threshold", "1", "--condition", "normal", "--sensitivities", "x"],
      "detect score: --sensitivities: could not convert string to float: 'x'"),
-], ids=["targets", "multiplier-range", "half-periods", "sensitivities"])
+], ids=["targets", "targets-repeated", "targets-outside", "random-above-cells", "multiplier-range", "half-periods",
+        "sensitivities"])
 def test_bad_list_item_names_its_option(tmp_path, capsys, argv, message):
     mtj.save_array(tmp_path / "cells.txt", mtj.nominal_array(16))
     (tmp_path / "evaluation.csv").write_text("index,value,decision\n0,1,accept\n")
@@ -819,8 +827,24 @@ def test_trace_gen_rerun_removes_only_unlisted_trace_files(tmp_path, capsys):
     (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--random", "2",
       "--multiplier-range=-1,2"],
      "attack inject: --multiplier-range: multiplier range must be finite with 0 < lo <= hi, got -1.0,2.0"),
+    # used to be checked only by AttackSpec.random, after the array was read
+    (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--random", "0"],
+     "attack inject: --random must be >= 1, got 0"),
+    # argparse takes a list that starts with '-' for an option; the message
+    # used to stop at "expected one argument", naming no way out
+    (["bist", "sweep", "--array", "{missing}", "--half-periods", "-1,2"],
+     "mtjbist bist sweep: argument --half-periods: expected one argument; "
+     "a value that starts with '-' is written --half-periods=VALUE"),
+    (["detect", "score", "{missing}", "--threshold", "1", "--condition", "normal", "--sensitivities", "-0.1,0.2"],
+     "mtjbist detect score: argument --sensitivities: expected one argument; "
+     "a value that starts with '-' is written --sensitivities=VALUE"),
+    (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--random", "2",
+      "--multiplier-range", "-1,2"],
+     "mtjbist attack inject: argument --multiplier-range: expected one argument; "
+     "a value that starts with '-' is written --multiplier-range=VALUE"),
 ], ids=["eval-threshold", "eval-sensitivity", "score-threshold", "score-sensitivities", "half-period",
-        "half-periods", "multiplier", "multiplier-range", "multiplier-range-sign"])
+        "half-periods", "multiplier", "multiplier-range", "multiplier-range-sign", "random-zero",
+        "half-periods-dash", "sensitivities-dash", "multiplier-range-dash"])
 def test_bad_number_names_its_option_before_any_file_is_read(tmp_path, capsys, argv, message):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
