@@ -32,7 +32,7 @@ print(f"a write must settle within {window:.2f} ns to be sensed correctly")
 
 # a healthy cell and a thickened (tampered) one, same write
 for label, tm in (("healthy", 1.0), ("tampered", 1.3)):
-    cell = MtjCell(tm_nominal=1.0, tm_actual=tm)
+    cell = MtjCell(tm_actual=tm)
     written = apply_bit(cell, 1, clock.launch_time, model)
     done = written.pending.completes_at
     level, _ = sense(written, clock.sample_time)
@@ -43,7 +43,7 @@ for label, tm in (("healthy", 1.0), ("tampered", 1.3)):
 
 # the same tampered cell at a faster clock no longer makes the deadline
 fast = ClockConfig(half_period=1.4)
-cell = MtjCell(tm_nominal=1.0, tm_actual=1.3)
+cell = MtjCell(tm_actual=1.3)
 written = apply_bit(cell, 1, fast.launch_time, model)
 level, _ = sense(written, fast.sample_time)
 print(f"\nsame tampered cell at half period {fast.half_period} ns:"

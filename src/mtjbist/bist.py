@@ -42,7 +42,7 @@ from .bits import random_patterns
 # the next benchmark change re-hooks the kernel (ROADMAP 2)
 from .crc import CrcConfig, codewords, encode, syndromes, verify  # noqa: F401
 from .mtj import MtjCell, MtjDelayModel, apply_bit, is_malicious, sense, switching_delay  # noqa: F401
-from .textio import positive_finite
+from .textio import positive_finite, reworded
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class AttackSpec:
     def random(cls, n_cells: int, n_targets: int, multiplier_range: tuple[float, float], rng_seed: int) -> "AttackSpec":
         """Randomized variant: seeded choice of targets and multipliers."""
         if not 0 < n_targets <= n_cells:
-            raise ValueError("need 0 < n_targets <= n_cells")
+            raise ValueError(f"need 0 < n_targets <= n_cells, got {n_targets} targets in an array of {n_cells} cells")
         lo, hi = check_multiplier_range(multiplier_range)
         rng = np.random.default_rng(rng_seed)
         targets = tuple(int(i) for i in rng.choice(n_cells, size=n_targets, replace=False))
@@ -125,22 +125,14 @@ class AttackSpec:
 
 
 def inject_attack(array: list[MtjCell], spec: AttackSpec) -> list[MtjCell]:
-    """Return a copy of the array with tampered free-layer thicknesses."""
+    """A copy of the array with tampered free-layer thicknesses; a thickness
+    MtjCell rejects, such as one that overflows to inf, raises ``cell <i>: ...``."""
     for idx in spec.target_indices:
         if not 0 <= idx < len(array):
             raise ValueError(f"target index {idx} outside array of {len(array)} cells")
     bump = dict(zip(spec.target_indices, spec.thickness_multipliers))
-    out = []
-    for i, cell in enumerate(array):
-        if i in bump:
-            cell = MtjCell(
-                tm_nominal=cell.tm_nominal,
-                tm_actual=cell.tm_actual * bump[i],
-                state=cell.state,
-                pending=cell.pending,
-            )
-        out.append(cell)
-    return out
+    return [reworded(f"cell {i}", replace, cell, tm_actual=cell.tm_actual * bump[i]) if i in bump else cell
+            for i, cell in enumerate(array)]
 
 
 def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockConfig], crc: CrcConfig,

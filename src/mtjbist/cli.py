@@ -173,7 +173,7 @@ def _load_array(config: ExperimentConfig, path: str | None) -> list[mtj.MtjCell]
         return mtj.nominal_array(n)
     cells = mtj.load_array(source)
     if len(cells) != n:
-        raise ValueError(f"array {source} has {len(cells)} cells, message needs {n}")
+        raise ValueError(f"{source}: array has {len(cells)} cells, message needs {n}")
     return cells
 
 
@@ -266,7 +266,8 @@ def cmd_attack_inject(args, config: ExperimentConfig) -> int:
                         config.seed)
     elif outside := [i for i in spec.target_indices if not 0 <= i < len(cells)]:
         raise ValueError(f"attack inject: --targets: target index {outside[0]} outside array of {len(cells)} cells")
-    tampered = bist.inject_attack(cells, spec)
+    option = "--multiplier-range" if args.random is not None else "--multiplier"
+    tampered = reworded(f"attack inject: {option}", bist.inject_attack, cells, spec)
     mtj.save_array(args.out_array, tampered)
     bad = [i for i, c in enumerate(tampered) if mtj.is_malicious(c, config.mtj)]
     print(

@@ -3,31 +3,32 @@
 A cell stores one bit as a magnetization state: parallel (low resistance,
 logic 0) or anti-parallel (high resistance, logic 1). Writing the opposite
 state takes a finite switching time that grows with the free-layer thickness
-``tm``. A fabrication-time attacker who thickens the free layer slows the
-cell down without changing its logic function, so the tampering is invisible
-at the nominal clock and only shows up as a transition-delay fault when the
-cell is exercised faster.
+``tm``, in units of the nominal thickness 1.0. A fabrication-time attacker
+who thickens the free layer slows the cell down without changing its logic
+function, so the tampering is invisible at the nominal clock and only shows
+up as a transition-delay fault when the cell is exercised faster.
 
 The delay law is affine in ``tm`` over the modeled thickness range, with a
 separate window per transition direction. Out-of-range thicknesses clamp to
 the window edges. Cells are immutable values; apply_bit and sense return
-updated copies instead of mutating.
+updated copies instead of mutating. MtjCell is the one check of a cell's
+thickness; load_array and bist.inject_attack put their source before its error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .textio import positive_finite, read_text, records, split_list, write_text
+from .textio import positive_finite, read_text, records, reworded, split_list, write_text
 
 
 @dataclass(frozen=True)
 class MtjDelayModel:
     """Affine switching-delay model over a free-layer thickness range.
 
-    tm_min / tm_max bound the modeled thickness (arbitrary units, nominal
-    1.0). delay01_* is the 0 -> 1 switching window in ns, delay10_* the
-    1 -> 0 window. tm_tolerance is the acceptable |tm_actual - tm_nominal|
+    tm_min / tm_max bound the modeled thickness (units of the nominal
+    thickness 1.0). delay01_* is the 0 -> 1 switching window in ns, delay10_*
+    the 1 -> 0 window. tm_tolerance is the acceptable |tm_actual - 1.0|
     before a cell counts as tampered.
     """
 
@@ -60,19 +61,18 @@ class PendingTransition:
 
 @dataclass(frozen=True)
 class MtjCell:
-    """One storage cell: nominal and actual thickness plus current state.
+    """One storage cell: free-layer thickness plus current state.
 
-    state is the logic level the magnetization stores: 0 is parallel (low
-    resistance), 1 is anti-parallel (high resistance).
+    tm_actual is the thickness in units of the nominal 1.0, positive and
+    finite. state is the logic level the magnetization stores: 0 is parallel
+    (low resistance), 1 is anti-parallel (high resistance).
     """
 
-    tm_nominal: float = 1.0
     tm_actual: float = 1.0
     state: int = 0
     pending: PendingTransition | None = None
 
     def __post_init__(self):
-        positive_finite("tm_nominal", self.tm_nominal)
         positive_finite("tm_actual", self.tm_actual)
         if self.state not in (0, 1):
             raise ValueError(f"state must be 0 or 1, got {self.state!r}")
@@ -137,12 +137,12 @@ def sense(cell: MtjCell, t_sample: float) -> tuple[int, MtjCell]:
 
 
 def is_malicious(cell: MtjCell, model: MtjDelayModel) -> bool:
-    """True when the actual thickness deviates beyond the model tolerance.
+    """True when tm_actual deviates from the nominal 1.0 beyond the tolerance.
 
     The boundary is accepting: a deviation of exactly tm_tolerance is still
     considered healthy.
     """
-    return abs(cell.tm_actual - cell.tm_nominal) > model.tm_tolerance
+    return abs(cell.tm_actual - 1.0) > model.tm_tolerance
 
 
 def nominal_array(n_cells: int) -> list[MtjCell]:
@@ -159,7 +159,7 @@ def load_array(path) -> list[MtjCell]:
     separated, ``#`` comments allowed). Indices must form 0..n-1 exactly;
     ordering in the file is free.
     """
-    rows: dict[int, float] = {}
+    rows: dict[int, MtjCell] = {}
     for ln, text in records(read_text(path).split("\n")):
         parts = split_list(text)
         if len(parts) != 2:
@@ -168,17 +168,15 @@ def load_array(path) -> list[MtjCell]:
             idx, tm = int(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{ln}: expected an integer index and a number, got {text!r}") from None
-        # the chained comparison is False for nan
-        if not 0 < tm < float("inf"):
-            raise ValueError(f"{path}:{ln}: tm_actual must be positive and finite, got {parts[1]!r}")
+        cell = reworded(f"{path}:{ln}", MtjCell, tm_actual=tm)
         if idx in rows:
             raise ValueError(f"{path}:{ln}: duplicate cell index {idx}")
-        rows[idx] = tm
+        rows[idx] = cell
     if not rows:
         raise ValueError(f"{path}: no cells")
     if sorted(rows) != list(range(len(rows))):
         raise ValueError(f"{path}: cell indices must be 0..{len(rows) - 1} without gaps")
-    return [MtjCell(tm_actual=rows[i]) for i in range(len(rows))]
+    return [rows[i] for i in range(len(rows))]
 
 
 def save_array(path, cells: list[MtjCell]) -> None:

@@ -95,10 +95,10 @@ def test_criterion_02_healthy_arrays_never_flag():
     rng = np.random.default_rng(20)
     arrays = [
         nominal_array(16),
-        [MtjCell(tm_nominal=1.0, tm_actual=0.8) for _ in range(16)],
-        [MtjCell(tm_nominal=1.0, tm_actual=1.3) for _ in range(16)],
-        [MtjCell(tm_nominal=1.0, tm_actual=float(t)) for t in rng.uniform(0.8, 1.3, 16)],
-        [MtjCell(tm_nominal=1.0, tm_actual=float(t)) for t in rng.uniform(0.8, 1.3, 16)],
+        [MtjCell(tm_actual=0.8) for _ in range(16)],
+        [MtjCell(tm_actual=1.3) for _ in range(16)],
+        [MtjCell(tm_actual=float(t)) for t in rng.uniform(0.8, 1.3, 16)],
+        [MtjCell(tm_actual=float(t)) for t in rng.uniform(0.8, 1.3, 16)],
     ]
     flags = 0
     faults = 0
@@ -118,7 +118,7 @@ def test_criterion_02_healthy_arrays_never_flag():
 def test_criterion_03_slowed_cell_flagged_at_fast_clock():
     t0 = time.perf_counter()
     array = nominal_array(16)
-    array[0] = MtjCell(tm_nominal=1.0, tm_actual=1.3)
+    array[0] = MtjCell(tm_actual=1.3)
     fast = ClockConfig(half_period=1.4)
     problems = []
     hits = 0

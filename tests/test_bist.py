@@ -133,6 +133,12 @@ def test_inject_attack():
     assert cells[2].tm_actual == 1.0
 
 
+# it used to raise "tm_actual must be positive and finite, got inf", naming no cell
+def test_inject_attack_overflow_names_the_cell():
+    with pytest.raises(ValueError, match=r"^cell 0: tm_actual must be positive and finite, got inf$"):
+        inject_attack([MtjCell(tm_actual=2.0)], AttackSpec.uniform([0], 1e308))
+
+
 def test_inject_attack_bad_index():
     with pytest.raises(ValueError):
         inject_attack(nominal_array(4), AttackSpec.uniform([9], 1.3))

@@ -219,7 +219,7 @@ def test_bad_hex_value_names_its_option(tmp_path, capsys, argv, message):
     (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--targets", "99"],
      "attack inject: --targets: target index 99 outside array of 16 cells"),
     (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--random", "17"],
-     "attack inject: --random: need 0 < n_targets <= n_cells"),
+     "attack inject: --random: need 0 < n_targets <= n_cells, got 17 targets in an array of 16 cells"),
     (["attack", "inject", "--array", "{array}", "--out-array", "{array}.out", "--random", "2",
       "--multiplier-range", "a,b"], "attack inject: --multiplier-range: could not convert string to float: 'a'"),
     (["bist", "sweep", "--half-periods", "3,x"], "bist sweep: --half-periods: could not convert string to float: 'x'"),
@@ -235,6 +235,39 @@ def test_bad_list_item_names_its_option(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "cells.txt.out").exists()
+
+
+# each used to print "error: tm_actual must be positive and finite, got inf",
+# naming neither the option nor the cell
+@pytest.mark.parametrize("argv, message", [
+    (["--targets", "0", "--multiplier", "1e308"],
+     "error: attack inject: --multiplier: cell 0: tm_actual must be positive and finite, got inf\n"),
+    (["--random", "2", "--multiplier-range=1e308,1e308"],
+     r"error: attack inject: --multiplier-range: cell \d+: tm_actual must be positive and finite, got inf\n"),
+], ids=["multiplier", "multiplier-range"])
+def test_attack_inject_overflowing_thickness_names_its_option(tmp_path, capsys, argv, message):
+    mtj.save_array(tmp_path / "cells.txt", [mtj.MtjCell(tm_actual=2.0)] * 16)
+    args = ["attack", "inject", "--array", str(tmp_path / "cells.txt"), "--out-array", str(tmp_path / "out.txt")]
+    assert main([*args, *argv]) == 1
+    assert re.fullmatch(message, capsys.readouterr().err)
+    assert not (tmp_path / "out.txt").exists()
+
+
+# each used to print "error: array <path> has 17 cells, message needs 16",
+# which does not start with its source
+@pytest.mark.parametrize("via", ["option", "config"])
+@pytest.mark.parametrize("command", [["bist", "run"], ["bist", "sweep", "--n-random", "2"]], ids=["run", "sweep"])
+def test_wrong_size_array_starts_with_its_path(tmp_path, capsys, command, via):
+    path = tmp_path / "a17.txt"
+    mtj.save_array(path, mtj.nominal_array(17))
+    if via == "option":
+        source = ["--array", str(path)]
+    else:
+        (tmp_path / "run.conf").write_text(f"mtj.array = {path}\n")
+        source = ["--config", str(tmp_path / "run.conf")]
+    assert main([*command, *source, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: array has 17 cells, message needs 16\n"
+    assert not (tmp_path / "out").exists()
 
 
 # each used to fall back to the default, the config's reference pattern or

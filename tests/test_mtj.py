@@ -133,8 +133,6 @@ def test_cell_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             MtjCell(tm_actual=bad)
-        with pytest.raises(ValueError, match="positive and finite"):
-            MtjCell(tm_nominal=bad)
     with pytest.raises(ValueError):
         MtjCell(state=2)
 
