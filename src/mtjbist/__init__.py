@@ -27,7 +27,6 @@ from .config import ExperimentConfig, load_config
 from .crc import CrcConfig
 from .detector import (
     DetectorConfig,
-    EvaluationSignal,
     classify,
     cross_correlation,
     evaluation_signal,

@@ -19,14 +19,12 @@ from .bits import parse_hex, random_patterns, to_hex
 from .config import CONFIG_KEYS, ExperimentConfig, load_config
 from .detector import (
     DetectorConfig,
-    EvaluationSignal,
     classify,
     evaluation_signal,
     score,
     threshold_from_reference,
 )
-from .textio import (checked, finite_float, list_of, parse_at, positive_finite, read_text, records, reworded,
-                     split_list, write_text)
+from .textio import list_of, positive_finite, read_text, reworded, split_list, write_text
 from .traces import (
     NORMAL,
     TROJAN,
@@ -177,9 +175,16 @@ def _load_array(config: ExperimentConfig, path: str | None) -> list[mtj.MtjCell]
     return cells
 
 
-def _write_bist_csv(path, sweep: bist.SweepResult, data_width: int) -> None:
-    """One row per round, clock by clock and within a clock pattern by
-    pattern; each half period, pattern and fault set is formatted once."""
+def _write_out(config: ExperimentConfig, name: str, text: str) -> str:
+    """Write text as the file name in config.out, made if missing; the file's path."""
+    os.makedirs(config.out, exist_ok=True)
+    write_text(path := os.path.join(config.out, name), text)
+    return path
+
+
+def _bist_csv(sweep: bist.SweepResult, data_width: int) -> str:
+    """The bist_results.csv text: one row per round, clock by clock and within
+    a clock pattern by pattern; each half period, pattern and fault set is formatted once."""
     half_periods = [f"{hp:.10g}," for hp in sweep.half_periods]
     patterns = [f"{to_hex(p, data_width)}," for p in sweep.patterns]
     # the error flag is a function of the fault vector, so of its set
@@ -189,7 +194,7 @@ def _write_bist_csv(path, sweep: bist.SweepResult, data_width: int) -> None:
                 for flag, cells in zip(flag_of.tolist(), sweep.fault_sets)]
     body = "".join([hp + p + suffixes[k]
                     for hp, row in zip(half_periods, sweep.fault_index.tolist()) for p, k in zip(patterns, row)])
-    write_text(path, "half_period_ns,pattern_hex,error_flag,faulted_indices\n" + body)
+    return "half_period_ns,pattern_hex,error_flag,faulted_indices\n" + body
 
 
 def cmd_bist_run(args, config: ExperimentConfig) -> int:
@@ -202,9 +207,7 @@ def cmd_bist_run(args, config: ExperimentConfig) -> int:
     array = _load_array(config, args.array)
     sweep = bist.frequency_sweep(array, [pattern], [clock.half_period], crc, config.mtj, clock)
     flagged = bool(sweep.flags[0, 0])
-    os.makedirs(config.out, exist_ok=True)
-    out_csv = os.path.join(config.out, "bist_results.csv")
-    _write_bist_csv(out_csv, sweep, crc.data_width)
+    out_csv = _write_out(config, "bist_results.csv", _bist_csv(sweep, crc.data_width))
     verdict = "ERROR" if flagged else "clean"
     print(
         f"pattern {to_hex(pattern, crc.data_width)} at half period "
@@ -235,9 +238,7 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
         half_periods = [float(h) for h in np.linspace(3.0, 0.75, 10)]
     array = _load_array(config, args.array)
     sweep = bist.frequency_sweep(array, patterns, half_periods, crc, config.mtj, config.clock)
-    os.makedirs(config.out, exist_ok=True)
-    out_csv = os.path.join(config.out, "bist_results.csv")
-    _write_bist_csv(out_csv, sweep, crc.data_width)
+    out_csv = _write_out(config, "bist_results.csv", _bist_csv(sweep, crc.data_width))
     n_flagged = int(sweep.flags.sum())
     print(f"{sweep.flags.size} runs, {n_flagged} raised the error flag; wrote {out_csv}")
     for p, worst in sweep.largest_flagged_half_period.items():
@@ -314,9 +315,7 @@ def cmd_detect_eval(args, config: ExperimentConfig) -> int:
     threshold = threshold if threshold is not None else threshold_from_reference(signal)
     sensitivity = sensitivity if sensitivity is not None else config.detector_sensitivity
     rejected = classify(signal, DetectorConfig(threshold, sensitivity))
-    os.makedirs(config.out, exist_ok=True)
-    out_csv = os.path.join(config.out, "evaluation.csv")
-    write_text(out_csv, experiments.evaluation_text(signal, rejected))
+    out_csv = _write_out(config, "evaluation.csv", experiments.evaluation_text(signal, rejected))
     print(f"threshold {threshold:.10g}, sensitivity {sensitivity:g}: {_tally(rejected)}; wrote {out_csv}")
     return 2 if rejected.any() else 0
 
@@ -330,27 +329,11 @@ def cmd_detect_score(args, config: ExperimentConfig) -> int:
     )
     if not levels:
         raise ValueError("detect score: --sensitivities needs at least one level")
-    path = args.evaluation
-    values = []
-    rows = records(read_text(path).split("\n"))
-    ln, header = next(rows, (1, ""))
-    # stripped as float() strips the data fields
-    columns = [column.strip() for column in header.split(",")]
-    if columns.count("value") != 1:
-        raise ValueError(f"{path}:{ln}: expected one 'value' column, got {columns.count('value')}")
-    parse_value = checked(finite_float, lambda v: v >= 0, "must be >= 0")
-    for ln, text in rows:
-        row = text.split(",")
-        if len(row) != len(columns):
-            raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
-        values.append(parse_at(path, ln, "value", parse_value, row[columns.index("value")]))
-    signal = reworded(path, EvaluationSignal, np.array(values))
+    signal = experiments.read_evaluation(args.evaluation)
     condition_kind = ConditionKind(args.condition)
     condition = TROJAN if condition_kind is ConditionKind.TROJAN else NORMAL
     counts = [(s, score(classify(signal, DetectorConfig(threshold, s)), condition)) for s in levels]
-    os.makedirs(config.out, exist_ok=True)
-    out_csv = os.path.join(config.out, "confusion.csv")
-    write_text(out_csv, experiments.confusion_text(counts))
+    out_csv = _write_out(config, "confusion.csv", experiments.confusion_text(counts))
     print(f"wrote {out_csv}")
     return 2 if any(c.tp or c.fp for _, c in counts) else 0
 

@@ -42,6 +42,7 @@ from .detector import (
     score,
     threshold_from_reference,
 )
+from .textio import checked, finite_float, parse_at, read_text, records, reworded
 from .traces import (
     NORMAL,
     TROJAN,
@@ -185,6 +186,24 @@ def evaluation_rows(signal: EvaluationSignal, rejected, prefix: str = "") -> str
 
 def evaluation_text(signal: EvaluationSignal, rejected) -> str:
     return "index,value,decision\n" + evaluation_rows(signal, rejected)
+
+
+def read_evaluation(path) -> EvaluationSignal:
+    """The value column of an evaluation table, evaluation_text's or write_experiment's combined one."""
+    rows = records(read_text(path).split("\n"))
+    ln, header = next(rows, (1, ""))
+    # stripped as float() strips the data fields
+    columns = [column.strip() for column in header.split(",")]
+    if columns.count("value") != 1:
+        raise ValueError(f"{path}:{ln}: expected one 'value' column, got {columns.count('value')}")
+    parse_value = checked(finite_float, lambda v: v >= 0, "must be >= 0")
+    values = []
+    for ln, text in rows:
+        row = text.split(",")
+        if len(row) != len(columns):
+            raise ValueError(f"{path}:{ln}: expected {len(columns)} fields as in the header, got {text!r}")
+        values.append(parse_at(path, ln, "value", parse_value, row[columns.index("value")]))
+    return reworded(path, EvaluationSignal, np.array(values))
 
 
 def confusion_text(counts) -> str:

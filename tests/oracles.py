@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # Bits of a pattern, one shift at a time
@@ -190,12 +192,13 @@ def affine_switching_delay(tm: float, rising: bool, tm_range=(0.8, 1.3), window0
 
 
 def bist_round(pattern: int, tm_actual, states, half_period: float, launch_offset_cycles: float = 1.25,
-               sample_edge: int = 3, poly_low: int = 0x07, g: int = 8, d: int = 8):
+               sample_edge: int = 3, poly_low: int = 0x07, g: int = 8, d: int = 8, **windows):
     """(error flag, sensed bits, faulted cells) of one round on an 8+8 cell array.
 
     Cells 0..d-1 hold the data bits LSB first, cells d..d+g-1 the check bits.
     A cell written with its own state keeps it; a toggled cell reads its old
-    state while the sample edge comes before its switch completes.
+    state while the sample edge comes before its switch completes. windows
+    are affine_switching_delay's tm_range, window01 and window10.
     """
     period = 2.0 * half_period
     launch = launch_offset_cycles * period
@@ -207,13 +210,22 @@ def bist_round(pattern: int, tm_actual, states, half_period: float, launch_offse
         if bit == old:
             sensed.append(bit)
             continue
-        done_at = launch + affine_switching_delay(tm, rising=bit == 1)
+        done_at = launch + affine_switching_delay(tm, rising=bit == 1, **windows)
         sensed.append(bit if sample >= done_at else old)
     data = sum(b << i for i, b in enumerate(sensed[:d]))
     received_check = sum(b << j for j, b in enumerate(sensed[d:]))
     flag = int(crc_long_division((data << g) | received_check, d + g, poly_low, g) != 0)
     faulted = {i for i, (s, b) in enumerate(zip(sensed, launched)) if s != b}
     return flag, sensed, faulted
+
+
+# ---------------------------------------------------------------------------
+# trace synthesis: the noise of a dataset's row
+
+def row_noise(seed: int, i: int, n: int, sigma: float):
+    """The n noise samples of row i of a dataset drawn with seed: a fresh
+    generator seeded with seed ^ i."""
+    return np.random.default_rng(seed ^ i).normal(0.0, sigma, n)
 
 
 def message_bits(msg, config) -> tuple[int, ...]:

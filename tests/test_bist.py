@@ -1,5 +1,6 @@
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from mtjbist.bist import (
     inject_attack,
     run_bist,
 )
-from mtjbist.cli import _write_bist_csv
+from mtjbist.cli import _bist_csv
 from mtjbist.crc import CrcConfig, encode
 from mtjbist.mtj import MtjCell, MtjDelayModel, PendingTransition, nominal_array
-from oracles import bist_round, message_bits, write_bist_rows
+from mtjbist.textio import write_text
+from oracles import affine_switching_delay, bist_round, crc_long_division, message_bits, write_bist_rows
 
 CRC8 = CrcConfig()
 MODEL = MtjDelayModel()
@@ -340,7 +342,7 @@ def test_sweep_csv_matches_oracle_writer(tms, states, patterns, repeats, half_pe
     with tempfile.TemporaryDirectory() as tmp:
         expected, written = Path(tmp, "expected.csv"), Path(tmp, "written.csv")
         write_bist_rows(expected, rows, CRC8.data_width)
-        _write_bist_csv(written, frequency_sweep(cells, patterns, half_periods, CRC8, MODEL), CRC8.data_width)
+        write_text(written, _bist_csv(frequency_sweep(cells, patterns, half_periods, CRC8, MODEL), CRC8.data_width))
         assert written.read_bytes() == expected.read_bytes()
 
 
@@ -413,3 +415,118 @@ def test_sample_exactly_at_completion_reads_new_state():
     cells = [MtjCell(tm_actual=1.3)] + nominal_array(N_CELLS - 1)
     sweep = frequency_sweep(cells, [0x01], [1.0, 0.999], CRC8, model, ClockConfig(launch_offset_cycles=1.0))
     assert [faulted for _, _, _, faulted in sweep_rows(sweep)] == [frozenset(), frozenset({0})]
+
+
+# ---------------------------------------------------------------------------
+# the blind window: a toggled cell of delay d faults at half periods below its
+# stall point d / (2 * (sample_edge - 1 - launch_offset_cycles)), and a round
+# that faults every toggled cell reads back its start word unflagged when that
+# word is a codeword, as the command line's all-zero start always is
+
+def codeword_bits(pattern: int) -> list[int]:
+    check = crc_long_division(pattern, 8, CRC8.poly, 8)
+    return [(pattern >> i) & 1 for i in range(8)] + [(check >> j) & 1 for j in range(8)]
+
+
+def is_codeword(cells) -> bool:
+    """Whether the set of cells, as a message of data and check bits, is a codeword."""
+    data = sum(1 << i for i in cells if i < 8)
+    check = sum(1 << (i - 8) for i in cells if i >= 8)
+    return crc_long_division((data << 8) | check, 16, CRC8.poly, 8) == 0
+
+
+def windows(model: MtjDelayModel) -> dict:
+    return {"tm_range": (model.tm_min, model.tm_max), "window01": (model.delay01_min, model.delay01_max),
+            "window10": (model.delay10_min, model.delay10_max)}
+
+
+def stall_point(model, clock, tm, state) -> float:
+    delay = affine_switching_delay(tm, state == 0, **windows(model))
+    return delay / (2 * (clock.sample_edge - 1 - clock.launch_offset_cycles))
+
+
+@st.composite
+def bist_setups(draw):
+    """A delay model, a clock, an array of any thicknesses and start states, and a pattern."""
+    tm_min = draw(st.floats(0.5, 1.2))
+    model = MtjDelayModel(tm_min, tm_min + draw(st.floats(0.01, 1.0)),
+                          *sorted(draw(st.lists(st.floats(0, 3), min_size=2, max_size=2))),
+                          *sorted(draw(st.lists(st.floats(0, 3), min_size=2, max_size=2))))
+    edge = draw(st.integers(2, 5))
+    clock = ClockConfig(launch_offset_cycles=draw(st.floats(0.05, edge - 1.05)), sample_edge=edge)
+    tms = draw(st.lists(st.floats(0.5, 2.0), min_size=N_CELLS, max_size=N_CELLS))
+    states = draw(st.lists(st.integers(0, 1), min_size=N_CELLS, max_size=N_CELLS))
+    return model, clock, tms, states, draw(st.integers(0, 255))
+
+
+def setup_round(model, clock, tms, states, pattern, half_period):
+    cells = [MtjCell(tm_actual=tm, state=s) for tm, s in zip(tms, states)]
+    return run_bist(pattern, cells, replace(clock, half_period=half_period), CRC8, model)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bist_setups(), st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4))
+def test_flag_is_clear_exactly_when_the_fault_vector_is_a_codeword(setup, half_periods):
+    model, clock, tms, states, pattern = setup
+    cells = [MtjCell(tm_actual=tm, state=s) for tm, s in zip(tms, states)]
+    sweep = frequency_sweep(cells, [pattern], half_periods, CRC8, model, clock)
+    for hp, _, flag, faulted in sweep_rows(sweep):
+        oracle = bist_round(pattern, tms, states, hp, clock.launch_offset_cycles, clock.sample_edge,
+                            **windows(model))
+        assert (flag, faulted) == oracle[::2]
+        # the zero vector, no fault at all, is a codeword
+        assert flag == (not is_codeword(faulted))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bist_setups(), st.floats(0.01, 0.999))
+def test_below_every_toggled_stall_point_a_round_reads_back_its_start_word(setup, fraction):
+    model, clock, tms, states, pattern = setup
+    launched = codeword_bits(pattern)
+    for start in (states, [0] * N_CELLS):
+        toggled = {i for i, (bit, s) in enumerate(zip(launched, start)) if bit != s}
+        stall = min((stall_point(model, clock, tms[i], start[i]) for i in toggled), default=0.0)
+        if stall < 1e-6:
+            continue
+        res = setup_round(model, clock, tms, start, pattern, stall * fraction)
+        assert res.faulted_positions == toggled
+        assert list(res.sensed_bits) == start
+        assert res.error_flag == (not is_codeword({i for i, s in enumerate(start) if s}))
+        if start is not states:
+            assert res.error_flag == 0
+
+
+# pairs (sample_edge, sample_edge - 1 - launch_offset_cycles) whose launch
+# offset is positive; the window's span is a power of two, so every stall
+# point below is an exact double and a half period can sit on one
+DYADIC_CLOCKS = [(edge, k) for edge in range(2, 6) for k in (0.25, 0.5, 1.0, 2.0) if edge - 1 - k > 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_tampered_cell_is_flagged_between_the_healthy_stall_point_and_its_own(data):
+    edge, k = data.draw(st.sampled_from(DYADIC_CLOCKS))
+    clock = ClockConfig(launch_offset_cycles=edge - 1 - k, sample_edge=edge)
+    lo01, lo10 = (data.draw(st.integers(0, 64)) / 64 for _ in range(2))
+    model = MtjDelayModel(0.5, 1.5, lo01, lo01 + data.draw(st.integers(1, 256)) / 64,
+                          lo10, lo10 + data.draw(st.integers(1, 256)) / 64)
+    # from the all-zero start of every command-line round: each toggled cell
+    # switches 0 -> 1, whatever the 1 -> 0 window, and the healthy ones share
+    # one stall point
+    states = [0] * N_CELLS
+    pattern = data.draw(st.integers(1, 255))
+    toggled = [i for i, bit in enumerate(codeword_bits(pattern)) if bit]
+    tampered = data.draw(st.sampled_from(toggled))
+    tms = [1.0] * N_CELLS
+    # up to 12/16 beyond the nominal thickness: beyond tm_max = 1.5 it clamps
+    tms[tampered] = 1.0 + data.draw(st.integers(1, 12)) / 16
+    healthy = stall_point(model, clock, 1.0, 0) if len(toggled) > 1 else 0.0
+    own = stall_point(model, clock, tms[tampered], 0)
+    assert healthy < own
+    inside = [healthy + (own - healthy) * i / 256 for i in data.draw(st.lists(st.integers(0, 255), max_size=3))]
+    above = [own * (1 + j / 64) for j in data.draw(st.lists(st.integers(0, 256), max_size=3))]
+    for hp in [healthy, own] + inside + above:
+        if hp > 0:
+            res = setup_round(model, clock, tms, states, pattern, hp)
+            assert res.error_flag == (hp < own), hp
+            assert res.faulted_positions == ({tampered} if hp < own else set())

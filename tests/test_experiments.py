@@ -1,6 +1,8 @@
 import os
 import re
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,17 @@ from hypothesis import strategies as st
 
 from mtjbist.cli import main
 from mtjbist.config import ExperimentConfig
+from mtjbist.detector import EvaluationSignal
 from mtjbist.experiments import (
     child_seeds,
+    evaluation_rows,
+    evaluation_text,
+    read_evaluation,
     run_crc_identification,
     run_katan_identification,
     write_experiment,
 )
+from mtjbist.textio import write_text
 from mtjbist.traces import (
     PV_FRACTION_RANGE,
     TEMPERATURE_RANGE_C,
@@ -142,6 +149,35 @@ def test_write_experiment_layout(tmp_path):
     rows = (out / "evaluation.csv").read_text().strip().splitlines()
     assert rows[0] == "dataset,index,value,decision"
     assert len(rows) == 1 + 4 * len(orig)
+    # and each table reads back as the 10 digits of its signals
+    for name, signal in result.signals.items():
+        assert read_evaluation(out / f"evaluation_{name}.csv").values.tolist() == ten_digits(signal.values)
+    assert read_evaluation(out / "evaluation.csv").values.tolist() == [
+        v for signal in result.signals.values() for v in ten_digits(signal.values)]
+
+
+def ten_digits(values) -> list[float]:
+    """The values as an evaluation table keeps them: 10 significant digits."""
+    return [float(f"{v:.10g}") for v in values]
+
+
+evaluation_values = st.lists(st.one_of(st.just(0.0), st.floats(0, 1e300)), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(evaluation_values, min_size=1, max_size=4), st.lists(st.booleans(), min_size=8, max_size=8))
+def test_read_evaluation_returns_the_values_the_text_holds(signals, rejected):
+    # evaluation_text's table of the first signal, and an experiment's
+    # combined layout: a dataset column first, then each dataset's rows
+    combined = "dataset,index,value,decision\n" + "".join(
+        evaluation_rows(EvaluationSignal(v), rejected, f"set{k},") for k, v in enumerate(signals))
+    tables = [(evaluation_text(EvaluationSignal(signals[0]), rejected), signals[0]),
+              (combined, [x for v in signals for x in v])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "evaluation.csv")
+        for text, values in tables:
+            write_text(path, text)
+            assert read_evaluation(path).values.tolist() == ten_digits(values)
 
 
 def test_confusion_csv_contents(tmp_path):

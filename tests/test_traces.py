@@ -21,6 +21,8 @@ from mtjbist.traces import (
     Dataset,
     DEFAULT_PARAMS,
     MIN_TRACE_SAMPLES,
+    PV_FRACTION_RANGE,
+    TEMPERATURE_RANGE_C,
     TraceParams,
     build_dataset,
     draw_patterns,
@@ -33,7 +35,8 @@ from mtjbist.traces import (
 )
 from mtjbist.textio import MIN_FILES_PER_THREAD, write_files, write_text
 from mtjbist.trojan import TrojanSpec
-from oracles import crc_trojan_fires, read_trace_rows, scan_draw, write_trace_rows
+from oracles import (crc_trojan_fires, katan32_toggles, katan_trojan_fires, read_trace_rows, row_noise, scan_draw,
+                     write_trace_rows)
 
 
 def write_trace(trace: CurrentTrace, path) -> None:
@@ -320,6 +323,35 @@ def test_build_dataset_per_trace_noise_seeds():
             if not condition.original:
                 assert circ.fires(int(pattern))
                 assert row[circ.n_steps - 1] > DEFAULT_PARAMS.spike_gain
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 6), infected=st.booleans(),
+       kind=st.sampled_from(ConditionKind), pv=st.floats(*PV_FRACTION_RANGE), temperature=st.floats(*TEMPERATURE_RANGE_C))
+def test_katan_dataset_rows_are_the_recipe_sum(seed, n, infected, kind, pv, temperature):
+    # a clean circuit has no Trojan dataset: no pattern fires its trigger
+    assume(infected or kind is not ConditionKind.TROJAN)
+    spec, p = TrojanSpec(), DEFAULT_PARAMS
+    circuit = TrojanKatanCircuit(KATAN_KEY, spec) if infected else KatanCircuit(KATAN_KEY)
+    condition = Condition(kind, pv_length_fraction=pv if kind is ConditionKind.PROCESS_VARIATION else None,
+                          temperature_c=temperature if kind is ConditionKind.TEMPERATURE else None)
+    scale = {ConditionKind.PROCESS_VARIATION: 1.0 + p.k_pv * pv,
+             ConditionKind.TEMPERATURE: 1.0 + p.k_temp * (temperature - 20.0)}.get(kind, 1.0)
+    ds = build_dataset(circuit, condition, n_patterns=n, seed=seed)
+    for i, (pattern, row) in enumerate(zip(ds.patterns.tolist(), ds.samples.tolist())):
+        toggles = katan32_toggles(pattern, KATAN_KEY)
+        fires = infected and katan_trojan_fires(pattern, KATAN_KEY, spec.trigger_key_bits, spec.trigger_pt_bits)
+        noise = row_noise(seed, i, p.n_samples, p.noise_sigma).tolist()
+        expected = []
+        for t in range(p.n_samples):
+            v = p.baseline
+            if t < len(toggles):
+                v += (p.i_unit * scale) * toggles[t]
+            if fires and t == 253:
+                v += (p.i_unit * scale) * (len(spec.trigger_key_bits) + len(spec.trigger_pt_bits))
+                v += p.spike_gain * p.i_unit
+            expected.append(v + noise[t])
+        assert row == expected, i
 
 
 def test_build_dataset_computes_toggles_in_one_call():
