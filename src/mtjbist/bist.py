@@ -26,12 +26,15 @@ zero-init remainder is GF(2)-linear and the launched word is a codeword, so
 the error flag fires iff the fault vector's syndrome is nonzero. A pattern
 enters only through its toggle mask and a clock only through its mask of
 cells still switching at the sample edge, so all patterns x clocks x cells
-are one broadcast of the two masks. crc.py encodes all patterns and takes
-the syndromes of the distinct fault vectors, each in one GF(2) product.
+are one broadcast of the two masks. frequency_sweep is that closed form:
+crc.py encodes all patterns and takes the syndromes of the distinct fault
+vectors, each in one GF(2) product. run_bist is its one-round view and
+detection_coverage its one-clock view.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +59,9 @@ class ClockConfig:
         positive_finite("launch_offset_cycles", self.launch_offset_cycles)
         if self.sample_edge < 1:
             raise ValueError("sample_edge must be >= 1")
+        if not math.isfinite(self.sample_time):
+            raise ValueError(f"half_period {self.half_period!r} overflows the clock: sample time "
+                             f"(sample_edge - 1) * 2 * half_period = {self.sample_time!r}")
         if self.launch_time >= self.sample_time:
             raise ValueError("launch must precede the sample edge")
 
@@ -135,65 +141,6 @@ def inject_attack(array: list[MtjCell], spec: AttackSpec) -> list[MtjCell]:
             for i, cell in enumerate(array)]
 
 
-def _bist_rounds(array: list[MtjCell], patterns: list[int], clocks: list[ClockConfig], crc: CrcConfig,
-                 model: MtjDelayModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every pattern at every clock on the same array, in closed form.
-
-    Returns the launched bits (P, n) bool, the distinct fault vectors (K, n)
-    bool, the (H, P) index of each round's fault vector among them and the
-    (H, P) bool error flags, for P patterns, H clocks and n cells. Cells with
-    writes still pending raise (the harness serializes rounds).
-    """
-    n = crc.data_width + crc.check_width
-    if len(array) != n:
-        raise ValueError(f"array has {len(array)} cells, message needs {n}")
-    for i, cell in enumerate(array):
-        if cell.pending is not None:
-            raise RuntimeError(
-                f"cell {i} has a transition pending (completes at {cell.pending.completes_at} ns); "
-                "rounds must not overlap"
-            )
-    state = np.array([c.state for c in array], dtype=bool)
-    delay = np.array([switching_delay(model, c.tm_actual, (int(c.state), 1 - int(c.state))) for c in array])
-    launched = codewords(patterns, crc)
-    launch = np.array([c.launch_time for c in clocks]).reshape(-1, 1)
-    sample = np.array([c.sample_time for c in clocks]).reshape(-1, 1)
-    # (H, n): cells that, once toggled, are still switching at the sample edge
-    slow = sample < launch + delay
-    faults = ((launched != state) & slow[:, None, :]).reshape(-1, n)
-    # one syndrome per distinct fault vector, of which the error flag is a function
-    packed = np.packbits(faults, axis=-1)
-    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    vectors = faults[first]
-    index = inverse.reshape(len(clocks), len(patterns))
-    return launched, vectors, index, syndromes(vectors, crc).any(axis=-1)[index]
-
-
-def run_bist(
-    pattern: int,
-    array: list[MtjCell],
-    clock: ClockConfig,
-    crc: CrcConfig,
-    model: MtjDelayModel,
-) -> BistResult:
-    """One launch/sample round. Returns the decode verdict and the sensed bits.
-
-    The array is not mutated; cells with writes still pending at call time
-    raise (the harness serializes rounds).
-    """
-    launched, vectors, index, flags = _bist_rounds(array, [pattern], [clock], crc, model)
-    faults = vectors[index[0, 0]]
-    return BistResult(
-        pattern=pattern,
-        error_flag=int(flags[0, 0]),
-        sensed_bits=tuple((launched[0] ^ faults).astype(np.int64).tolist()),
-        faulted_positions=frozenset(np.flatnonzero(faults).tolist()),
-        launch_time=clock.launch_time,
-        sample_time=clock.sample_time,
-    )
-
-
 # eq=False: the fields hold arrays, which do not compare to one bool
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -220,20 +167,60 @@ def frequency_sweep(
     model: MtjDelayModel,
     clock: ClockConfig = ClockConfig(),
 ) -> SweepResult:
-    """Run every pattern at every clock setting, each on the same starting array.
-
-    Each clock is ``clock`` at one of the half periods.
+    """Every pattern at every clock setting, each on the same starting array,
+    in closed form. Each clock is ``clock`` at one of the half periods. The
+    array is not mutated; cells with writes still pending raise (the harness
+    serializes rounds).
     """
     patterns = tuple(int(p) for p in patterns)
     half_periods = tuple(float(hp) for hp in half_periods)
     clocks = [replace(clock, half_period=hp) for hp in half_periods]
-    _, vectors, index, flags = _bist_rounds(array, list(patterns), clocks, crc, model)
+    n = crc.data_width + crc.check_width
+    if len(array) != n:
+        raise ValueError(f"array has {len(array)} cells, message needs {n}")
+    for i, cell in enumerate(array):
+        if cell.pending is not None:
+            raise RuntimeError(
+                f"cell {i} has a transition pending (completes at {cell.pending.completes_at} ns); "
+                "rounds must not overlap"
+            )
+    state = np.array([c.state for c in array], dtype=bool)
+    delay = np.array([switching_delay(model, c.tm_actual, (int(c.state), 1 - int(c.state))) for c in array])
+    launch = np.array([c.launch_time for c in clocks]).reshape(-1, 1)
+    sample = np.array([c.sample_time for c in clocks]).reshape(-1, 1)
+    # (H, n): cells that, once toggled, are still switching at the sample edge
+    slow = sample < launch + delay
+    faults = ((codewords(patterns, crc) != state) & slow[:, None, :]).reshape(-1, n)
+    # one syndrome per distinct fault vector, of which the error flag is a function
+    packed = np.packbits(faults, axis=-1)
+    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    vectors = faults[first]
+    index = inverse.reshape(len(clocks), len(patterns))
+    flags = syndromes(vectors, crc).any(axis=-1)[index]
     # one frozenset per distinct fault vector, shared by every round that has it
     fault_sets = tuple(frozenset(np.flatnonzero(v).tolist()) for v in vectors)
     # -inf marks a pattern that never fired: every half period is positive
     flagged_hp = np.where(flags, np.array(half_periods).reshape(-1, 1), -np.inf).max(axis=0, initial=-np.inf)
     worst = {p: (hp if hp > 0 else None) for p, hp in zip(patterns, flagged_hp.tolist())}
     return SweepResult(half_periods, patterns, flags, index, fault_sets, worst)
+
+
+def run_bist(
+    pattern: int,
+    array: list[MtjCell],
+    clock: ClockConfig,
+    crc: CrcConfig,
+    model: MtjDelayModel,
+) -> BistResult:
+    """One launch/sample round: round (0, 0) of frequency_sweep at clock.
+    Returns the decode verdict and the sensed bits."""
+    sweep = frequency_sweep(array, [pattern], [clock.half_period], crc, model, clock)
+    faults = sweep.fault_sets[sweep.fault_index[0, 0]]
+    sensed = codewords([pattern], crc)[0].astype(np.int64)
+    sensed[list(faults)] ^= 1
+    return BistResult(pattern=pattern, error_flag=int(sweep.flags[0, 0]), sensed_bits=tuple(sensed.tolist()),
+                      faulted_positions=faults, launch_time=clock.launch_time, sample_time=clock.sample_time)
 
 
 @dataclass(frozen=True)
@@ -270,8 +257,8 @@ def detection_coverage(
         states = sum(int(array[i].state) << i for i in range(d))
         patterns = [states ^ ((1 << d) - 1)] + patterns
     infected = frozenset(i for i, c in enumerate(array) if is_malicious(c, model))
-    _, vectors, index, flags = _bist_rounds(array, patterns, [clock], crc, model)
-    flagged = frozenset(np.flatnonzero(vectors[index[0, flags[0]]].any(axis=0)).tolist())
+    sweep = frequency_sweep(array, patterns, [clock.half_period], crc, model, clock)
+    flagged = frozenset().union(*(sweep.fault_sets[k] for k in set(sweep.fault_index[sweep.flags].tolist())))
     flagged_infected = flagged & infected
     coverage = len(flagged_infected) / len(infected) if infected else 1.0
     return CoverageReport(
@@ -279,5 +266,5 @@ def detection_coverage(
         flagged_infected=flagged_infected,
         coverage=coverage,
         n_patterns=len(patterns),
-        true_negative_run=(not infected and not flags.any()),
+        true_negative_run=(not infected and not sweep.flags.any()),
     )

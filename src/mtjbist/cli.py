@@ -67,6 +67,11 @@ def _positive(name: str):
     return lambda text: positive_finite(name, float(text))
 
 
+def _half_period(clock: bist.ClockConfig):
+    """A parser of a half period, checked by ClockConfig as clock's."""
+    return lambda text: replace(clock, half_period=float(text)).half_period
+
+
 # one parser serves every main call in a process: parse_args fills a fresh
 # Namespace and --config/--seed/--out default to SUPPRESS
 @functools.cache
@@ -200,7 +205,7 @@ def _bist_csv(sweep: bist.SweepResult, data_width: int) -> str:
 def cmd_bist_run(args, config: ExperimentConfig) -> int:
     crc = config.crc
     clock = config.clock if args.half_period is None else replace(
-        config.clock, half_period=reworded("bist run: --half-period", _positive("half_period"), args.half_period))
+        config.clock, half_period=reworded("bist run: --half-period", _half_period(config.clock), args.half_period))
     pattern = config.crc_reference_pattern
     if args.pattern is not None:
         pattern = reworded("bist run: --pattern", functools.partial(parse_hex, width=crc.data_width), args.pattern)
@@ -231,7 +236,7 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
         rng = np.random.default_rng(config.seed)
         patterns = random_patterns(rng, crc.data_width, args.n_random, "crc.data_width").tolist()
     if args.half_periods is not None:
-        half_periods = reworded("bist sweep: --half-periods", list_of(_positive("half_period")), args.half_periods)
+        half_periods = reworded("bist sweep: --half-periods", list_of(_half_period(config.clock)), args.half_periods)
         if not half_periods:
             raise ValueError("bist sweep: --half-periods needs at least one half period")
     else:

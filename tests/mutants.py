@@ -67,6 +67,26 @@ MUTANTS = [
            "if len(row) != len(columns):",
            "if False:",
            "an evaluation row with more or fewer fields than its header is an error naming its line"),
+    Mutant("stall-point-inclusive", "bist.py",
+           "slow = sample < launch + delay",
+           "slow = sample <= launch + delay",
+           "a cell whose switch ends exactly at the sample edge has settled"),
+    Mutant("flag-needs-every-syndrome-bit", "bist.py",
+           "syndromes(vectors, crc).any(axis=-1)",
+           "syndromes(vectors, crc).all(axis=-1)",
+           "the error flag fires on any nonzero syndrome bit"),
+    Mutant("run-bist-default-clock", "bist.py",
+           "frequency_sweep(array, [pattern], [clock.half_period], crc, model, clock)",
+           "frequency_sweep(array, [pattern], [clock.half_period], crc, model)",
+           "run_bist launches and samples at its own clock's edges"),
+    Mutant("sample-time-overflow-unchecked", "bist.py",
+           "if not math.isfinite(self.sample_time):",
+           "if False:",
+           "a half period whose sample edge overflows is rejected"),
+    Mutant("switching-delay-unclamped", "mtj.py",
+           "tm_c = min(max(tm, model.tm_min), model.tm_max)",
+           "tm_c = tm",
+           "a thickness outside [tm_min, tm_max] switches at its window's end"),
 ]
 
 

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from mtjbist.bist import (
     AttackSpec,
     ClockConfig,
-    _bist_rounds,
     detection_coverage,
     frequency_sweep,
     inject_attack,
     run_bist,
 )
 from mtjbist.cli import _bist_csv
-from mtjbist.crc import CrcConfig, encode
+from mtjbist.crc import CrcConfig, codewords, encode
 from mtjbist.mtj import MtjCell, MtjDelayModel, PendingTransition, nominal_array
 from mtjbist.textio import write_text
 from oracles import affine_switching_delay, bist_round, crc_long_division, message_bits, write_bist_rows
@@ -354,14 +353,14 @@ def test_launched_words_match_scalar_encode(data):
                     data_width=data.draw(st.integers(1, 130)))
     d, n = crc.data_width, crc.data_width + g
     patterns = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=6))
-    launched = _bist_rounds(nominal_array(n), patterns, [ClockConfig()], crc, MODEL)[0]
+    launched = codewords(patterns, crc)
     assert launched.astype(int).tolist() == [list(message_bits(encode(p, crc), crc)) for p in patterns]
     # a pattern that does not fit fails as the scalar encoder does
     bad = data.draw(st.one_of(st.integers(1 << d, 1 << (d + 8)), st.integers(-(1 << 8), -1)))
     with pytest.raises(ValueError) as scalar:
         encode(bad, crc)
     with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
-        _bist_rounds(nominal_array(n), patterns + [bad], [ClockConfig()], crc, MODEL)
+        frequency_sweep(nominal_array(n), patterns + [bad], [3.0], crc, MODEL)
 
 
 @pytest.mark.parametrize("include_complement", [False, True])

@@ -128,6 +128,21 @@ def test_bist_sweep_rejects_non_finite_half_period(tmp_path, capsys):
     assert not (tmp_path / "bist_results.csv").exists()
 
 
+def test_bist_run_rejects_a_half_period_whose_sample_edge_overflows(tmp_path, capsys):
+    # the launch (1.25e308 ns) is finite and the sample edge is not; this used
+    # to print "clean (launch 1.25e+308 ns, sample inf ns)" and exit 0
+    conf = tmp_path / "run.conf"
+    conf.write_text("clock.sample_edge = 5\n")
+    rc = main(["bist", "run", "--pattern", "ff", "--half-period", "5e307", "--config", str(conf),
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ("error: bist run: --half-period: half_period 5e+307 overflows the clock: "
+                            "sample time (sample_edge - 1) * 2 * half_period = inf\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # each used to print "0 runs" and write a header-only CSV, or, for a negative
 # count, exit 1 with numpy's "negative dimensions are not allowed"
 @pytest.mark.parametrize("flags, message", [
@@ -850,6 +865,13 @@ def test_trace_gen_rerun_removes_only_unlisted_trace_files(tmp_path, capsys):
      "bist run: --half-period: half_period must be positive and finite, got -1.0"),
     (["bist", "sweep", "--array", "{missing}", "--half-periods", "3,0"],
      "bist sweep: --half-periods: half_period must be positive and finite, got 0.0"),
+    # each used to pass the option check; the sweep then failed naming no option
+    (["bist", "run", "--array", "{missing}", "--half-period", "1e308"],
+     "bist run: --half-period: half_period 1e+308 overflows the clock: "
+     "sample time (sample_edge - 1) * 2 * half_period = inf"),
+    (["bist", "sweep", "--array", "{missing}", "--half-periods", "3,1e308"],
+     "bist sweep: --half-periods: half_period 1e+308 overflows the clock: "
+     "sample time (sample_edge - 1) * 2 * half_period = inf"),
     (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--targets", "0",
       "--multiplier", "inf"], "attack inject: --multiplier: multipliers must be positive and finite, got inf"),
     (["attack", "inject", "--array", "{missing}", "--out-array", "{missing}.out", "--random", "2",
@@ -876,8 +898,8 @@ def test_trace_gen_rerun_removes_only_unlisted_trace_files(tmp_path, capsys):
      "mtjbist attack inject: argument --multiplier-range: expected one argument; "
      "a value that starts with '-' is written --multiplier-range=VALUE"),
 ], ids=["eval-threshold", "eval-sensitivity", "score-threshold", "score-sensitivities", "half-period",
-        "half-periods", "multiplier", "multiplier-range", "multiplier-range-sign", "random-zero",
-        "half-periods-dash", "sensitivities-dash", "multiplier-range-dash"])
+        "half-periods", "half-period-overflow", "half-periods-overflow", "multiplier", "multiplier-range",
+        "multiplier-range-sign", "random-zero", "half-periods-dash", "sensitivities-dash", "multiplier-range-dash"])
 def test_bad_number_names_its_option_before_any_file_is_read(tmp_path, capsys, argv, message):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1

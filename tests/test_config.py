@@ -142,6 +142,7 @@ def test_bad_line_names_source_and_line(text, line, message):
     ("clock.sample_edge = 0\n", 1, "sample_edge must be >= 1"),
     ("clock.sample_edge = 2\n", 1, "launch must precede the sample edge"),
     ("clock.half_period_ns = 0\n", 1, "half_period must be positive and finite, got 0.0"),
+    ("clock.half_period_ns = 1e308\n", 1, "half_period 1e+308 overflows the clock: sample time"),
     ("crc.poly = 1ff\n", 1, "poly 0x1ff must fit in 8 bits and be nonzero"),
     ("crc.poly = -7\n", 1, "poly -0x7 must fit in 8 bits"),
     ("crc.check_width = 0\n", 1, "check_width and data_width must be >= 1"),
