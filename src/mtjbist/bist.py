@@ -80,12 +80,11 @@ class ClockConfig:
 
 @dataclass(frozen=True)
 class BistResult:
-    pattern: int
+    """One round's error flag, its sensed bits (data then check) and the cells that read back stale."""
+
     error_flag: int
     sensed_bits: tuple[int, ...]
     faulted_positions: frozenset[int]
-    launch_time: float
-    sample_time: float
 
 
 def check_multiplier_range(values) -> tuple[float, float]:
@@ -213,14 +212,12 @@ def run_bist(
     crc: CrcConfig,
     model: MtjDelayModel,
 ) -> BistResult:
-    """One launch/sample round: round (0, 0) of frequency_sweep at clock.
-    Returns the decode verdict and the sensed bits."""
+    """One launch/sample round: round (0, 0) of frequency_sweep at clock."""
     sweep = frequency_sweep(array, [pattern], [clock.half_period], crc, model, clock)
     faults = sweep.fault_sets[sweep.fault_index[0, 0]]
     sensed = codewords([pattern], crc)[0].astype(np.int64)
     sensed[list(faults)] ^= 1
-    return BistResult(pattern=pattern, error_flag=int(sweep.flags[0, 0]), sensed_bits=tuple(sensed.tolist()),
-                      faulted_positions=faults, launch_time=clock.launch_time, sample_time=clock.sample_time)
+    return BistResult(int(sweep.flags[0, 0]), tuple(sensed.tolist()), faults)
 
 
 @dataclass(frozen=True)
@@ -240,22 +237,15 @@ def detection_coverage(
     model: MtjDelayModel,
     rng_seed: int,
     n_patterns: int,
-    include_complement: bool = False,
 ) -> CoverageReport:
-    """Random-pattern campaign at one test clock.
+    """Campaign of n_patterns random patterns, drawn from rng_seed, at one test clock.
 
-    Coverage is |flagged infected cells| / |infected cells| where a cell
-    counts as flagged when it faulted in a run whose error flag fired.
-    include_complement prepends the bitwise complement of the data cells'
-    current states, the pattern guaranteed to toggle every data cell.
+    Coverage is |flagged infected cells| / |infected cells|, 1.0 with no cell
+    infected; a cell is flagged when it faulted in a run whose error flag fired.
     """
     if n_patterns < 1:
         raise ValueError("n_patterns must be >= 1")
-    d = crc.data_width
-    patterns = random_patterns(np.random.default_rng(rng_seed), d, n_patterns, "crc.data_width").tolist()
-    if include_complement:
-        states = sum(int(array[i].state) << i for i in range(d))
-        patterns = [states ^ ((1 << d) - 1)] + patterns
+    patterns = random_patterns(np.random.default_rng(rng_seed), crc.data_width, n_patterns, "crc.data_width").tolist()
     infected = frozenset(i for i, c in enumerate(array) if is_malicious(c, model))
     sweep = frequency_sweep(array, patterns, [clock.half_period], crc, model, clock)
     flagged = frozenset().union(*(sweep.fault_sets[k] for k in set(sweep.fault_index[sweep.flags].tolist())))

@@ -72,6 +72,12 @@ def _half_period(clock: bist.ClockConfig):
     return lambda text: replace(clock, half_period=float(text)).half_period
 
 
+def _from_config(args, make):
+    """make with its ValueError prefixed by the --config path, for config values
+    that parse alone but fail together; make itself without --config."""
+    return functools.partial(reworded, args.config, make) if hasattr(args, "config") else make
+
+
 # one parser serves every main call in a process: parse_args fills a fresh
 # Namespace and --config/--seed/--out default to SUPPRESS
 @functools.cache
@@ -234,7 +240,7 @@ def cmd_bist_sweep(args, config: ExperimentConfig) -> int:
         raise ValueError(f"bist sweep: --n-random must be >= 1, got {args.n_random}")
     else:
         rng = np.random.default_rng(config.seed)
-        patterns = random_patterns(rng, crc.data_width, args.n_random, "crc.data_width").tolist()
+        patterns = _from_config(args, random_patterns)(rng, crc.data_width, args.n_random, "crc.data_width").tolist()
     if args.half_periods is not None:
         half_periods = reworded("bist sweep: --half-periods", list_of(_half_period(config.clock)), args.half_periods)
         if not half_periods:
@@ -296,9 +302,9 @@ def cmd_trace_gen(args, config: ExperimentConfig) -> int:
     condition = reworded(f"trace gen: --condition {kind.value}", Condition, kind, pv_length_fraction=args.pv_fraction,
                          temperature_c=args.temperature)
 
-    circuit = experiments.device(config, args.circuit, kind is ConditionKind.TROJAN)
+    circuit = _from_config(args, experiments.device)(config, args.circuit, kind is ConditionKind.TROJAN)
     n = args.n if args.n is not None else config.detector_n_patterns
-    dataset = build_dataset(circuit, condition, n_patterns=n, seed=config.seed, params=config.trace)
+    dataset = _from_config(args, build_dataset)(circuit, condition, n_patterns=n, seed=config.seed, params=config.trace)
     name = args.name if args.name is not None else f"{circuit.name}_{kind.value}"
     out_dir = os.path.join(config.out, name)
     write_datasets({out_dir: dataset})
@@ -369,11 +375,11 @@ def _run_experiment(config: ExperimentConfig, name: str, run) -> int:
 
 
 def cmd_exp1(args, config: ExperimentConfig) -> int:
-    return _run_experiment(config, "exp1", experiments.run_crc_identification)
+    return _run_experiment(config, "exp1", _from_config(args, experiments.run_crc_identification))
 
 
 def cmd_exp2(args, config: ExperimentConfig) -> int:
-    return _run_experiment(config, "exp2", experiments.run_katan_identification)
+    return _run_experiment(config, "exp2", _from_config(args, experiments.run_katan_identification))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +433,10 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size too large to allocate, such as bist sweep --n-random 10**14
+        command = args.func.__name__.removeprefix("cmd_").replace("_", " ")
+        print(f"error: {command}: {exc}", file=sys.stderr)
         return 1
 
 

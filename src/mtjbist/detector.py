@@ -84,22 +84,12 @@ def _peak_correlation(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return peak
 
 
-def relational_detector(reference, test, normalized: bool = False) -> float:
-    """Maximum of |cross correlation| of two sample arrays; >= 0, symmetric in its arguments.
-
-    normalized=True divides by the product of the signal 2-norms (energy
-    normalization), making the value scale-invariant.
-    """
-    a, b = _signals(reference, test)
+def relational_detector(reference, test) -> float:
+    """Maximum of |cross correlation| of two sample arrays; >= 0, symmetric in
+    its arguments. evaluation_signal holds the energy-normalized variant."""
     # the same product for both argument orders, which some BLAS kernels round differently
-    first, second = sorted((a, b), key=np.ndarray.tobytes)
-    value = float(_peak_correlation(first[None, :], second)[0])
-    if normalized:
-        denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-        if denom == 0.0:
-            return 0.0
-        value /= denom
-    return value
+    first, second = sorted(_signals(reference, test), key=np.ndarray.tobytes)
+    return float(_peak_correlation(first[None, :], second)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -83,6 +83,18 @@ MUTANTS = [
            "if not math.isfinite(self.sample_time):",
            "if False:",
            "a half period whose sample edge overflows is rejected"),
+    Mutant("coverage-of-healthy-array-zero", "bist.py",
+           "if infected else 1.0",
+           "if infected else 0.0",
+           "an array with no infected cell has full coverage"),
+    Mutant("normalized-without-reference-norm", "detector.py",
+           "np.linalg.norm(ref) * np.linalg.norm(rows, axis=1)",
+           "np.linalg.norm(rows, axis=1)",
+           "the normalized detector value divides by both signals' 2-norms"),
+    Mutant("memory-error-uncaught", "cli.py",
+           "except MemoryError as exc:",
+           "except () as exc:",
+           "a size too large to allocate exits 1 naming its command, without a traceback"),
     Mutant("switching-delay-unclamped", "mtj.py",
            "tm_c = min(max(tm, model.tm_min), model.tm_max)",
            "tm_c = tm",

@@ -215,21 +215,6 @@ def test_coverage_healthy_array():
     assert report.infected == frozenset()
 
 
-def test_coverage_single_infected_with_complement():
-    report = detection_coverage(
-        infected_array(3),
-        ClockConfig(half_period=1.2),
-        CRC8,
-        MODEL,
-        rng_seed=0,
-        n_patterns=4,
-        include_complement=True,
-    )
-    assert report.infected == frozenset({3})
-    assert report.coverage == 1.0
-    assert not report.true_negative_run
-
-
 def test_coverage_probability_matches_closed_form():
     # a random pattern toggles one given data cell with probability 1/2, so
     # an n-pattern campaign flags a single infected data cell with
@@ -363,17 +348,13 @@ def test_launched_words_match_scalar_encode(data):
         frequency_sweep(nominal_array(n), patterns + [bad], [3.0], crc, MODEL)
 
 
-@pytest.mark.parametrize("include_complement", [False, True])
-def test_coverage_matches_oracle_campaign(include_complement):
+def test_coverage_matches_oracle_campaign():
     rng = np.random.default_rng(5)
     for trial in range(12):
         cells = random_array(rng)
         clock = ClockConfig(half_period=float(rng.uniform(0.8, 2.0)))
-        report = detection_coverage(cells, clock, CRC8, MODEL, rng_seed=trial, n_patterns=6,
-                                    include_complement=include_complement)
+        report = detection_coverage(cells, clock, CRC8, MODEL, rng_seed=trial, n_patterns=6)
         patterns = [int(p) for p in np.random.default_rng(trial).integers(0, 256, size=6)]
-        if include_complement:
-            patterns.insert(0, 0xFF ^ sum(cells[i].state << i for i in range(8)))
         flagged, any_error = set(), False
         for p in patterns:
             flag, _, faulted = oracle_round(p, cells, clock.half_period)

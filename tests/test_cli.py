@@ -208,6 +208,42 @@ def test_a_trace_shorter_than_its_circuit_names_the_key(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+# each used to exit 1 with the reason alone, naming no config file
+@pytest.mark.parametrize("conf, argv, reason", [
+    ("katan.key = 0\n", ["exp2"], "katan key 00000000000000000000 has even parity over the trigger key bits "
+     "[0, 1, 2, 3, 4, 5, 6, 7], so the Trojan can never fire"),
+    ("katan.key = 0\n", ["trace", "gen", "--circuit", "katan", "--condition", "trojan"],
+     "katan key 00000000000000000000 has even parity over the trigger key bits [0, 1, 2, 3, 4, 5, 6, 7], "
+     "so the Trojan can never fire"),
+    ("trojan.key_bits = 1\n", ["exp2"],
+     "katan key 9e3779b97f4a7c15f39d has even parity over the trigger key bits [1], so the Trojan can never fire"),
+    ("trace.n_samples = 100\n", ["exp2"], "trace.n_samples = 100: a trace must hold the 254 steps of katan32"),
+    ("crc.data_width = 64\n", ["exp1"], "crc.data_width = 64: random patterns take at most 63 bits"),
+    ("crc.data_width = 64\n", ["bist", "sweep"], "crc.data_width = 64: random patterns take at most 63 bits"),
+], ids=["exp2-key", "trace-gen-key", "exp2-key-bits", "exp2-n-samples", "exp1-data-width", "bist-sweep-data-width"])
+def test_a_run_time_config_error_names_the_config_file(tmp_path, capsys, conf, argv, reason):
+    path = tmp_path / "run.conf"
+    path.write_text(conf)
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
+# each used to end in numpy's _ArrayMemoryError traceback; 10**14 int64 values
+# are 728 TiB, more than a 47-bit address space holds, so the allocation fails at once
+@pytest.mark.parametrize("command, argv", [
+    ("bist sweep", ["bist", "sweep", "--n-random", "100000000000000"]),
+    ("trace gen", ["trace", "gen", "--n", "100000000000000"]),
+    ("exp1", ["exp1", "--config", "big.conf"]),
+], ids=["bist-sweep", "trace-gen", "exp1"])
+def test_a_size_too_large_to_allocate_exits_1_naming_the_command(tmp_path, capsys, monkeypatch, command, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.conf").write_text("detector.n_patterns = 100000000000000\n")
+    assert main([*argv, "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: Unable to allocate ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # each used to print int()'s or parse_hex's message, which names no option
 @pytest.mark.parametrize("argv, message", [
     (["katan", "enc", "--key", "zz", "--pt", "0"], "argument --key: invalid literal for int() with base 16: 'zz'"),

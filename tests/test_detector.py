@@ -98,19 +98,22 @@ def test_detector_homogeneous_in_each_argument(xs, c):
 def test_normalized_detector_bounded_by_one():
     rng = np.random.default_rng(77)
     for _ in range(50):
-        n = int(rng.integers(2, 40))
-        a = rng.normal(size=n)
-        b = rng.normal(size=n)
-        v = relational_detector(a, b, normalized=True)
+        n = int(rng.integers(100, 140))
+        a = CurrentTrace(dt=0.1, samples=rng.normal(size=n))
+        b = rng.normal(size=(1, n))
+        v = evaluation_signal(a, dataset_of(b), normalized=True).values[0]
         assert 0.0 <= v <= 1.0 + 1e-12
-    assert relational_detector(np.zeros(5), np.ones(5), normalized=True) == 0.0
+    silent = CurrentTrace(dt=0.1, samples=np.zeros(128))
+    assert evaluation_signal(silent, dataset_of(np.ones((1, 128))), normalized=True).values.tolist() == [0.0]
 
 
 def test_normalized_detector_scale_invariant():
-    a = np.array([1.0, 3.0, -2.0, 0.5])
-    b = np.array([0.4, -1.1, 2.2, 0.9])
-    v = relational_detector(a, b, normalized=True)
-    assert relational_detector(8 * a, 0.125 * b, normalized=True) == pytest.approx(v)
+    rng = np.random.default_rng(78)
+    a = rng.normal(size=128)
+    b = rng.normal(size=(1, 128))
+    v = evaluation_signal(CurrentTrace(dt=0.1, samples=a), dataset_of(b), normalized=True).values[0]
+    scaled = evaluation_signal(CurrentTrace(dt=0.1, samples=8 * a), dataset_of(0.125 * b), normalized=True)
+    assert scaled.values[0] == pytest.approx(v)
 
 
 def test_classify_band_edges_accept():
@@ -211,7 +214,9 @@ def test_normalized_evaluation_gives_a_zero_row_zero():
         warnings.simplefilter("error")
         sig = evaluation_signal(ref, dataset_of(rows), normalized=True)
     assert sig.values[0] == 0.0
-    assert sig.values[1] == pytest.approx(relational_detector(ref.samples, rows[1], normalized=True), rel=1e-12)
+    energy = np.linalg.norm(ref.samples) * np.linalg.norm(rows[1])
+    expect = detector_double_loop(ref.samples.tolist(), rows[1].tolist()) / energy
+    assert sig.values[1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_score_maps_rejections_by_provenance():
